@@ -59,7 +59,6 @@ from .kabelian import (
 from .quadreal import MixedRadicandError, QuadReal, dist_to_int, sqrt
 from .spectra import (
     DEFAULT_ORACLE_CAP,
-    FREIMAN_CONSTANT,
     BoundReport,
     ExponentRecord,
     LimsupEstimate,
@@ -126,7 +125,6 @@ __all__ = [
     "dist_to_int",
     "sqrt",
     "DEFAULT_ORACLE_CAP",
-    "FREIMAN_CONSTANT",
     "BoundReport",
     "ExponentRecord",
     "LimsupEstimate",

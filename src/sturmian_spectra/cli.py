@@ -5,7 +5,8 @@ no float round-trips.  Numeric results carry the exact component form and
 a 40-digit correctly rounded decimal, in text and JSON alike.
 
 Exit codes: 0 success, 2 usage or parse error, 3 resource cap hit,
-4 internal invariant violation (oracle disagreement; should never fire).
+4 internal invariant violation (oracle disagreement or a failed geometric
+invariant; should never fire).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ class RunConfig:
     target: str | None = None
     stages: int | None = None
     pool: int | None = None
-    workers: int = 0
     convention: str = "left"
     output: str = "text"
     verify: bool = False
@@ -164,7 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("-k", type=_positive_int, required=True)
     p_spec.add_argument("--base", dest="cf_text", required=True, metavar="CF")
     p_spec.add_argument("--pool", type=_nonneg_int, default=200)
-    p_spec.add_argument("--workers", type=_nonneg_int, default=0)
     add_format(p_spec, "text", "json", "csv")
 
     p_lin = sub.add_parser(
@@ -318,7 +317,7 @@ def _cmd_theta(cfg: RunConfig) -> int:
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
     base = parse_cf(cfg.cf_text)
-    points = sample_spectrum(cfg.k, base, cfg.pool, workers=cfg.workers)
+    points = sample_spectrum(cfg.k, base, cfg.pool)
     if cfg.output == "json":
         for p in points:
             print(
@@ -407,6 +406,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     except ValueError as exc:
         return _error(EXIT_USAGE, "invalid_argument", str(exc))
+    except AssertionError as exc:
+        return _error(EXIT_INTERNAL, "invariant_violation", str(exc))
 
 
 if __name__ == "__main__":

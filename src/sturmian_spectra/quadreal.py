@@ -1,10 +1,17 @@
 """Exact arithmetic in real quadratic fields.
 
 A value is (p + q*sqrt(d)) / r with arbitrary-precision integers p, q, r
-and a square-free radicand d.  Circle points, interval lengths, Lagrange
-constants and spectrum values are all instances of this one type, so every
-comparison made by the package is an exact integer sign computation and
-floating point never enters any decision.
+and a radicand d.  Circle points, interval lengths, Lagrange constants and
+spectrum values are all instances of this one type, so every comparison
+made by the package is an exact integer sign computation and floating
+point never enters any decision.
+
+The constructor pulls the squares of the primes below 1000 out of d and
+then tests what is left for being a perfect square, so q == 0 exactly when
+the value is rational.  It never factors d in full: a printed d may keep
+the square of a larger prime.  One value can therefore have more than one
+spelling, and equality, hashing and arithmetic go by value, not by the
+components.
 
 Addition, subtraction, multiplication and division require both operands
 to live in the same field (rationals, having q == 0, are compatible with
@@ -15,15 +22,61 @@ analysis of the difference; see :func:`QuadReal.compare`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt
-
-from ._ntheory import squarefree_split
 
 __all__ = ["QuadReal", "MixedRadicandError", "sqrt", "dist_to_int"]
 
 
 class MixedRadicandError(ValueError):
     """Arithmetic attempted between values of distinct quadratic fields."""
+
+
+_TRIAL_LIMIT = 1000
+_SMALL_PRIMES = tuple(
+    p for p in range(2, _TRIAL_LIMIT) if all(p % f for f in range(2, isqrt(p) + 1))
+)
+
+
+@lru_cache(maxsize=1024)
+def _split_radicand(n: int) -> tuple[int, int]:
+    """Write n >= 1 as f*f*d; d == 1 exactly when n is a perfect square.
+
+    Trial division pulls out the primes below _TRIAL_LIMIT, and one isqrt
+    test on the cofactor decides whether it is a square.  Any d > 1 then
+    has no square prime factor below _TRIAL_LIMIT but may keep a larger one.
+    """
+    f = d = 1
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            f *= p ** (e // 2)
+            d *= p ** (e % 2)
+    s = isqrt(n)
+    if s * s == n:
+        return f * s, d
+    return f, d * n
+
+
+def _common_radicand(x: "QuadReal", y: "QuadReal") -> tuple["QuadReal", "QuadReal"]:
+    """x and y spelled over one radicand (a rational fits any radicand).
+
+    Two radicands name the same field exactly when their product is a
+    square, i.e. when both are a square times their gcd; then both values
+    are rewritten over that gcd.
+    """
+    if x.q == 0 or y.q == 0 or x.d == y.d:
+        return x, y
+    g = gcd(x.d, y.d)
+    u, v = isqrt(x.d // g), isqrt(y.d // g)
+    if u * u * g != x.d or v * v * g != y.d:
+        raise MixedRadicandError(f"cannot mix sqrt({x.d}) with sqrt({y.d}) arithmetic")
+    return QuadReal(x.p, x.q * u, g, x.r), QuadReal(y.p, y.q * v, g, y.r)
 
 
 def _sign(n: int) -> int:
@@ -72,7 +125,7 @@ class QuadReal:
             q = 0
             d = 0
         else:
-            f, d = squarefree_split(d)
+            f, d = _split_radicand(d)
             q *= f
             if d == 1:
                 p += q
@@ -109,29 +162,18 @@ class QuadReal:
     def is_rational(self) -> bool:
         return self.q == 0
 
-    # -- field compatibility -------------------------------------------------
-
-    def _merged_d(self, other: "QuadReal") -> int:
-        if self.q == 0:
-            return other.d
-        if other.q == 0 or other.d == self.d:
-            return self.d
-        raise MixedRadicandError(
-            f"cannot mix sqrt({self.d}) with sqrt({other.d}) arithmetic"
-        )
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        d = self._merged_d(other)
+        a, b = _common_radicand(self, other)
         return QuadReal(
-            self.p * other.r + other.p * self.r,
-            self.q * other.r + other.q * self.r,
-            d,
-            self.r * other.r,
+            a.p * b.r + b.p * a.r,
+            a.q * b.r + b.q * a.r,
+            a.d or b.d,
+            a.r * b.r,
         )
 
     __radd__ = __add__
@@ -155,12 +197,13 @@ class QuadReal:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        d = self._merged_d(other)
+        a, b = _common_radicand(self, other)
+        d = a.d or b.d
         return QuadReal(
-            self.p * other.p + self.q * other.q * d,
-            self.p * other.q + self.q * other.p,
+            a.p * b.p + a.q * b.q * d,
+            a.p * b.q + a.q * b.p,
             d,
-            self.r * other.r,
+            a.r * b.r,
         )
 
     __rmul__ = __mul__
@@ -175,7 +218,6 @@ class QuadReal:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        self._merged_d(other)
         return self * other._inverse()
 
     def __rtruediv__(self, other):
@@ -222,17 +264,22 @@ class QuadReal:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.q == other.q
-            and self.d == other.d
-            and self.r == other.r
-        )
+        if self.d == other.d:
+            return self.p == other.p and self.q == other.q and self.r == other.r
+        return self.compare(other) == 0
 
     def __hash__(self):
+        # Every spelling of a value shares its rational part p/r and the
+        # square q*q*d/r*r of its irrational part, with the sign of q.
         if self.q == 0:
             return hash(Fraction(self.p, self.r))
-        return hash((self.p, self.q, self.d, self.r))
+        return hash(
+            (
+                Fraction(self.p, self.r),
+                Fraction(self.q * self.q * self.d, self.r * self.r),
+                self.q > 0,
+            )
+        )
 
     def __lt__(self, other):
         return self.compare(other) < 0

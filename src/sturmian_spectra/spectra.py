@@ -15,7 +15,6 @@ Lagrange constant of the slope, which is what theta_k computes exactly.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -35,7 +34,6 @@ from .words import SturmianSpec, factors_of_length, sturmian_prefix
 __all__ = [
     "ORACLE_CAP_ENV",
     "DEFAULT_ORACLE_CAP",
-    "FREIMAN_CONSTANT",
     "ResourceCapExceeded",
     "ExponentRecord",
     "max_kab_exponent",
@@ -56,10 +54,6 @@ __all__ = [
 
 ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
 DEFAULT_ORACLE_CAP = 2000
-
-# Right endpoint of the half-line where the classical spectrum is a full ray.
-# Documented for orientation only; nothing below depends on it.
-FREIMAN_CONSTANT = QuadReal(2221564096, 283748, 462, 491993569)
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -380,36 +374,23 @@ def sample_spectrum(
     k: int,
     base: ContinuedFraction,
     pool: int | Iterable[tuple[int, ...]],
-    workers: int = 0,
 ) -> list[SpectrumPoint]:
     """Exact theta_k values over slopes sharing base's periodic tail.
 
     The pool is either a count fed to preperiod_pool or an explicit
     iterable of preperiod digit tuples; duplicates after canonicalization
     are skipped, so a count yields that many distinct slopes (the base
-    itself first).  Points are returned in enumeration order regardless of
-    worker count.
+    itself first).  Points are returned in enumeration order.
     """
     if base.is_rational:
         raise ValueError("base slope must be irrational")
     if isinstance(pool, int):
         if pool < 0:
             raise ValueError("pool size must be >= 0")
-        want = max(pool, 1)
-        plans: Iterator[tuple[int, ...]] | list[tuple[int, ...]] = _distinct_variants(
-            base, want
-        )
+        cfs = _distinct_variants(base, max(pool, 1))
     else:
-        plans = [_variant(base, tuple(p)) for p in pool] or [base]
-    cfs = list(plans)
-
-    def point(cf: ContinuedFraction) -> SpectrumPoint:
-        return SpectrumPoint(cf, k, theta_k(cf, k))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            return list(pool_exec.map(point, cfs))
-    return [point(cf) for cf in cfs]
+        cfs = [_variant(base, tuple(p)) for p in pool] or [base]
+    return [SpectrumPoint(cf, k, theta_k(cf, k)) for cf in cfs]
 
 
 def _variant(base: ContinuedFraction, digits: tuple[int, ...]) -> ContinuedFraction:

@@ -24,7 +24,7 @@ from .geometry import (
     IntervalFamily,
     level_intervals,
 )
-from .quadreal import QuadReal, MixedRadicandError
+from .quadreal import QuadReal, _common_radicand
 
 __all__ = [
     "SturmianSpec",
@@ -57,8 +57,7 @@ def _code_letters(
     alpha: QuadReal, start: QuadReal, count: int, zero_in_i0: bool
 ) -> str:
     """count letters of the coding from `start`, via integer sign tests."""
-    if start.q != 0 and start.d != alpha.d:
-        raise MixedRadicandError("intercept lies in a different field than the slope")
+    alpha, start = _common_radicand(alpha, start)
     d = alpha.d
     R = lcm(alpha.r, start.r)
     ap = alpha.p * (R // alpha.r)

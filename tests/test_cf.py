@@ -1,5 +1,6 @@
 """Continued fractions: parsing, exact values, convergents, Lagrange constants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -185,3 +186,12 @@ def test_value_in_first_quotient_bracket(cf):
     if cf.period or len(cf.preperiod) > 1:
         assert v > a0
     assert v < a0 + 1
+
+
+@given(st.lists(st.integers(1, 99), min_size=1, max_size=13))
+@settings(max_examples=60, deadline=2000)
+def test_long_periods_finish_with_consistent_digits(period):
+    """Discriminants of long periods are never factored, only trial-divided."""
+    cf = ContinuedFraction([0], period)
+    for x in (cf.value(), cf.lagrange_constant()):
+        assert math.isclose(float(x.decimal(40)), float(x), rel_tol=1e-9)

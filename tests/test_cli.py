@@ -6,13 +6,17 @@ import sys
 
 import pytest
 
+from sturmian_spectra import geometry, kabelian
 from sturmian_spectra.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
     RunConfig,
     main,
 )
+from sturmian_spectra.geometry import IntervalFamily
+from sturmian_spectra.quadreal import QuadReal
 
 FIB = "[0; 2, (1)]"
 
@@ -163,12 +167,37 @@ def test_repeated_runs_are_identical(capsys):
     assert len(outputs) == 1
 
 
-def test_worker_count_does_not_change_the_output(capsys):
-    _, serial, _ = _run(capsys, "spectrum", "-k", "2", "--base", "[0; (1)]",
-                        "--pool", "6", "--format", "csv")
-    _, parallel, _ = _run(capsys, "spectrum", "-k", "2", "--base", "[0; (1)]",
-                          "--pool", "6", "--workers", "2", "--format", "csv")
-    assert serial == parallel
+def _scramble_orbit(monkeypatch):
+    """Every orbit point collapses onto 0, so the coarse family is too small."""
+    monkeypatch.setattr(geometry, "orbit_points",
+                        lambda alpha, indices: [QuadReal(0) for _ in indices])
+
+
+def _misplace_coarse_cuts(monkeypatch):
+    """A coarse cut at 1/3 splits the level interval that contains it."""
+    monkeypatch.setattr(
+        kabelian, "ikm_intervals",
+        lambda alpha, k, m, convention: IntervalFamily(
+            [QuadReal(0), QuadReal(1, 0, 0, 3)], convention))
+
+
+@pytest.mark.parametrize("breakage", [_scramble_orbit, _misplace_coarse_cuts])
+def test_invariant_failure_is_exit_4_with_json(capsys, monkeypatch, breakage):
+    breakage(monkeypatch)
+    code, out, err = _run(capsys, "classes", FIB, "-k", "2", "-m", "5")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "invariant_violation"
+
+
+def test_long_period_slope_finishes_quickly():
+    """A 13-term period with a 44-digit discriminant, which full
+    factorisation could not split within this budget."""
+    cmd = [sys.executable, "-m", "sturmian_spectra", "cf",
+           "[0; (20, 33, 55, 28, 73, 93, 97, 7, 64, 88, 51, 92, 82)]"]
+    done = subprocess.run(cmd, capture_output=True, timeout=5)
+    assert done.returncode == EXIT_OK
+    assert b"lambda: " in done.stdout
 
 
 def test_console_script_round_trip():

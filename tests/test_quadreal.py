@@ -43,6 +43,29 @@ def test_normalization_pulls_out_square_factors():
     assert QuadReal(0, 4, 50, 6) == QuadReal(0, 10, 2, 3)
 
 
+def test_spellings_of_one_value_are_equal_and_hash_alike():
+    """A square of a prime above the trial-division limit may stay in d."""
+    x, y = QuadReal(0, 1, 5 * 1129**2), QuadReal(0, 1129, 5)
+    assert x == y and hash(x) == hash(y)
+    x, y = QuadReal(0, 1, 5 * 1129**2 * 1151), QuadReal(0, 1129, 5 * 1151)
+    assert x.d != y.d  # two spellings of 1129*sqrt(5755)
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, QuadReal(3, 1129, 5 * 1151, 2) * 2 - 3}) == 1
+    assert x != -y and x != y + 1 and x != y / 2
+
+
+def test_arithmetic_across_spellings_of_one_field():
+    big, small = sqrt(5 * 1129**2 * 1151), sqrt(5 * 1151)
+    assert big.d != small.d
+    assert big + small == 1130 * small
+    assert big - 1129 * small == 0
+    assert big * small == 5 * 1151 * 1129
+    assert big / small == 1129
+    assert (1 + big) * (1 - small) == 1 - 5 * 1151 * 1129 + 1128 * small
+    assert big.compare(small) > 0 and small.compare(big) < 0
+    assert big.compare(1129 * small) == 0
+
+
 def test_rational_results_drop_the_radical():
     assert (sqrt(5) * sqrt(5)).is_rational
     assert sqrt(5) * sqrt(5) == 5
