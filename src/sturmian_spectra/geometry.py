@@ -160,6 +160,23 @@ def _require_irrational(alpha: QuadReal) -> None:
         raise ValueError("slope must be irrational")
 
 
+def _level_family(
+    alpha: QuadReal, n: int, convention: EndpointConvention
+) -> tuple[IntervalFamily, list[int]]:
+    """The level-n family, and the index j of each of its cuts {-j*alpha}.
+
+    The points are distinct (alpha is irrational) and {0} comes first, so
+    order[0] == 0; sorting them once here leaves IntervalFamily a linear
+    pass over sorted input.
+    """
+    _require_irrational(alpha)
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    points = orbit_points(alpha, range(0, -n - 1, -1))
+    order = sorted(range(n + 1), key=points.__getitem__)
+    return IntervalFamily([points[j] for j in order], convention), order
+
+
 def level_intervals(
     alpha: QuadReal, n: int, convention: EndpointConvention = LEFT_CLOSED
 ) -> IntervalFamily:
@@ -169,10 +186,7 @@ def level_intervals(
     starts with the i-th length-n factor, so this family *is* the language
     of length n in geometric form.
     """
-    _require_irrational(alpha)
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    return IntervalFamily(orbit_points(alpha, range(0, -n - 1, -1)), convention)
+    return _level_family(alpha, n, convention)[0]
 
 
 def ikm_intervals(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, ldexp
 
 __all__ = ["QuadReal", "MixedRadicandError", "sqrt", "dist_to_int"]
 
@@ -349,10 +349,24 @@ class QuadReal:
         return sign + "0." + "0" * (-e - 1) + s
 
     def __float__(self):
-        out = self.p / self.r
-        if self.q:
-            out += self.q * self.d**0.5 / self.r
-        return out
+        """Correctly rounded: float() of an exact floor of |x| * 2**s."""
+        if self.q == 0:
+            return self.p / self.r  # int / int is correctly rounded
+        sign = self.sign()
+        p, q, r = sign * self.p, sign * self.q, self.r
+        size = max(abs(p).bit_length(), (q * q * self.d).bit_length() // 2)
+        s = 64 + r.bit_length() - size
+        while True:
+            if s >= 0:
+                n = _floor_parts(p << s, q << s, self.d, r)
+            else:
+                n = _floor_parts(p, q, self.d, r << -s)
+            if n.bit_length() >= 60:
+                break
+            s += 61 - n.bit_length() if n else 64  # cancellation: look deeper
+        # |x| * 2**s is irrational, so it lies strictly between n and n + 1;
+        # with n at least 60 bits wide a set low bit rounds exactly like it.
+        return sign * ldexp(float(n | 1), -s)
 
     def __str__(self):
         if self.q == 0:

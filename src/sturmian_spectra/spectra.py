@@ -122,12 +122,29 @@ def max_kab_exponent(
     return ExponentRecord(k, m, exponent, longest, step, x, word)
 
 
-def _initial_run(word: str, m: int, key) -> int:
+class _BlockClasses(dict):
+    """m-block -> class id under `key`, filled in on first sight of a block.
+
+    A run compares block ids by one slice and one dict lookup per block;
+    `key` runs once per distinct block, and there are at most m+1 of those.
+    """
+
+    def __init__(self, key):
+        super().__init__()
+        self.key = key
+        self.ids = {}
+
+    def __missing__(self, block: str) -> int:
+        cid = self[block] = self.ids.setdefault(self.key(block), len(self.ids))
+        return cid
+
+
+def _initial_run(word: str, m: int, classes: _BlockClasses) -> int:
     """Number of leading m-blocks of `word` all equivalent to the first."""
-    first = key(word[:m])
+    first = classes[word[:m]]
     n = 1
     pos = m
-    while pos + m <= len(word) and key(word[pos : pos + m]) == first:
+    while pos + m <= len(word) and classes[word[pos : pos + m]] == first:
         n += 1
         pos += m
     return n
@@ -149,6 +166,7 @@ def _longest_block_run(
     """
     if 2 * m > cap:
         raise ResourceCapExceeded(2 * m, cap)
+    classes = _BlockClasses(key)
     # Shared ladder of lengths (powers of two up to the cap) so repeated
     # calls with different periods reuse the cached factor languages.
     length = 64
@@ -158,7 +176,7 @@ def _longest_block_run(
     while True:
         best = 1
         for w, _ in factors_of_length(alpha, length, convention):
-            run = _initial_run(w, m, key)
+            run = _initial_run(w, m, classes)
             if run > best:
                 best = run
         if (best + 1) * m <= length:
@@ -178,7 +196,7 @@ def brute_kab_exponent(
     """Independent check of max_kab_exponent by enumerating actual factors.
 
     No interval-length reasoning: splits enumerated factors into m-blocks
-    and tests pairwise equivalence via signatures.  Raises
+    and compares their signatures, computed once per distinct block.  Raises
     ResourceCapExceeded (a declared failure, never a wrong answer) if the
     needed factor length passes the cap, env-overridable via
     STURMIAN_SPECTRA_CAP.
@@ -323,8 +341,13 @@ def theta_limsup_estimate(
     and the family-vs-limit gap are both O(1/q_t)), so folding them into
     the max would freeze the estimate at an early spike; a tail max is
     the finite stand-in for a limit superior.  All terms are kept in the
-    report, and the slack 2/q at the window start bounds the tail terms'
-    deviation from the limit.
+    report, with the slack 2/q at the window start: the scale of the O(1/q)
+    deviation of a term whose index tracks the limit superior.  It is no
+    bound on the estimate's error.  When the window holds no such index,
+    for instance when the period of the expansion is longer than the
+    window, the estimate can fall below theta_k by O(1):
+    [0; 27, (6, 9, 16, 1, 26, 21)] at k = 4, t_max = 10 gives a gap of 4.5
+    against a slack of 2.9e-6.
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")

@@ -2,13 +2,19 @@
 
 A slope alpha in (0, 1) and an intercept x define the binary word whose
 i-th letter says which side of the two-interval partition {I(0, 1-alpha),
-I(1-alpha, 1)} the point x + i*alpha (mod 1) falls on.  All letters are
-decided by exact sign computations; the inner loop works on scaled integer
-numerator pairs over a common denominator so long prefixes stay cheap.
+I(1-alpha, 1)} the point x + i*alpha (mod 1) falls on, i.e. whether x lies
+in the arc from {-(i+1)*alpha} to {-i*alpha}.
 
-Factors of a given length are enumerated exactly: the level-n interval
-family has one interval per length-n factor, and coding from each exact
-interval midpoint produces that factor.  No sampling, no prefix scanning.
+Prefixes from a given intercept are decided by exact sign computations on
+scaled integer numerator pairs over a common denominator.
+
+Factors of a given length need no sign tests beyond sorting the cut points:
+the level-n family, cut at {-j*alpha} for 0 <= j <= n, has one interval per
+length-n factor.  With rank[j] the circle rank of {-j*alpha}, letter i of
+the factor on interval r is 1 exactly when
+(r - rank[i+1]) mod (n+1) < (rank[i] - rank[i+1]) mod (n+1), and crossing
+the cut {-j*alpha} only turns letter j-1 into 1 and letter j into 0.  No
+sampling, no prefix scanning.
 """
 
 from __future__ import annotations
@@ -21,8 +27,7 @@ from .geometry import (
     EndpointConvention,
     Interval,
     LEFT_CLOSED,
-    IntervalFamily,
-    level_intervals,
+    _level_family,
 )
 from .quadreal import QuadReal, _common_radicand
 
@@ -56,7 +61,12 @@ class SturmianSpec:
 def _code_letters(
     alpha: QuadReal, start: QuadReal, count: int, zero_in_i0: bool
 ) -> str:
-    """count letters of the coding from `start`, via integer sign tests."""
+    """count letters of the coding from `start`, via integer sign tests.
+
+    Each step decides two signs: whether the point lies in I(1-alpha, 1),
+    and whether adding alpha wrapped past 1.  This serves prefixes from an
+    arbitrary intercept; factor languages are built from circle ranks.
+    """
     alpha, start = _common_radicand(alpha, start)
     d = alpha.d
     R = lcm(alpha.r, start.r)
@@ -125,15 +135,28 @@ def factors_of_length(
 
     Returns (word, interval) pairs in circle order of the level-n family;
     there are exactly n+1 of them.  The word attached to an interval is the
-    coding of any interior point, here the exact midpoint.
+    coding of its interior points, read off the circle ranks of the cuts,
+    so the endpoint convention changes the intervals' ownership of their
+    endpoints but never a word.
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    fam = level_intervals(alpha, n, convention)
-    zero = convention.zero_in_I0
-    return tuple(
-        (_code_letters(alpha, iv.midpoint(), n, zero), iv) for iv in fam.intervals
+    fam, order = _level_family(alpha, n, convention)
+    size = n + 1
+    rank = [0] * size
+    for r, j in enumerate(order):
+        rank[j] = r
+    # the rank rule of the module docstring at r = 0
+    letters = bytearray(
+        b"01"[-rank[i + 1] % size < (rank[i] - rank[i + 1]) % size] for i in range(n)
     )
+    words = [letters.decode()]
+    for j in order[1:]:
+        letters[j - 1] = 49  # ord("1"): entering the arc of letter j-1
+        if j < n:
+            letters[j] = 48  # ord("0"): leaving the arc of letter j
+        words.append(letters.decode())
+    return tuple(zip(words, fam.intervals))
 
 
 def occurrences(w: str, u: str) -> int:

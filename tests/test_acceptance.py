@@ -89,7 +89,7 @@ def test_criterion_02_exponent_values_and_pinned_witness():
 
 def test_criterion_03_oracle_equivalence_suite():
     """Interval classification and exponent formula agree with brute force."""
-    budget = _Budget(600)
+    budget = _Budget(60)
     mismatches = 0
     for cf in SLOPES:
         alpha = cf.value()

@@ -200,6 +200,16 @@ def test_long_period_slope_finishes_quickly():
     assert b"lambda: " in done.stdout
 
 
+def test_long_factor_language_classes_finish_quickly():
+    """3001 factors of length 3000, read off circle ranks, well inside 5 s."""
+    cmd = [sys.executable, "-m", "sturmian_spectra", "classes", "[0; (1)]",
+           "-k", "2", "-m", "3000", "--format", "json"]
+    done = subprocess.run(cmd, capture_output=True, timeout=5)
+    assert done.returncode == EXIT_OK
+    classes = json.loads(done.stdout)["classes"]
+    assert sum(len(c["words"]) for c in classes) == 3001
+
+
 def test_console_script_round_trip():
     """The installed entry point produces byte-identical repeated output."""
     cmd = [sys.executable, "-m", "sturmian_spectra", "theta", FIB, "-k", "2",

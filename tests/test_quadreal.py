@@ -131,6 +131,16 @@ def test_decimal_short_and_edge_cases():
     assert QuadReal(1, 0, 0, 400).decimal(3) == "0.00250"
 
 
+def test_float_is_correctly_rounded_under_cancellation():
+    """golden - F(j+1)/F(j) cancels about 2j bits of p/r against q*sqrt(5)/r."""
+    a, b = 1, 1
+    for _ in range(40):
+        a, b = b, a + b
+        x = GOLDEN - Fraction(b, a)
+        assert float(x) == float(Fraction(x.decimal(60)))
+    assert float(-GOLDEN) == -1.618033988749895
+
+
 def test_json_round_trip_uses_strings_for_big_components():
     x = QuadReal(2221564096, 283748, 462, 491993569)
     obj = x.to_json()

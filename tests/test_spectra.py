@@ -199,6 +199,22 @@ def test_limsup_estimate_tracks_the_exact_constant():
             assert gap < est.slack
 
 
+def test_limsup_estimate_misses_a_peak_outside_its_window():
+    """A six-term period, a five-index window: no term in the window tracks
+    the limit superior, so the gap dwarfs the slack; two more stages catch
+    the peak at t = 11."""
+    cf = ContinuedFraction.parse("[0; 27, (6, 9, 16, 1, 26, 21)]")
+    exact = theta_k(cf, 4)
+    est = theta_limsup_estimate(cf, 4, 10)
+    assert est.window_start == 6
+    assert est.estimate == Fraction(11375086, 688653)
+    assert est.slack == Fraction(2, 688653)
+    assert exact - est.estimate > 4
+    est = theta_limsup_estimate(cf, 4, 12)
+    assert est.estimate == Fraction(288886900321, 13738577396)
+    assert abs(exact - est.estimate) < est.slack
+
+
 def test_limsup_estimate_single_term():
     est = theta_limsup_estimate(FIB, 2, 1)
     assert est.estimate == 1
