@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .quadreal import QuadReal
@@ -160,21 +161,45 @@ def _require_irrational(alpha: QuadReal) -> None:
         raise ValueError("slope must be irrational")
 
 
-def _level_family(
-    alpha: QuadReal, n: int, convention: EndpointConvention
-) -> tuple[IntervalFamily, list[int]]:
-    """The level-n family, and the index j of each of its cuts {-j*alpha}.
+def _convergent_past(alpha: QuadReal, n: int) -> tuple[int, int]:
+    """The first convergent p/q of the irrational alpha with q > n.
 
-    The points are distinct (alpha is irrational) and {0} comes first, so
-    order[0] == 0; sorting them once here leaves IntervalFamily a linear
-    pass over sorted input.
+    alpha is spelled (P + sqrt(D))/Q with Q dividing D - P*P, a form every
+    complete quotient keeps: the next one is (P' + sqrt(D))/Q' with
+    P' = a*Q - P and Q' = (D - P'*P')/Q, where a = floor((P + sqrt(D))/Q)
+    is read off isqrt(D), since D is not a square.  Only integers are used.
+    """
+    sign = 1 if alpha.q > 0 else -1
+    P, Q, D = sign * alpha.p, sign * alpha.r, alpha.q * alpha.q * alpha.d
+    if (D - P * P) % Q:
+        P, Q, D = P * abs(Q), Q * abs(Q), D * Q * Q
+    root = isqrt(D)
+    p_prev, q_prev, p, q = 0, 1, 1, 0
+    while q <= n:
+        # sqrt(D) lies strictly between root and root + 1
+        a = (P + root + (Q < 0)) // Q
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    return p, q
+
+
+def _level_order(alpha: QuadReal, n: int) -> tuple[list[int], int, int]:
+    """The indices 0..n in circle order of {-j*alpha}, and the p, q used.
+
+    With p/q a convergent of alpha and q > n, the points {-j*p/q} are
+    distinct multiples of 1/q, and {-j*alpha} = {-j*p/q} - j*(alpha - p/q)
+    with no wrap through 0 (for j >= 1 the rational point is at least 1/q
+    from 0 and from 1).  Two errors differ by |j - j'|*|alpha - p/q|, below
+    n/(q*q') < 1/q where q' >= q is the next convergent denominator, so
+    they never swap two points: sorting on -j*p mod q is exact.  {0}
+    comes first, so order[0] == 0.
     """
     _require_irrational(alpha)
     if n < 0:
         raise ValueError("level must be >= 0")
-    points = orbit_points(alpha, range(0, -n - 1, -1))
-    order = sorted(range(n + 1), key=points.__getitem__)
-    return IntervalFamily([points[j] for j in order], convention), order
+    p, q = _convergent_past(alpha, n)
+    return sorted(range(n + 1), key=lambda j: -j * p % q), p, q
 
 
 def level_intervals(
@@ -184,9 +209,14 @@ def level_intervals(
 
     Interval i is exactly the set of intercepts whose rotation coding
     starts with the i-th length-n factor, so this family *is* the language
-    of length n in geometric form.
+    of length n in geometric form.  The cuts are ordered by integers alone
+    (see _level_order), and {-j*alpha} = ceil(j*p/q) - j*alpha is then one
+    exact constructor call per cut.
     """
-    return _level_family(alpha, n, convention)[0]
+    order, p, q = _level_order(alpha, n)
+    ap, aq, d, r = alpha.p, alpha.q, alpha.d, alpha.r
+    points = [QuadReal(-(-j * p // q) * r - j * ap, -j * aq, d, r) for j in order]
+    return IntervalFamily(points, convention)
 
 
 def ikm_intervals(

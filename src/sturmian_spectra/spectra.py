@@ -15,6 +15,7 @@ Lagrange constant of the slope, which is what theta_k computes exactly.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -29,7 +30,7 @@ from .geometry import (
 )
 from .kabelian import signature
 from .quadreal import QuadReal, dist_to_int
-from .words import SturmianSpec, factors_of_length, sturmian_prefix
+from .words import SturmianSpec, _factor_words, sturmian_prefix
 
 __all__ = [
     "ORACLE_CAP_ENV",
@@ -54,14 +55,16 @@ __all__ = [
 
 ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
 DEFAULT_ORACLE_CAP = 2000
+_DEFAULT_STR_DIGITS = 4300  # CPython's default int-to-str digit limit
 
 
 class ResourceCapExceeded(RuntimeError):
-    """The enumeration oracle would exceed its symbol budget."""
+    """A computation would exceed its budget: the enumeration oracle's
+    symbol cap, or the interpreter's int-to-str digit limit for linfty."""
 
-    def __init__(self, needed: int, cap: int):
+    def __init__(self, needed: int, cap: int, message: str | None = None):
         super().__init__(
-            f"enumeration would need factors of length {needed}, cap is {cap}"
+            message or f"enumeration would need factors of length {needed}, cap is {cap}"
         )
         self.needed = needed
         self.cap = cap
@@ -150,13 +153,7 @@ def _initial_run(word: str, m: int, classes: _BlockClasses) -> int:
     return n
 
 
-def _longest_block_run(
-    alpha: QuadReal,
-    m: int,
-    key,
-    convention: EndpointConvention,
-    cap: int,
-) -> int:
+def _longest_block_run(alpha: QuadReal, m: int, key, cap: int) -> int:
     """Max n with a factor of length n*m whose m-blocks all share `key`.
 
     Enumerates complete factor languages of increasing length; every factor
@@ -175,7 +172,7 @@ def _longest_block_run(
     length = min(length, cap)
     while True:
         best = 1
-        for w, _ in factors_of_length(alpha, length, convention):
+        for w in _factor_words(alpha, length):
             run = _initial_run(w, m, classes)
             if run > best:
                 best = run
@@ -196,14 +193,13 @@ def brute_kab_exponent(
     """Independent check of max_kab_exponent by enumerating actual factors.
 
     No interval-length reasoning: splits enumerated factors into m-blocks
-    and compares their signatures, computed once per distinct block.  Raises
-    ResourceCapExceeded (a declared failure, never a wrong answer) if the
-    needed factor length passes the cap, env-overridable via
+    and compares their signatures, computed once per distinct block.  The
+    factors, and so the result, do not depend on the endpoint convention.
+    Raises ResourceCapExceeded (a declared failure, never a wrong answer)
+    if the needed factor length passes the cap, env-overridable via
     STURMIAN_SPECTRA_CAP.
     """
-    return _longest_block_run(
-        alpha, m, lambda b: signature(b, k), convention, _oracle_cap(cap)
-    )
+    return _longest_block_run(alpha, m, lambda b: signature(b, k), _oracle_cap(cap))
 
 
 def max_integer_power_exponent(
@@ -227,7 +223,7 @@ def max_integer_power_exponent(
         t += 1
         q_prev, q_cur = q_cur, cf.partial_quotient(t) * q_cur + q_prev
     alpha = cf.value()
-    return _longest_block_run(alpha, m, lambda b: b, LEFT_CLOSED, _oracle_cap(cap))
+    return _longest_block_run(alpha, m, lambda b: b, _oracle_cap(cap))
 
 
 @dataclass
@@ -470,12 +466,19 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
     a_{k+1} = max(1, floor(target*q_k) - 2) and pads with ones.  The ratio
     condition is part of the stage search because for small targets the
     clamped quotient can push the ratio outside the window at small q.
+
+    Denominators grow doubly exponentially, so a stage that could report an
+    integer past the int-to-str digit limit (each is at most q times the
+    target's larger term; CPython's default limit when none is set) raises
+    ResourceCapExceeded before the next, far larger, stage is computed.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("target must be a positive rational")
     if stages < 1:
         raise ValueError("need at least one stage")
+    digits = getattr(sys, "get_int_max_str_digits", int)() or _DEFAULT_STR_DIGITS
+    too_big = 10**digits // max(lam.numerator, lam.denominator)
     quotients: list[int] = []  # position i holds a_{i+1}; padding value is 1
     stage_records: list[LinftyStage] = []
     prev_k = 1
@@ -486,6 +489,13 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
             while len(quotients) < k + 1:
                 quotients.append(1)
             q = _denominator(quotients, k)
+            if q >= too_big:
+                raise ResourceCapExceeded(
+                    digits + 1,
+                    digits,
+                    f"linfty stage {t} needs integers of more than {digits} "
+                    "digits, the interpreter's int-to-str limit",
+                )
             v_num = (lam.numerator * q) // lam.denominator  # floor(lam * q)
             err = lam - Fraction(v_num, q)
             a_next = max(1, v_num - 2)

@@ -8,13 +8,18 @@ in the arc from {-(i+1)*alpha} to {-i*alpha}.
 Prefixes from a given intercept are decided by exact sign computations on
 scaled integer numerator pairs over a common denominator.
 
-Factors of a given length need no sign tests beyond sorting the cut points:
-the level-n family, cut at {-j*alpha} for 0 <= j <= n, has one interval per
-length-n factor.  With rank[j] the circle rank of {-j*alpha}, letter i of
-the factor on interval r is 1 exactly when
-(r - rank[i+1]) mod (n+1) < (rank[i] - rank[i+1]) mod (n+1), and crossing
-the cut {-j*alpha} only turns letter j-1 into 1 and letter j into 0.  No
-sampling, no prefix scanning.
+Factors of a given length need no sign tests at all: the level-n family,
+cut at {-j*alpha} for 0 <= j <= n, has one interval per length-n factor,
+and those cuts lie in the same circle order as the rational points
+{-j*p/q} for any convergent p/q of alpha with q > n.  The rational points
+are distinct multiples of 1/q, while {-j*alpha} sits within
+j*|alpha - p/q| < n/(q*q') < 1/q of {-j*p/q} (q' the next convergent
+denominator), and two such errors differ by less than 1/q, so no two
+points swap.  Sorting 0..n on -j*p mod q thus gives each cut's circle
+rank, rank[j], with integers only.  Letter i of the factor on interval r
+is 1 exactly when (r - rank[i+1]) mod (n+1) < (rank[i] - rank[i+1]) mod
+(n+1), and crossing the cut {-j*alpha} only turns letter j-1 into 1 and
+letter j into 0.  No sampling, no prefix scanning, and no QuadReal.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from .geometry import (
     EndpointConvention,
     Interval,
     LEFT_CLOSED,
-    _level_family,
+    _level_order,
+    level_intervals,
 )
 from .quadreal import QuadReal, _common_radicand
 
@@ -127,21 +133,18 @@ def sturmian_prefix(spec: SturmianSpec, n: int) -> str:
     return _code_letters(spec.alpha, spec.intercept, n, spec.convention.zero_in_I0)
 
 
-@lru_cache(maxsize=64)
-def factors_of_length(
-    alpha: QuadReal, n: int, convention: EndpointConvention = LEFT_CLOSED
-) -> tuple[tuple[str, Interval], ...]:
-    """All length-n factors of the slope's coding, with their intervals.
+@lru_cache(maxsize=8)
+def _factor_words(alpha: QuadReal, n: int) -> tuple[str, ...]:
+    """The n+1 length-n factors in circle order of the level-n family.
 
-    Returns (word, interval) pairs in circle order of the level-n family;
-    there are exactly n+1 of them.  The word attached to an interval is the
-    coding of its interior points, read off the circle ranks of the cuts,
-    so the endpoint convention changes the intervals' ownership of their
-    endpoints but never a word.
+    Read off the integer circle ranks by the rule of the module docstring;
+    the endpoint convention never changes a word, so it is not a key.  Eight
+    entries hold one slope's whole oracle ladder (64, 128, ..., 2000), and
+    at n = 2000 each entry takes about 4 MB.
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    fam, order = _level_family(alpha, n, convention)
+    order = _level_order(alpha, n)[0]
     size = n + 1
     rank = [0] * size
     for r, j in enumerate(order):
@@ -156,7 +159,23 @@ def factors_of_length(
         if j < n:
             letters[j] = 48  # ord("0"): leaving the arc of letter j
         words.append(letters.decode())
-    return tuple(zip(words, fam.intervals))
+    return tuple(words)
+
+
+@lru_cache(maxsize=8)
+def factors_of_length(
+    alpha: QuadReal, n: int, convention: EndpointConvention = LEFT_CLOSED
+) -> tuple[tuple[str, Interval], ...]:
+    """All length-n factors of the slope's coding, with their intervals.
+
+    Returns (word, interval) pairs in circle order of the level-n family;
+    there are exactly n+1 of them.  The word attached to an interval is the
+    coding of its interior points, read off the circle ranks of the cuts,
+    so the endpoint convention changes the intervals' ownership of their
+    endpoints but never a word.
+    """
+    words = _factor_words(alpha, n)
+    return tuple(zip(words, level_intervals(alpha, n, convention).intervals))
 
 
 def occurrences(w: str, u: str) -> int:

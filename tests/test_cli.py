@@ -127,6 +127,31 @@ def test_linfty_json_schema(capsys):
     assert last["error"]["decimal"] == "0"
 
 
+@pytest.mark.parametrize("stages", ["15", "16"])
+def test_linfty_past_the_digit_limit_is_a_resource_cap(capsys, stages):
+    """Stage 15 for 7/3 needs a denominator of more than 4300 digits: refused
+    before anything is printed, not cut off mid-table as a usage error."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+    try:
+        code, out, err = _run(capsys, "linfty", "7/3", "--stages", stages)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "resource_cap"
+    assert payload["cap"] == 4300
+
+
+def test_linfty_many_stages_stop_quickly():
+    cmd = [sys.executable, "-m", "sturmian_spectra", "linfty", "7/3",
+           "--stages", "30"]
+    done = subprocess.run(cmd, capture_output=True, timeout=5)
+    assert done.returncode == EXIT_RESOURCE
+    assert done.stdout == b""
+
+
 def test_parse_error_is_json_on_stderr(capsys):
     code, out, err = _run(capsys, "cf", "not-a-cf")
     assert code == EXIT_USAGE

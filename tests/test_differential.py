@@ -1,15 +1,26 @@
 """Geometric results against independent references, over random slopes.
 
 Each slope is [0; (b1, ..., bp)] with 1 <= p <= 8 and quotients in 1..30,
-so the fixed slopes of the other suites are far from the only ones tried.
+so the fixed slopes of the other suites are far from the only ones tried;
+the integer level order also sees up to two preperiod quotients, alpha + 1
+and 1 - alpha.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmian_spectra.cf import ContinuedFraction
-from sturmian_spectra.geometry import LEFT_CLOSED, RIGHT_CLOSED
+from sturmian_spectra.geometry import (
+    LEFT_CLOSED,
+    RIGHT_CLOSED,
+    IntervalFamily,
+    _level_order,
+    level_intervals,
+    orbit_points,
+)
 from sturmian_spectra.kabelian import classify_brute, classify_by_intervals
+from sturmian_spectra.quadreal import QuadReal
 from sturmian_spectra.spectra import (
     ResourceCapExceeded,
     brute_kab_exponent,
@@ -20,6 +31,66 @@ from sturmian_spectra.words import SturmianSpec, factors_of_length, sturmian_pre
 periodic_slopes = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
     lambda period: ContinuedFraction([0], period).value()
 )
+preperiodic_slopes = st.builds(
+    lambda pre, period: ContinuedFraction([0, *pre], period).value(),
+    st.lists(st.integers(1, 30), max_size=2),
+    st.lists(st.integers(1, 30), min_size=1, max_size=8),
+)
+
+
+def _convergents(alpha, limit):
+    """Convergents (p, q) of alpha from exact QuadReal floors, up to the
+    first with q > limit."""
+    a = alpha.floor()
+    out, prev, x = [(a, 1)], (1, 0), alpha - a
+    while out[-1][1] <= limit:
+        x = 1 / x
+        a = x.floor()
+        x -= a
+        (p, q), prev = (a * out[-1][0] + prev[0], a * out[-1][1] + prev[1]), out[-1]
+        out.append((p, q))
+    return out
+
+
+def _check_level_order(alpha, n):
+    """The integer circle order and the family built from it, against the
+    exact sort of the points {-j*alpha} and the family cut at them."""
+    order, p, q = _level_order(alpha, n)
+    assert (p, q) == _convergents(alpha, n)[-1]
+    assert order == sorted(range(n + 1), key=lambda j: (-j * alpha).frac())
+    for conv in (LEFT_CLOSED, RIGHT_CLOSED):
+        got = level_intervals(alpha, n, conv)
+        want = IntervalFamily(orbit_points(alpha, range(0, -n - 1, -1)), conv)
+        assert got == want
+        assert [(c.p, c.q, c.d, c.r) for c in got.cuts] == [
+            (c.p, c.q, c.d, c.r) for c in want.cuts
+        ]
+
+
+@given(preperiodic_slopes, st.data())
+@settings(max_examples=60, deadline=None)
+def test_integer_level_order_matches_the_exact_sort(alpha, data):
+    """At n = q_t - 1, q_t and q_t + 1, for alpha, alpha + 1 and 1 - alpha
+    (the last spells its sqrt coefficient negative)."""
+    for x in (alpha, alpha + 1, 1 - alpha):
+        q = data.draw(st.sampled_from([q for _, q in _convergents(x, 300)[:-1]]))
+        _check_level_order(x, max(0, q + data.draw(st.integers(-1, 1))))
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        ContinuedFraction([0, 3, 1, 1, 1, 100], [1]).value(),
+        QuadReal(2, 1, 7, 5),  # 5 does not divide 7 - 2*2
+        QuadReal(2, -1, 7, 5),
+        QuadReal(-2, 1, 3, 4),  # a negative Q divides P + isqrt(D) on the way
+    ],
+)
+def test_integer_level_order_on_awkward_spellings(base):
+    for x in (base, base + 1, 1 - base):
+        for _, q in _convergents(x, 1200)[:-1]:
+            for n in (q - 1, q, q + 1):
+                _check_level_order(x, n)
 
 
 @given(periodic_slopes, st.integers(1, 200))

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sturmian_spectra.cf import ContinuedFraction
+from sturmian_spectra.geometry import level_intervals
 from sturmian_spectra.kabelian import kab_equivalent
 from sturmian_spectra.quadreal import QuadReal, sqrt
 from sturmian_spectra.spectra import (
@@ -19,7 +20,12 @@ from sturmian_spectra.spectra import (
     theta_k,
     theta_limsup_estimate,
 )
-from sturmian_spectra.words import SturmianSpec, occurrences, sturmian_prefix
+from sturmian_spectra.words import (
+    SturmianSpec,
+    factors_of_length,
+    occurrences,
+    sturmian_prefix,
+)
 
 FIB = ContinuedFraction.parse("[0; 2, (1)]")
 GOLDEN_TAIL = ContinuedFraction.parse("[0; (1)]")
@@ -167,6 +173,23 @@ def test_theta_stays_above_the_order_scaled_floor():
 def test_theta_rejects_rational_slopes():
     with pytest.raises(ValueError):
         theta_k(ContinuedFraction.parse("[0; 3]"), 2)
+
+
+@pytest.mark.parametrize(
+    "slope", [QuadReal.from_fraction(Fraction(2, 7)), QuadReal(0), QuadReal(1, 1, 4, 5)]
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a: factors_of_length(a, 9),
+        lambda a: level_intervals(a, 9),
+        lambda a: brute_kab_exponent(a, 2, 3),
+    ],
+)
+def test_rational_slopes_are_refused_before_any_expansion(slope, build):
+    """(1 + sqrt 4)/5 is rational too; none of these may expand a rational."""
+    with pytest.raises(ValueError, match="slope must be irrational"):
+        build(slope)
 
 
 def test_equivalent_slopes_can_still_differ_at_order_two():
