@@ -23,26 +23,15 @@ from .cf import (
     CFSyntaxError,
     ContinuedFraction,
     Convergent,
-    are_equivalent,
-    convergents,
-    lagrange_constant,
-    parse_cf,
-    render_cf,
-    value_of,
 )
 from .geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
-    CirclePoint,
     EndpointConvention,
     Interval,
     IntervalFamily,
-    circle_point,
-    family_extremes,
     ikm_intervals,
     level_intervals,
-    locate,
-    orbit_points,
 )
 from .kabelian import (
     FactorClass,
@@ -92,24 +81,13 @@ __all__ = [
     "CFSyntaxError",
     "ContinuedFraction",
     "Convergent",
-    "are_equivalent",
-    "convergents",
-    "lagrange_constant",
-    "parse_cf",
-    "render_cf",
-    "value_of",
     "LEFT_CLOSED",
     "RIGHT_CLOSED",
-    "CirclePoint",
     "EndpointConvention",
     "Interval",
     "IntervalFamily",
-    "circle_point",
-    "family_extremes",
     "ikm_intervals",
     "level_intervals",
-    "locate",
-    "orbit_points",
     "FactorClass",
     "KAbelianSignature",
     "TernaryReport",

@@ -19,12 +19,6 @@ __all__ = [
     "ContinuedFraction",
     "Convergent",
     "CFSyntaxError",
-    "parse_cf",
-    "render_cf",
-    "value_of",
-    "convergents",
-    "lagrange_constant",
-    "are_equivalent",
 ]
 
 
@@ -228,28 +222,3 @@ def _purely_periodic_value(cycle: tuple[int, ...]) -> QuadReal:
     disc = (a - d) * (a - d) + 4 * b * c
     return QuadReal(a - d, 1, disc, 2 * c)
 
-
-# Operation-style aliases; the methods above carry the behavior.
-
-def parse_cf(text: str) -> ContinuedFraction:
-    return ContinuedFraction.parse(text)
-
-
-def render_cf(cf: ContinuedFraction) -> str:
-    return cf.render()
-
-
-def value_of(cf: ContinuedFraction) -> QuadReal:
-    return cf.value()
-
-
-def convergents(cf: ContinuedFraction, t_max: int) -> list[Convergent]:
-    return cf.convergents(t_max)
-
-
-def lagrange_constant(cf: ContinuedFraction) -> QuadReal:
-    return cf.lagrange_constant()
-
-
-def are_equivalent(a: ContinuedFraction, b: ContinuedFraction) -> bool:
-    return a.equivalent(b)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cf import CFSyntaxError, ContinuedFraction, parse_cf
+from .cf import CFSyntaxError, ContinuedFraction
 from .geometry import LEFT_CLOSED, RIGHT_CLOSED, EndpointConvention, ikm_intervals
 from .kabelian import classify_by_intervals
 from .quadreal import QuadReal
@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_cf(cfg: RunConfig) -> int:
-    cf = parse_cf(cfg.cf_text)
+    cf = ContinuedFraction.parse(cfg.cf_text)
     value = cf.value()
     t_max = cfg.t_max
     if cf.is_rational:  # a finite expansion just ends early
@@ -220,7 +220,7 @@ def _interval_doc(fam, index: int) -> dict:
 
 
 def _cmd_classes(cfg: RunConfig) -> int:
-    cf = parse_cf(cfg.cf_text)
+    cf = ContinuedFraction.parse(cfg.cf_text)
     alpha = _irrational_value(cf)
     convention = _CONVENTIONS[cfg.convention]
     classes = classify_by_intervals(alpha, cfg.k, cfg.m, convention)
@@ -258,7 +258,7 @@ def _cmd_classes(cfg: RunConfig) -> int:
 
 
 def _cmd_exponent(cfg: RunConfig) -> int:
-    cf = parse_cf(cfg.cf_text)
+    cf = ContinuedFraction.parse(cfg.cf_text)
     alpha = _irrational_value(cf)
     convention = _CONVENTIONS[cfg.convention]
     record = max_kab_exponent(alpha, cfg.k, cfg.m, convention)
@@ -304,7 +304,7 @@ def _cmd_exponent(cfg: RunConfig) -> int:
 
 
 def _cmd_theta(cfg: RunConfig) -> int:
-    cf = parse_cf(cfg.cf_text)
+    cf = ContinuedFraction.parse(cfg.cf_text)
     theta = theta_k(cf, cfg.k)
     if cfg.output == "json":
         doc = {"cf": cf.render(), "k": cfg.k, "theta": theta.to_json()}
@@ -316,7 +316,7 @@ def _cmd_theta(cfg: RunConfig) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig) -> int:
-    base = parse_cf(cfg.cf_text)
+    base = ContinuedFraction.parse(cfg.cf_text)
     points = sample_spectrum(cfg.k, base, cfg.pool)
     if cfg.output == "json":
         for p in points:

@@ -7,6 +7,18 @@ interval.  Two partitions matter downstream: the level-n family cut at
 {0, -a, ..., -na} (mod 1), whose intervals biject with the length-n
 factors of the rotation coding, and the coarser family used for k-abelian
 classification, cut at the first and last few of those orbit points.
+
+Both are cut at points {-j*alpha} with 0 <= j <= n, and their circle order
+is decided by integers alone.  Let p/q be the first convergent of alpha
+with q > n.  The points {-j*p/q} are distinct multiples of 1/q, and
+{-j*alpha} = {-j*p/q} - j*(alpha - p/q) with no wrap through 0 (for j >= 1
+the rational point is at least 1/q from 0 and from 1).  Two errors differ
+by |j - j'|*|alpha - p/q|, below n/(q*q') < 1/q where q' >= q is the next
+convergent denominator, so they never swap two points: sorting on
+-j*p mod q is exact, and {0} comes first.  The same bound gives
+ceil(j*alpha) = ceil(j*p/q), so each cut {-j*alpha} = ceil(j*p/q) - j*alpha
+and each length between cuts a and b is an integer plus (a - b)*alpha,
+one exact constructor call apiece.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .quadreal import QuadReal
 
@@ -22,15 +34,10 @@ __all__ = [
     "EndpointConvention",
     "LEFT_CLOSED",
     "RIGHT_CLOSED",
-    "CirclePoint",
-    "circle_point",
     "Interval",
     "IntervalFamily",
-    "orbit_points",
     "level_intervals",
     "ikm_intervals",
-    "locate",
-    "family_extremes",
 ]
 
 
@@ -49,14 +56,6 @@ class EndpointConvention:
 LEFT_CLOSED = EndpointConvention(zero_in_I0=True)
 RIGHT_CLOSED = EndpointConvention(zero_in_I0=False)
 
-# Circle points are plain QuadReal values reduced to [0, 1).
-CirclePoint = QuadReal
-
-
-def circle_point(x: QuadReal) -> QuadReal:
-    """Reduce an exact real to its representative in [0, 1)."""
-    return x.frac()
-
 
 class Interval(NamedTuple):
     start: QuadReal
@@ -68,7 +67,7 @@ class Interval(NamedTuple):
         return self.start + self.length
 
     def midpoint(self) -> QuadReal:
-        return circle_point(self.start + self.length / 2)
+        return (self.start + self.length / 2).frac()
 
     def to_json(self) -> dict:
         return {"start": self.start.to_json(), "length": self.length.to_json()}
@@ -79,7 +78,9 @@ class IntervalFamily:
 
     Cuts are stored sorted; interval i runs from cuts[i] to the next cut
     counterclockwise (the last one wraps through 1 = 0).  Identity of an
-    interval is its starting cut.
+    interval is its starting cut.  The public constructor sorts, dedupes
+    and subtracts generically; the package's own families come through
+    _orbit_family, which already knows the order and the lengths.
     """
 
     __slots__ = ("cuts", "convention", "_intervals")
@@ -88,19 +89,28 @@ class IntervalFamily:
         # Equal values sort next to each other whatever their spelling, so
         # dropping equal neighbours dedupes without hashing big integers.
         ordered = sorted(points)
-        uniq = ordered[:1] + [b for a, b in zip(ordered, ordered[1:]) if b != a]
-        if not uniq:
+        cuts = ordered[:1] + [b for a, b in zip(ordered, ordered[1:]) if b != a]
+        if not cuts:
             raise ValueError("need at least one cut point")
-        if uniq[0] < 0 or uniq[-1] >= 1:
+        if cuts[0] < 0 or cuts[-1] >= 1:
             raise ValueError("cut points must lie in [0, 1)")
-        object.__setattr__(self, "cuts", tuple(uniq))
+        lengths = [b - a for a, b in zip(cuts, cuts[1:])]
+        lengths.append(1 + cuts[0] - cuts[-1])
+        self._fill(cuts, lengths, convention)
+
+    @classmethod
+    def _ordered(
+        cls, cuts: list[QuadReal], lengths: list[QuadReal], convention: EndpointConvention
+    ) -> "IntervalFamily":
+        """A family from cuts already in circle order and their lengths."""
+        family = cls.__new__(cls)
+        family._fill(cuts, lengths, convention)
+        return family
+
+    def _fill(self, cuts, lengths, convention) -> None:
+        object.__setattr__(self, "cuts", tuple(cuts))
         object.__setattr__(self, "convention", convention)
-        starts = self.cuts
-        lengths = [starts[i + 1] - starts[i] for i in range(len(starts) - 1)]
-        lengths.append(1 + starts[0] - starts[-1])
-        object.__setattr__(
-            self, "_intervals", tuple(Interval(s, l) for s, l in zip(starts, lengths))
-        )
+        object.__setattr__(self, "_intervals", tuple(map(Interval, cuts, lengths)))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntervalFamily is immutable")
@@ -151,24 +161,18 @@ class IntervalFamily:
         }
 
 
-def orbit_points(alpha: QuadReal, indices: Iterable[int]) -> list[QuadReal]:
-    """Exact circle points {i*alpha} for each (possibly negative) index."""
-    return [circle_point(i * alpha) for i in indices]
-
-
-def _require_irrational(alpha: QuadReal) -> None:
-    if alpha.q == 0:
-        raise ValueError("slope must be irrational")
-
-
 def _convergent_past(alpha: QuadReal, n: int) -> tuple[int, int]:
-    """The first convergent p/q of the irrational alpha with q > n.
+    """The first convergent p/q of the irrational alpha with q > n >= 0.
 
     alpha is spelled (P + sqrt(D))/Q with Q dividing D - P*P, a form every
     complete quotient keeps: the next one is (P' + sqrt(D))/Q' with
     P' = a*Q - P and Q' = (D - P'*P')/Q, where a = floor((P + sqrt(D))/Q)
     is read off isqrt(D), since D is not a square.  Only integers are used.
     """
+    if alpha.q == 0:
+        raise ValueError("slope must be irrational")
+    if n < 0:
+        raise ValueError("level must be >= 0")
     sign = 1 if alpha.q > 0 else -1
     P, Q, D = sign * alpha.p, sign * alpha.r, alpha.q * alpha.q * alpha.d
     if (D - P * P) % Q:
@@ -185,21 +189,33 @@ def _convergent_past(alpha: QuadReal, n: int) -> tuple[int, int]:
 
 
 def _level_order(alpha: QuadReal, n: int) -> tuple[list[int], int, int]:
-    """The indices 0..n in circle order of {-j*alpha}, and the p, q used.
-
-    With p/q a convergent of alpha and q > n, the points {-j*p/q} are
-    distinct multiples of 1/q, and {-j*alpha} = {-j*p/q} - j*(alpha - p/q)
-    with no wrap through 0 (for j >= 1 the rational point is at least 1/q
-    from 0 and from 1).  Two errors differ by |j - j'|*|alpha - p/q|, below
-    n/(q*q') < 1/q where q' >= q is the next convergent denominator, so
-    they never swap two points: sorting on -j*p mod q is exact.  {0}
-    comes first, so order[0] == 0.
-    """
-    _require_irrational(alpha)
-    if n < 0:
-        raise ValueError("level must be >= 0")
+    """The indices 0..n in circle order of {-j*alpha}, and the p, q used:
+    sorted on -j*p mod q, exact by the argument of the module docstring.
+    order[0] == 0."""
     p, q = _convergent_past(alpha, n)
     return sorted(range(n + 1), key=lambda j: -j * p % q), p, q
+
+
+def _orbit_family(
+    alpha: QuadReal, indices: Iterable[int], n: int, convention: EndpointConvention
+) -> IntervalFamily:
+    """The circle cut at {-j*alpha} for the distinct j in `indices`.
+
+    The indices lie in 0..n and include 0.  They are put in circle order by
+    the integer key of _level_order, and every cut and length is one exact
+    constructor call (see the module docstring).
+    """
+    p, q = _convergent_past(alpha, n)
+    ap, aq, d, r = alpha.p, alpha.q, alpha.d, alpha.r
+
+    def point(c: int, j: int) -> QuadReal:  # c - j*alpha
+        return QuadReal(c * r - j * ap, -j * aq, d, r)
+
+    pairs = [(-(-j * p // q), j) for j in sorted(indices, key=lambda j: -j * p % q)]
+    ends = pairs[1:] + [(1, 0)]  # the last interval wraps to 1 - 0*alpha
+    cuts = [point(c, j) for c, j in pairs]
+    lengths = [point(cb - ca, b - a) for (ca, a), (cb, b) in zip(pairs, ends)]
+    return IntervalFamily._ordered(cuts, lengths, convention)
 
 
 def level_intervals(
@@ -209,14 +225,24 @@ def level_intervals(
 
     Interval i is exactly the set of intercepts whose rotation coding
     starts with the i-th length-n factor, so this family *is* the language
-    of length n in geometric form.  The cuts are ordered by integers alone
-    (see _level_order), and {-j*alpha} = ceil(j*p/q) - j*alpha is then one
-    exact constructor call per cut.
+    of length n in geometric form.
     """
-    order, p, q = _level_order(alpha, n)
-    ap, aq, d, r = alpha.p, alpha.q, alpha.d, alpha.r
-    points = [QuadReal(-(-j * p // q) * r - j * ap, -j * aq, d, r) for j in order]
-    return IntervalFamily(points, convention)
+    return _orbit_family(alpha, range(n + 1), n, convention)
+
+
+def _coarse_indices(k: int, m: int) -> set[int]:
+    """The j of the coarse cuts {-j*alpha}: 0..j together with the same run
+    shifted by m-(k-1) (when m >= k-1), for j = min(m, k-1)."""
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    if m < 1:
+        raise ValueError("length m must be >= 1")
+    j = min(m, k - 1)
+    front = set(range(j + 1))
+    if m < k - 1:
+        return front
+    shift = m - (k - 1)
+    return front | set(range(shift, shift + j + 1))
 
 
 def ikm_intervals(
@@ -228,28 +254,8 @@ def ikm_intervals(
     preimages of those points under m-(k-1) more rotation steps (when
     m >= k-1).  Size is min(2k, m+1).
     """
-    _require_irrational(alpha)
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    if m < 1:
-        raise ValueError("length m must be >= 1")
-    j = min(m, k - 1)
-    front = list(range(0, -j - 1, -1))
-    points = orbit_points(alpha, front)
-    if m >= k - 1:
-        shift = m - (k - 1)
-        points += orbit_points(alpha, (i - shift for i in front))
-    fam = IntervalFamily(points, convention)
+    indices = _coarse_indices(k, m)
     want = min(2 * k, m + 1)
-    if len(fam) != want:  # an explicit raise, unlike `assert`, survives -O
-        raise AssertionError(f"coarse family has {len(fam)} intervals, not {want}")
-    return fam
-
-
-def locate(family: IntervalFamily, x: QuadReal) -> int:
-    return family.locate(x)
-
-
-def family_extremes(family: IntervalFamily) -> tuple[QuadReal, QuadReal]:
-    """(shortest, longest) interval length of the family."""
-    return family.min_length(), family.max_length()
+    if len(indices) != want:  # an explicit raise, unlike `assert`, survives -O
+        raise AssertionError(f"coarse family has {len(indices)} intervals, not {want}")
+    return _orbit_family(alpha, indices, m, convention)

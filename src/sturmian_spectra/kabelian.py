@@ -10,7 +10,9 @@ alongside for cross-validation.
 For factors of a rotation coding the classes have a geometric shape: two
 length-m factors are equivalent at order k exactly when their level-m
 intervals land in the same interval of the coarse family cut at the first
-and last few orbit points.  classify_by_intervals exploits that and
+and last few orbit points.  The coarse cuts are level-m cuts, so this is a
+question about circle ranks alone: the factor at rank r belongs to the
+coarse cut of largest rank <= r.  classify_by_intervals exploits that and
 classify_brute ignores it, so the two can be played against each other.
 """
 
@@ -18,11 +20,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .geometry import EndpointConvention, LEFT_CLOSED, ikm_intervals
+from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices, _level_order
 from .quadreal import QuadReal, dist_to_int
-from .words import SturmianSpec, factors_of_length, sigma_factors_of_length
+from .words import SturmianSpec, _factor_words, sigma_factors_of_length
 
 __all__ = [
     "KAbelianSignature",
@@ -121,35 +123,20 @@ def classify_by_intervals(
 ) -> list[FactorClass]:
     """Group the length-m factors through the coarse interval family.
 
-    Each factor's level-m interval is contained in exactly one coarse
-    interval (the coarse cut points are a subset of the level-m cuts);
-    containment is checked on both endpoints, exactly.  Classes come back
-    in circle order, one per coarse interval, empty ones included.
+    The coarse cuts are a subset of the level-m cuts, so each factor's
+    level-m interval lies in the coarse interval whose cut has the largest
+    circle rank not above the factor's own; ranks are integers (see
+    geometry), and no interval is built.  Classes come back in circle order,
+    one per coarse interval of ikm_intervals(alpha, k, m), and neither they
+    nor their order depend on the endpoint convention.
     """
-    fam = ikm_intervals(alpha, k, m, convention)
-    members: list[list[str]] = [[] for _ in fam.intervals]
-    for word, iv in factors_of_length(alpha, m, convention):
-        idx = _containing_index(fam.cuts, iv)
-        members[idx].append(word)
-    return [
-        FactorClass(k, m, tuple(ws), i) for i, ws in enumerate(members)
-    ]
-
-
-def _containing_index(cuts: Sequence[QuadReal], iv) -> int:
-    """Index i with cuts[i] <= iv.start and iv.end <= next cut, cyclically."""
-    lo, hi = 0, len(cuts) - 1
-    while lo < hi:  # rightmost cut <= iv.start
-        mid = (lo + hi + 1) // 2
-        if cuts[mid] <= iv.start:
-            lo = mid
-        else:
-            hi = mid - 1
-    end = iv.start + iv.length
-    bound = cuts[lo + 1] if lo + 1 < len(cuts) else cuts[0] + 1
-    if end > bound:
-        raise AssertionError("level interval straddles a coarse cut")
-    return lo
+    coarse = _coarse_indices(k, m)
+    members: list[list[str]] = []
+    for j, word in zip(_level_order(alpha, m)[0], _factor_words(alpha, m)):
+        if j in coarse:  # a coarse cut opens the next class; j == 0 comes first
+            members.append([])
+        members[-1].append(word)
+    return [FactorClass(k, m, tuple(ws), i) for i, ws in enumerate(members)]
 
 
 def prefix_suffix_sufficient(alpha: QuadReal, k: int) -> bool:
@@ -182,12 +169,11 @@ def verify_ternary_property(spec: SturmianSpec, k: int, max_len: int) -> Ternary
     """
     if k < 2:
         raise ValueError("the substituted coding property needs k >= 2")
-    alpha, conv = spec.alpha, spec.convention
-    if "00" not in (w for w, _ in factors_of_length(alpha, 2, conv)):
+    if "00" not in _factor_words(spec.alpha, 2):
         raise ValueError("slope's coding must contain 00 (slope below 1/2)")
     report = TernaryReport(k, max_len, 0)
     for ell in range(1, max_len + 1):
-        words = sigma_factors_of_length(alpha, ell, conv)
+        words = sigma_factors_of_length(spec.alpha, ell)
         edge = min(ell, k - 1)
         for i, u in enumerate(words):
             for v in words[i + 1 :]:

@@ -24,7 +24,6 @@ from .cf import ContinuedFraction
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
-    family_extremes,
     ikm_intervals,
     level_intervals,
 )
@@ -33,7 +32,6 @@ from .quadreal import QuadReal, dist_to_int
 from .words import SturmianSpec, _factor_words, sturmian_prefix
 
 __all__ = [
-    "ORACLE_CAP_ENV",
     "DEFAULT_ORACLE_CAP",
     "ResourceCapExceeded",
     "ExponentRecord",
@@ -102,7 +100,8 @@ def max_kab_exponent(
     the ratio's numerator and denominator coincide exactly.  The witness,
     when requested and within the cap, is an intercept placed inside the
     longest interval so that all n period-m steps stay inside it, together
-    with the coded word of length n*m.
+    with the coded word of length n*m.  A slope outside (0, 1) is the same
+    rotation as its fractional part, which codes the witness.
     """
     fam = ikm_intervals(alpha, k, m, convention)
     step = dist_to_int(m * alpha)
@@ -121,7 +120,7 @@ def max_kab_exponent(
         # successive period-m steps drift downward; anchor near the top
         x = x + (exponent - 1) * step
     x = x.frac()
-    word = sturmian_prefix(SturmianSpec(alpha, x, convention), exponent * m)
+    word = sturmian_prefix(SturmianSpec(alpha.frac(), x, convention), exponent * m)
     return ExponentRecord(k, m, exponent, longest, step, x, word)
 
 
@@ -270,7 +269,7 @@ def exponent_bound_check(
     """
     alpha = cf.value()
     lam_fam = level_intervals(alpha, 2 * k - 2)
-    shortest, longest = family_extremes(lam_fam)
+    shortest, longest = lam_fam.min_length(), lam_fam.max_length()
     ts = sorted(set(t_range))
     if not ts or min(ts) < 0:
         raise ValueError("t_range must be nonempty with t >= 0")

@@ -10,16 +10,12 @@ scaled integer numerator pairs over a common denominator.
 
 Factors of a given length need no sign tests at all: the level-n family,
 cut at {-j*alpha} for 0 <= j <= n, has one interval per length-n factor,
-and those cuts lie in the same circle order as the rational points
-{-j*p/q} for any convergent p/q of alpha with q > n.  The rational points
-are distinct multiples of 1/q, while {-j*alpha} sits within
-j*|alpha - p/q| < n/(q*q') < 1/q of {-j*p/q} (q' the next convergent
-denominator), and two such errors differ by less than 1/q, so no two
-points swap.  Sorting 0..n on -j*p mod q thus gives each cut's circle
-rank, rank[j], with integers only.  Letter i of the factor on interval r
-is 1 exactly when (r - rank[i+1]) mod (n+1) < (rank[i] - rank[i+1]) mod
-(n+1), and crossing the cut {-j*alpha} only turns letter j-1 into 1 and
-letter j into 0.  No sampling, no prefix scanning, and no QuadReal.
+and geometry orders those cuts with integers alone (the convergent
+argument is in its module docstring), which gives each cut's circle rank,
+rank[j].  Letter i of the factor on interval r is 1 exactly when
+(r - rank[i+1]) mod (n+1) < (rank[i] - rank[i+1]) mod (n+1), and crossing
+the cut {-j*alpha} only turns letter j-1 into 1 and letter j into 0.  No
+sampling, no prefix scanning, and no QuadReal.
 """
 
 from __future__ import annotations
@@ -202,9 +198,7 @@ def sigma_image(w: str) -> str:
 
 
 @lru_cache(maxsize=64)
-def sigma_factors_of_length(
-    alpha: QuadReal, n: int, convention: EndpointConvention = LEFT_CLOSED
-) -> tuple[str, ...]:
+def sigma_factors_of_length(alpha: QuadReal, n: int) -> tuple[str, ...]:
     """All length-n factors of the substituted coding, sorted.
 
     Every length-n window of sigma(s) sits inside the image of a length
@@ -214,7 +208,7 @@ def sigma_factors_of_length(
     if n < 1:
         raise ValueError("factor length must be >= 1")
     seen = set()
-    for w, _ in factors_of_length(alpha, n + 1, convention):
+    for w in _factor_words(alpha, n + 1):
         img = sigma_image(w)
         for i in range(len(img) - n + 1):
             seen.add(img[i : i + n])

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sturmian_spectra import geometry, kabelian
+from sturmian_spectra import cli, geometry
 from sturmian_spectra.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -15,8 +15,6 @@ from sturmian_spectra.cli import (
     RunConfig,
     main,
 )
-from sturmian_spectra.geometry import IntervalFamily
-from sturmian_spectra.quadreal import QuadReal
 
 FIB = "[0; 2, (1)]"
 
@@ -82,6 +80,29 @@ def test_exponent_json_with_verification(capsys):
     assert obj["witness"] == "0100101001010010010100101"
     assert obj["verified"] is True
     assert obj["step"]["decimal"].startswith("0.0901699437")
+
+
+def test_exponent_accepts_slopes_outside_the_unit_interval(capsys):
+    """[1; (2)] and [-1; (2)] are the rotation of [0; (2)]: the same
+    exponent, witness and oracle check, whatever m is."""
+    argv = ("-k", "2", "-m", "5", "--verify")
+    code, want, _ = _run(capsys, "exponent", "[0; (2)]", *argv)
+    assert code == EXIT_OK and "witness: " in want
+    for text in ("[1; (2)]", "[-1; (2)]"):
+        code, out, err = _run(capsys, "exponent", text, *argv)
+        assert code == EXIT_OK and err == ""
+        assert out.splitlines()[1:] == want.splitlines()[1:]
+
+
+def test_oracle_disagreement_is_exit_4_with_json(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "brute_kab_exponent", lambda *args: 0)
+    code, out, err = _run(capsys, "exponent", FIB, "-k", "2", "-m", "5",
+                          "--verify")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "oracle_mismatch"
+    assert (payload["k"], payload["m"]) == (2, 5)
 
 
 def test_theta_json_is_exact_and_decimal(capsys):
@@ -193,20 +214,12 @@ def test_repeated_runs_are_identical(capsys):
 
 
 def _scramble_orbit(monkeypatch):
-    """Every orbit point collapses onto 0, so the coarse family is too small."""
-    monkeypatch.setattr(geometry, "orbit_points",
-                        lambda alpha, indices: [QuadReal(0) for _ in indices])
+    """Every coarse cut index collapses onto 0, so the coarse family is too
+    small."""
+    monkeypatch.setattr(geometry, "_coarse_indices", lambda k, m: {0})
 
 
-def _misplace_coarse_cuts(monkeypatch):
-    """A coarse cut at 1/3 splits the level interval that contains it."""
-    monkeypatch.setattr(
-        kabelian, "ikm_intervals",
-        lambda alpha, k, m, convention: IntervalFamily(
-            [QuadReal(0), QuadReal(1, 0, 0, 3)], convention))
-
-
-@pytest.mark.parametrize("breakage", [_scramble_orbit, _misplace_coarse_cuts])
+@pytest.mark.parametrize("breakage", [_scramble_orbit])
 def test_invariant_failure_is_exit_4_with_json(capsys, monkeypatch, breakage):
     breakage(monkeypatch)
     code, out, err = _run(capsys, "classes", FIB, "-k", "2", "-m", "5")

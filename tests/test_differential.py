@@ -2,8 +2,8 @@
 
 Each slope is [0; (b1, ..., bp)] with 1 <= p <= 8 and quotients in 1..30,
 so the fixed slopes of the other suites are far from the only ones tried;
-the integer level order also sees up to two preperiod quotients, alpha + 1
-and 1 - alpha.
+the integer circle order (families and classes) also sees up to two
+preperiod quotients, alpha + 1 and 1 - alpha.
 """
 
 import pytest
@@ -16,8 +16,8 @@ from sturmian_spectra.geometry import (
     RIGHT_CLOSED,
     IntervalFamily,
     _level_order,
+    ikm_intervals,
     level_intervals,
-    orbit_points,
 )
 from sturmian_spectra.kabelian import classify_brute, classify_by_intervals
 from sturmian_spectra.quadreal import QuadReal
@@ -38,6 +38,22 @@ preperiodic_slopes = st.builds(
 )
 
 
+def _spelling(family):
+    """Every cut and every length of a family, component by component."""
+    return [
+        tuple((x.p, x.q, x.d, x.r) for x in (iv.start, iv.length))
+        for iv in family.intervals
+    ]
+
+
+def _coarse_reference(alpha, k, m, conv):
+    """The coarse family cut at its points {-j*alpha}, sorted generically."""
+    j = min(m, k - 1)
+    shifts = (0, m - j) if m >= k - 1 else (0,)
+    points = [(-(i + s) * alpha).frac() for i in range(j + 1) for s in shifts]
+    return IntervalFamily(points, conv)
+
+
 def _convergents(alpha, limit):
     """Convergents (p, q) of alpha from exact QuadReal floors, up to the
     first with q > limit."""
@@ -53,18 +69,24 @@ def _convergents(alpha, limit):
 
 
 def _check_level_order(alpha, n):
-    """The integer circle order and the family built from it, against the
-    exact sort of the points {-j*alpha} and the family cut at them."""
+    """The integer circle order and the families built from it, against the
+    exact sort of the points {-j*alpha} and the families cut at them, cuts
+    and lengths spelled alike (family equality looks at the cuts only)."""
     order, p, q = _level_order(alpha, n)
     assert (p, q) == _convergents(alpha, n)[-1]
     assert order == sorted(range(n + 1), key=lambda j: (-j * alpha).frac())
     for conv in (LEFT_CLOSED, RIGHT_CLOSED):
         got = level_intervals(alpha, n, conv)
-        want = IntervalFamily(orbit_points(alpha, range(0, -n - 1, -1)), conv)
+        want = IntervalFamily([(-j * alpha).frac() for j in range(n + 1)], conv)
         assert got == want
-        assert [(c.p, c.q, c.d, c.r) for c in got.cuts] == [
-            (c.p, c.q, c.d, c.r) for c in want.cuts
-        ]
+        assert _spelling(got) == _spelling(want)
+        if n < 1:
+            continue  # a coarse family needs m >= 1
+        for k in range(1, 7):
+            got = ikm_intervals(alpha, k, n, conv)
+            want = _coarse_reference(alpha, k, n, conv)
+            assert got == want
+            assert _spelling(got) == _spelling(want)
 
 
 @given(preperiodic_slopes, st.data())
@@ -105,12 +127,24 @@ def test_ranked_factors_match_the_sign_test_coder(alpha, n):
             assert word == sturmian_prefix(SturmianSpec(alpha, iv.midpoint(), conv), n)
 
 
-@given(periodic_slopes, st.integers(1, 5), st.integers(1, 80))
+@given(preperiodic_slopes, st.integers(1, 5), st.integers(1, 80))
 @settings(max_examples=150, deadline=None)
 def test_interval_classes_match_signature_classes(alpha, k, m):
-    words = [w for w, _ in factors_of_length(alpha, m)]
-    got = sorted(c.members for c in classify_by_intervals(alpha, k, m) if c.members)
-    assert got == sorted(c.members for c in classify_brute(words, k))
+    """Rank classes are signature classes, and each member's level interval
+    lies inside the coarse interval its class names, for alpha, alpha + 1
+    and 1 - alpha."""
+    for x in (alpha, alpha + 1, 1 - alpha):
+        factors = dict(factors_of_length(x, m))
+        classes = classify_by_intervals(x, k, m)
+        got = sorted(c.members for c in classes)
+        assert got == sorted(c.members for c in classify_brute(list(factors), k))
+        coarse = ikm_intervals(x, k, m).intervals
+        assert [c.interval_index for c in classes] == list(range(len(coarse)))
+        for c in classes:
+            outer = coarse[c.interval_index]
+            for word in c.members:
+                inner = factors[word]
+                assert outer.start <= inner.start and inner.end <= outer.end
 
 
 @given(periodic_slopes, st.integers(1, 4), st.integers(1, 40))

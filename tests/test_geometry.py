@@ -10,11 +10,8 @@ from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
     IntervalFamily,
-    circle_point,
-    family_extremes,
     ikm_intervals,
     level_intervals,
-    orbit_points,
 )
 from sturmian_spectra.quadreal import QuadReal
 
@@ -44,7 +41,6 @@ def test_level_family_shape_and_lengths():
     assert len(fam) == 3
     assert fam.min_length() == QuadReal(-2, 1, 5, 1)  # sqrt5 - 2
     assert fam.max_length() == FIB_SLOPE
-    assert family_extremes(fam) == (fam.min_length(), fam.max_length())
 
 
 def test_lengths_tile_the_whole_circle():
@@ -78,7 +74,7 @@ def test_three_distance_law():
 def test_rotating_all_cuts_preserves_lengths():
     base = level_intervals(FIB_SLOPE, 9)
     shift = QuadReal.from_fraction(Fraction(2, 7))
-    moved = IntervalFamily([circle_point(c + shift) for c in base.cuts])
+    moved = IntervalFamily([(c + shift).frac() for c in base.cuts])
     assert sorted(moved.lengths) == sorted(base.lengths)
 
 
@@ -117,10 +113,14 @@ def test_conventions_agree_off_the_cuts():
 
 
 def test_orbit_points_are_reduced_mod_one():
-    pts = orbit_points(FIB_SLOPE, range(0, -6, -1))
-    assert all(0 <= p < 1 for p in pts)
-    assert pts[0] == 0
-    assert pts[1] == 1 - FIB_SLOPE
+    """The cuts {-j*alpha}, built from ceil(j*p/q) - j*alpha, lie in [0, 1),
+    also for slopes outside (0, 1)."""
+    for alpha in (FIB_SLOPE, FIB_SLOPE + 2, -FIB_SLOPE):
+        pts = level_intervals(alpha, 5).cuts
+        assert all(0 <= p < 1 for p in pts)
+        assert pts[0] == 0
+        assert (-alpha).frac() in pts
+    assert 1 - FIB_SLOPE in level_intervals(FIB_SLOPE, 5).cuts
 
 
 def test_family_rejects_bad_input():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmian_spectra.geometry import LEFT_CLOSED, RIGHT_CLOSED, circle_point, level_intervals
+from sturmian_spectra.geometry import LEFT_CLOSED, RIGHT_CLOSED, level_intervals
 from sturmian_spectra.quadreal import QuadReal
 from sturmian_spectra.words import (
     SturmianSpec,
@@ -32,7 +32,7 @@ def _slow_coding(alpha, intercept, n, convention):
     fam = level_intervals(alpha, 1, convention)
     out = []
     for i in range(n):
-        out.append("01"[fam.locate(circle_point(intercept + i * alpha))])
+        out.append("01"[fam.locate((intercept + i * alpha).frac())])
     return "".join(out)
 
 
