@@ -19,112 +19,20 @@ arithmetic throughout:
 * a deterministic command-line interface (`cli`).
 """
 
-from .cf import (
-    CFSyntaxError,
-    ContinuedFraction,
-    Convergent,
-)
-from .geometry import (
-    LEFT_CLOSED,
-    RIGHT_CLOSED,
-    EndpointConvention,
-    Interval,
-    IntervalFamily,
-    ikm_intervals,
-    level_intervals,
-)
-from .kabelian import (
-    FactorClass,
-    KAbelianSignature,
-    TernaryReport,
-    classify_brute,
-    classify_by_intervals,
-    kab_equivalent,
-    kab_equivalent_counts,
-    prefix_suffix_sufficient,
-    signature,
-    verify_ternary_property,
-)
-from .quadreal import MixedRadicandError, QuadReal, dist_to_int, sqrt
-from .spectra import (
-    DEFAULT_ORACLE_CAP,
-    BoundReport,
-    ExponentRecord,
-    LimsupEstimate,
-    LinftyReport,
-    LinftyStage,
-    ResourceCapExceeded,
-    SpectrumPoint,
-    brute_kab_exponent,
-    construct_linfty_slope,
-    exponent_bound_check,
-    max_integer_power_exponent,
-    max_kab_exponent,
-    preperiod_pool,
-    sample_spectrum,
-    theta_k,
-    theta_limsup_estimate,
-)
-from .words import (
-    SturmianSpec,
-    factors_of_length,
-    is_balanced_pair,
-    occurrences,
-    sigma_factors_of_length,
-    sigma_image,
-    sturmian_prefix,
-)
+from . import cf, geometry, kabelian, quadreal, spectra, words
+from .cf import *  # noqa: F403 - each submodule's __all__ is its public surface
+from .geometry import *  # noqa: F403
+from .kabelian import *  # noqa: F403
+from .quadreal import *  # noqa: F403
+from .spectra import *  # noqa: F403
+from .words import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CFSyntaxError",
-    "ContinuedFraction",
-    "Convergent",
-    "LEFT_CLOSED",
-    "RIGHT_CLOSED",
-    "EndpointConvention",
-    "Interval",
-    "IntervalFamily",
-    "ikm_intervals",
-    "level_intervals",
-    "FactorClass",
-    "KAbelianSignature",
-    "TernaryReport",
-    "classify_brute",
-    "classify_by_intervals",
-    "kab_equivalent",
-    "kab_equivalent_counts",
-    "prefix_suffix_sufficient",
-    "signature",
-    "verify_ternary_property",
-    "MixedRadicandError",
-    "QuadReal",
-    "dist_to_int",
-    "sqrt",
-    "DEFAULT_ORACLE_CAP",
-    "BoundReport",
-    "ExponentRecord",
-    "LimsupEstimate",
-    "LinftyReport",
-    "LinftyStage",
-    "ResourceCapExceeded",
-    "SpectrumPoint",
-    "brute_kab_exponent",
-    "construct_linfty_slope",
-    "exponent_bound_check",
-    "max_integer_power_exponent",
-    "max_kab_exponent",
-    "preperiod_pool",
-    "sample_spectrum",
-    "theta_k",
-    "theta_limsup_estimate",
-    "SturmianSpec",
-    "factors_of_length",
-    "is_balanced_pair",
-    "occurrences",
-    "sigma_factors_of_length",
-    "sigma_image",
-    "sturmian_prefix",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += cf.__all__
+__all__ += geometry.__all__
+__all__ += kabelian.__all__
+__all__ += quadreal.__all__
+__all__ += spectra.__all__
+__all__ += words.__all__

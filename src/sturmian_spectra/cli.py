@@ -4,9 +4,9 @@ Every command prints deterministic output: no timestamps, no hash seeds,
 no float round-trips.  Numeric results carry the exact component form and
 a 40-digit correctly rounded decimal, in text and JSON alike.
 
-Exit codes: 0 success, 2 usage or parse error, 3 resource cap hit,
-4 internal invariant violation (oracle disagreement or a failed geometric
-invariant; should never fire).
+Exit codes: 0 success, 2 usage or parse error, 3 resource cap hit or
+memory exhausted, 4 internal invariant violation (oracle disagreement or a
+failed geometric invariant; should never fire).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .cf import CFSyntaxError, ContinuedFraction
@@ -102,6 +103,7 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+@cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sturmian-spectra",
@@ -408,6 +410,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _error(EXIT_USAGE, "invalid_argument", str(exc))
     except AssertionError as exc:
         return _error(EXIT_INTERNAL, "invariant_violation", str(exc))
+    except MemoryError:  # the last resort behind every explicit budget
+        return _error(EXIT_RESOURCE, "resource_cap", "out of memory")
 
 
 if __name__ == "__main__":

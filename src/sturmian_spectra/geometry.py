@@ -8,17 +8,30 @@ interval.  Two partitions matter downstream: the level-n family cut at
 factors of the rotation coding, and the coarser family used for k-abelian
 classification, cut at the first and last few of those orbit points.
 
-Both are cut at points {-j*alpha} with 0 <= j <= n, and their circle order
-is decided by integers alone.  Let p/q be the first convergent of alpha
-with q > n.  The points {-j*p/q} are distinct multiples of 1/q, and
-{-j*alpha} = {-j*p/q} - j*(alpha - p/q) with no wrap through 0 (for j >= 1
-the rational point is at least 1/q from 0 and from 1).  Two errors differ
-by |j - j'|*|alpha - p/q|, below n/(q*q') < 1/q where q' >= q is the next
-convergent denominator, so they never swap two points: sorting on
--j*p mod q is exact, and {0} comes first.  The same bound gives
-ceil(j*alpha) = ceil(j*p/q), so each cut {-j*alpha} = ceil(j*p/q) - j*alpha
-and each length between cuts a and b is an integer plus (a - b)*alpha,
-one exact constructor call apiece.
+Both are cut at points {-j*alpha} with 0 <= j <= n, and every cut and
+length the package makes is an integer pair A + B*alpha, ordered by
+integers alone:
+
+Lemma.  Let p/q be a convergent of alpha with q > |B|.  Then
+sign(A + B*alpha) = sign(A*q + B*p).  Indeed A + B*alpha =
+(A*q + B*p)/q + B*(alpha - p/q).  The first term is a multiple of 1/q,
+and it is 0 only when A = B = 0, since A*q + B*p = 0 makes q divide B
+(p and q are coprime).  The second is below |B|/(q*q') < 1/q in absolute
+value, q' >= q being the next convergent denominator.
+
+Take the first convergent with q > n.  For 0 <= j <= n the lemma gives
+ceil(j*alpha) = ceil(j*p/q) =: c_j, so the cut {-j*alpha} is the pair
+c_j - j*alpha.  Cut j comes before cut j' when (c_j*q - j*p) - (c_j'*q -
+j'*p) < 0, and c_j*q - j*p = -j*p mod q, so sorting on that integer is
+exact, with {0} first.  The length from cut a to the next cut b is the
+pair (c_b - c_a) + (a - b)*alpha, the last one wrapping to 1 = 1 + 0*alpha.
+
+Two such lengths differ by a pair with |B| <= 2n.  So does the choice of
+||m*alpha|| between {m*alpha} = -floor(m*p/q) + m*alpha and 1 - {m*alpha},
+which differ by B = 2m.  The exponent formulas, which take the longest
+coarse length and ||m*alpha||, therefore expand alpha to a convergent past
+2m, not just past m as the order needs.  There each comparison is the sign
+of one integer, and a QuadReal is built only for a value that is reported.
 """
 
 from __future__ import annotations
@@ -196,26 +209,48 @@ def _level_order(alpha: QuadReal, n: int) -> tuple[list[int], int, int]:
     return sorted(range(n + 1), key=lambda j: -j * p % q), p, q
 
 
+def _value(alpha: QuadReal, a: int, b: int) -> QuadReal:
+    """The pair a + b*alpha, one exact constructor call."""
+    return QuadReal(a * alpha.r + b * alpha.p, b * alpha.q, alpha.d, alpha.r)
+
+
+def _pair_key(p: int, q: int):
+    """Key on pairs (A, B) standing for A + B*alpha: A*q + B*p, which orders
+    them exactly while p/q is past every |B| of their differences."""
+    return lambda pair: pair[0] * q + pair[1] * p
+
+
+def _dist_to_int_pair(m: int, p: int, q: int) -> tuple[int, int]:
+    """||m*alpha|| as a pair, for a convergent p/q of alpha past 2m: the
+    nearer of {m*alpha} = -f + m*alpha and 1 - {m*alpha}, f = floor(m*p/q)."""
+    f = m * p // q
+    return (-f, m) if (-2 * f - 1) * q + 2 * m * p < 0 else (1 + f, -m)
+
+
+def _orbit_cuts(
+    indices: Iterable[int], p: int, q: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The cuts (c_j, j), standing for c_j - j*alpha, for the distinct j in
+    `indices` in circle order, and the pairs (A, B) of the lengths from each
+    cut to the next.  p/q is a convergent of alpha past every index, and the
+    indices include 0 (see the module docstring)."""
+    cuts = [(-(-j * p // q), j) for j in sorted(indices, key=lambda j: -j * p % q)]
+    ends = cuts[1:] + [(1, 0)]  # the last interval wraps to 1 - 0*alpha
+    return cuts, [(cb - ca, a - b) for (ca, a), (cb, b) in zip(cuts, ends)]
+
+
 def _orbit_family(
     alpha: QuadReal, indices: Iterable[int], n: int, convention: EndpointConvention
 ) -> IntervalFamily:
-    """The circle cut at {-j*alpha} for the distinct j in `indices`.
-
-    The indices lie in 0..n and include 0.  They are put in circle order by
-    the integer key of _level_order, and every cut and length is one exact
-    constructor call (see the module docstring).
-    """
-    p, q = _convergent_past(alpha, n)
-    ap, aq, d, r = alpha.p, alpha.q, alpha.d, alpha.r
-
-    def point(c: int, j: int) -> QuadReal:  # c - j*alpha
-        return QuadReal(c * r - j * ap, -j * aq, d, r)
-
-    pairs = [(-(-j * p // q), j) for j in sorted(indices, key=lambda j: -j * p % q)]
-    ends = pairs[1:] + [(1, 0)]  # the last interval wraps to 1 - 0*alpha
-    cuts = [point(c, j) for c, j in pairs]
-    lengths = [point(cb - ca, b - a) for (ca, a), (cb, b) in zip(pairs, ends)]
-    return IntervalFamily._ordered(cuts, lengths, convention)
+    """The circle cut at {-j*alpha} for the distinct j in `indices`, which
+    lie in 0..n and include 0: _orbit_cuts, with one constructor call for
+    each cut and each length."""
+    cuts, lengths = _orbit_cuts(indices, *_convergent_past(alpha, n))
+    return IntervalFamily._ordered(
+        [_value(alpha, c, -j) for c, j in cuts],
+        [_value(alpha, a, b) for a, b in lengths],
+        convention,
+    )
 
 
 def level_intervals(
@@ -245,6 +280,16 @@ def _coarse_indices(k: int, m: int) -> set[int]:
     return front | set(range(shift, shift + j + 1))
 
 
+def _checked_coarse_indices(k: int, m: int) -> set[int]:
+    """_coarse_indices(k, m), whose size min(2k, m+1) is checked explicitly:
+    a raise, unlike `assert`, survives -O."""
+    indices = _coarse_indices(k, m)
+    want = min(2 * k, m + 1)
+    if len(indices) != want:
+        raise AssertionError(f"coarse family has {len(indices)} intervals, not {want}")
+    return indices
+
+
 def ikm_intervals(
     alpha: QuadReal, k: int, m: int, convention: EndpointConvention = LEFT_CLOSED
 ) -> IntervalFamily:
@@ -254,8 +299,4 @@ def ikm_intervals(
     preimages of those points under m-(k-1) more rotation steps (when
     m >= k-1).  Size is min(2k, m+1).
     """
-    indices = _coarse_indices(k, m)
-    want = min(2 * k, m + 1)
-    if len(indices) != want:  # an explicit raise, unlike `assert`, survives -O
-        raise AssertionError(f"coarse family has {len(indices)} intervals, not {want}")
-    return _orbit_family(alpha, indices, m, convention)
+    return _orbit_family(alpha, _checked_coarse_indices(k, m), m, convention)

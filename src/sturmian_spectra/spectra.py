@@ -24,11 +24,15 @@ from .cf import ContinuedFraction
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
-    ikm_intervals,
-    level_intervals,
+    _checked_coarse_indices,
+    _convergent_past,
+    _dist_to_int_pair,
+    _orbit_cuts,
+    _pair_key,
+    _value,
 )
 from .kabelian import signature
-from .quadreal import QuadReal, dist_to_int
+from .quadreal import QuadReal, _floor_parts
 from .words import SturmianSpec, _factor_words, sturmian_prefix
 
 __all__ = [
@@ -72,7 +76,13 @@ def _oracle_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    try:
+        value = int(env) if env else DEFAULT_ORACLE_CAP
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{ORACLE_CAP_ENV} must be an integer >= 0, got {env!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,29 @@ class ExponentRecord:
     witness: str | None = None
 
 
+def _floor_ratio(alpha: QuadReal, num: tuple[int, int], den: tuple[int, int]) -> int:
+    """floor((A1 + B1*alpha) / (A2 + B2*alpha)) for pairs with B2 != 0: one
+    exact floor of the quotient, rationalised over the radicand of alpha."""
+    ap, aq, d, r = alpha.p, alpha.q, alpha.d, alpha.r
+    x1, y1 = num[0] * r + num[1] * ap, num[1] * aq
+    x2, y2 = den[0] * r + den[1] * ap, den[1] * aq
+    norm = x2 * x2 - y2 * y2 * d
+    if norm < 0:
+        x2, y2, norm = -x2, -y2, -norm
+    return _floor_parts(x1 * x2 - y1 * y2 * d, y1 * x2 - x1 * y2, d, norm)
+
+
+def _kab_exponent(alpha: QuadReal, indices: set[int], m: int, p: int, q: int):
+    """A_k(m) on integer pairs from the coarse cut indices, for a convergent
+    p/q of alpha past 2m: the exponent, the first longest coarse cut (c, j)
+    with its length pair, and the pair of ||m*alpha||."""
+    cuts, lengths = _orbit_cuts(indices, p, q)
+    key = _pair_key(p, q)
+    longest, cut = max(zip(lengths, cuts), key=lambda lc: key(lc[0]))
+    step = _dist_to_int_pair(m, p, q)
+    return _floor_ratio(alpha, longest, step) + (longest != step), cut, longest, step
+
+
 def max_kab_exponent(
     alpha: QuadReal,
     k: int,
@@ -97,31 +130,27 @@ def max_kab_exponent(
     """Largest n such that some factor is a k-abelian n-th power of period m.
 
     Exact: floor(longest coarse interval / dist(m*alpha)), plus one unless
-    the ratio's numerator and denominator coincide exactly.  The witness,
-    when requested and within the cap, is an intercept placed inside the
-    longest interval so that all n period-m steps stay inside it, together
-    with the coded word of length n*m.  A slope outside (0, 1) is the same
-    rotation as its fractional part, which codes the witness.
+    the two are equal, all decided on integer pairs (see the geometry
+    module docstring).  The witness, when requested and within the cap, is
+    an intercept placed inside the longest interval so that all n period-m
+    steps stay inside it, together with the coded word of length n*m.  A
+    slope outside (0, 1) is the same rotation as its fractional part, which
+    codes the witness.
     """
-    fam = ikm_intervals(alpha, k, m, convention)
-    step = dist_to_int(m * alpha)
-    longest = fam.max_length()
-    exponent = (longest / step).floor()
-    if longest != step:
-        exponent += 1
-    record = ExponentRecord(k, m, exponent, longest, step)
+    indices = _checked_coarse_indices(k, m)
+    p, q = _convergent_past(alpha, 2 * m)
+    exponent, (c, j), longest, step = _kab_exponent(alpha, indices, m, p, q)
+    record = ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step))
     if not with_witness or exponent * m > _oracle_cap(witness_cap):
         return record
-    idx = max(range(len(fam.intervals)), key=lambda i: fam.intervals[i].length)
-    iv = fam.intervals[idx]
-    slack = iv.length - (exponent - 1) * step
-    x = iv.start + slack / 2
-    if (m * alpha).frac() > Fraction(1, 2):
-        # successive period-m steps drift downward; anchor near the top
-        x = x + (exponent - 1) * step
+    slack = record.max_interval_length - (exponent - 1) * record.step
+    x = _value(alpha, c, -j) + slack / 2
+    if step[1] < 0:
+        # {m*alpha} > 1/2: successive period-m steps drift downward; anchor near the top
+        x = x + (exponent - 1) * record.step
     x = x.frac()
     word = sturmian_prefix(SturmianSpec(alpha.frac(), x, convention), exponent * m)
-    return ExponentRecord(k, m, exponent, longest, step, x, word)
+    return ExponentRecord(k, m, exponent, record.max_interval_length, record.step, x, word)
 
 
 class _BlockClasses(dict):
@@ -267,24 +296,32 @@ def exponent_bound_check(
     For k = 1 the stronger A(m) < A(q_t) for m < q_t is recorded as well,
     informationally (it does not affect `ok`).
     """
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    if cf.is_rational:
+        raise ValueError("slope must be irrational")
     alpha = cf.value()
-    lam_fam = level_intervals(alpha, 2 * k - 2)
-    shortest, longest = lam_fam.min_length(), lam_fam.max_length()
     ts = sorted(set(t_range))
     if not ts or min(ts) < 0:
         raise ValueError("t_range must be nonempty with t >= 0")
     convs = cf.convergents(max(ts) + 1)
+    # one convergent past twice every period, level index and q_t compared
+    p, q = _convergent_past(alpha, 2 * max(convs[-1].q, 2 * k - 2))
+    key = _pair_key(p, q)
+    level = _orbit_cuts(range(2 * k - 1), p, q)[1]
+    shortest, longest = min(level, key=key), max(level, key=key)
+    below = key(shortest)
     report = BoundReport(k, [], [], [], [], [])
     memo: dict[int, int] = {}
 
     def exponent(m: int) -> int:
         if m not in memo:
-            memo[m] = max_kab_exponent(alpha, k, m, with_witness=False).exponent
+            memo[m] = _kab_exponent(alpha, _checked_coarse_indices(k, m), m, p, q)[0]
         return memo[m]
 
     for t in ts:
         q_t = convs[t].q
-        if dist_to_int(q_t * alpha) >= shortest:
+        if key(_dist_to_int_pair(q_t, p, q)) >= below:
             continue
         report.t_checked.append(t)
         a_qt = exponent(q_t)
@@ -295,9 +332,9 @@ def exponent_bound_check(
                 report.convergent_slack_violations.append((t, m))
             elif a_m == bound:
                 report.improved_slack_exceedances.append((t, m))
-            step = dist_to_int(m * alpha)
-            if step < shortest:
-                diff = a_m - (longest / step).floor()
+            step = _dist_to_int_pair(m, p, q)
+            if key(step) < below:
+                diff = a_m - _floor_ratio(alpha, longest, step)
                 if not -1 <= diff <= 2 and m not in report.approx_window_violations:
                     report.approx_window_violations.append(m)
             if k == 1 and m < q_t and a_m >= a_qt:
@@ -311,8 +348,9 @@ def theta_k(cf: ContinuedFraction, k: int) -> QuadReal:
     if k < 1:
         raise ValueError("order k must be >= 1")
     alpha = cf.value()
-    longest = level_intervals(alpha, 2 * k - 2).max_length()
-    return longest * cf.lagrange_constant()
+    p, q = _convergent_past(alpha, 4 * k - 4)
+    longest = max(_orbit_cuts(range(2 * k - 1), p, q)[1], key=_pair_key(p, q))
+    return _value(alpha, *longest) * cf.lagrange_constant()
 
 
 @dataclass(frozen=True)
@@ -350,9 +388,10 @@ def theta_limsup_estimate(
         raise ValueError("window must be >= 1")
     alpha = cf.value()
     convs = cf.convergents(t_max)
+    p, q = _convergent_past(alpha, 2 * convs[-1].q)
     terms = []
     for conv in convs[1:]:
-        a = max_kab_exponent(alpha, k, conv.q, with_witness=False).exponent
+        a = _kab_exponent(alpha, _checked_coarse_indices(k, conv.q), conv.q, p, q)[0]
         terms.append((conv.t, Fraction(a, conv.q)))
     window_start = max(1, t_max - window + 1)
     estimate = max(v for t, v in terms if t >= window_start)

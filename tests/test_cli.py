@@ -1,6 +1,7 @@
 """Command line surface: output schemas, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -201,6 +202,60 @@ def test_resource_cap_exit_code(capsys, monkeypatch):
     payload = json.loads(err)
     assert payload["error"]["type"] == "resource_cap"
     assert payload["error"]["cap"] == 40
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_cap_in_the_environment_is_a_named_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("STURMIAN_SPECTRA_CAP", value)
+    code, out, err = _run(capsys, "exponent", FIB, "-k", "1", "-m", "5",
+                          "--verify")
+    assert code == EXIT_USAGE
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "invalid_argument"
+    assert "STURMIAN_SPECTRA_CAP" in payload["message"]
+
+
+def test_memory_exhaustion_is_a_resource_cap(capsys, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "cf", exhausted)
+    code, out, err = _run(capsys, "cf", FIB)
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "resource_cap"
+
+
+def _exit_and_streams(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and usage errors leave through argparse
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(capsys, monkeypatch):
+    """Consecutive in-process calls with different subcommands, --help and
+    usage errors included, print what fresh processes print."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    calls = [
+        ["theta", FIB, "-k", "2"],
+        ["exponent", FIB, "-k", "2", "-m", "5", "--format", "json"],
+        ["classes", FIB, "-k", "2", "-m", "0"],
+        ["cf", FIB, "--t-max", "3", "--format", "csv"],
+        ["--help"],
+        ["exponent", "--help"],
+        ["exponent", FIB, "-k", "2"],
+        ["nonesuch"],
+    ]
+    for argv in calls:
+        got = _exit_and_streams(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-m", "sturmian_spectra", *argv],
+                               capture_output=True, text=True, env=os.environ)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_repeated_runs_are_identical(capsys):

@@ -2,9 +2,13 @@
 
 Each slope is [0; (b1, ..., bp)] with 1 <= p <= 8 and quotients in 1..30,
 so the fixed slopes of the other suites are far from the only ones tried;
-the integer circle order (families and classes) also sees up to two
-preperiod quotients, alpha + 1 and 1 - alpha.
+the integer circle order (families and classes) and the exponent formulas
+on integer pairs also see up to two preperiod quotients, a0 != 0,
+alpha + 1 and 1 - alpha.
 """
+
+import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,16 +19,27 @@ from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
     IntervalFamily,
+    _convergent_past,
+    _dist_to_int_pair,
     _level_order,
+    _pair_key,
+    _value,
     ikm_intervals,
     level_intervals,
 )
 from sturmian_spectra.kabelian import classify_brute, classify_by_intervals
-from sturmian_spectra.quadreal import QuadReal
+from sturmian_spectra.quadreal import QuadReal, dist_to_int
 from sturmian_spectra.spectra import (
+    DEFAULT_ORACLE_CAP,
+    BoundReport,
+    ExponentRecord,
     ResourceCapExceeded,
+    _floor_ratio,
     brute_kab_exponent,
+    exponent_bound_check,
     max_kab_exponent,
+    theta_k,
+    theta_limsup_estimate,
 )
 from sturmian_spectra.words import SturmianSpec, factors_of_length, sturmian_prefix
 
@@ -36,6 +51,20 @@ preperiodic_slopes = st.builds(
     st.lists(st.integers(1, 30), max_size=2),
     st.lists(st.integers(1, 30), min_size=1, max_size=8),
 )
+# any integer part: the exponent formulas take slopes outside (0, 1)
+shifted_cfs = st.builds(
+    lambda a0, pre, period: ContinuedFraction([a0, *pre], period),
+    st.integers(-2, 2),
+    st.lists(st.integers(1, 30), max_size=2),
+    st.lists(st.integers(1, 30), min_size=1, max_size=8),
+)
+SPIKE = ContinuedFraction([0, 3, 1, 1, 1, 100], [1])
+AWKWARD = [
+    SPIKE.value(),
+    QuadReal(2, 1, 7, 5),  # 5 does not divide 7 - 2*2
+    QuadReal(2, -1, 7, 5),
+    QuadReal(-2, 1, 3, 4),  # a negative Q divides P + isqrt(D) on the way
+]
 
 
 def _spelling(family):
@@ -99,15 +128,7 @@ def test_integer_level_order_matches_the_exact_sort(alpha, data):
         _check_level_order(x, max(0, q + data.draw(st.integers(-1, 1))))
 
 
-@pytest.mark.parametrize(
-    "base",
-    [
-        ContinuedFraction([0, 3, 1, 1, 1, 100], [1]).value(),
-        QuadReal(2, 1, 7, 5),  # 5 does not divide 7 - 2*2
-        QuadReal(2, -1, 7, 5),
-        QuadReal(-2, 1, 3, 4),  # a negative Q divides P + isqrt(D) on the way
-    ],
-)
+@pytest.mark.parametrize("base", AWKWARD)
 def test_integer_level_order_on_awkward_spellings(base):
     for x in (base, base + 1, 1 - base):
         for _, q in _convergents(x, 1200)[:-1]:
@@ -156,3 +177,161 @@ def test_exponent_formula_matches_the_oracle(alpha, k, m):
     except ResourceCapExceeded:
         return  # a declared refusal, never a wrong answer
     assert got == want
+
+
+# -- exponent formulas on integer pairs, against their QuadReal versions --------
+
+
+def _level_reference(alpha, n):
+    """The level-n family cut at its points {-j*alpha}, sorted generically."""
+    return IntervalFamily([(-j * alpha).frac() for j in range(n + 1)])
+
+
+def _reference_exponent(alpha, k, m, convention=LEFT_CLOSED, with_witness=True):
+    """max_kab_exponent on QuadReal: the longest length of a generically
+    sorted coarse family, dist_to_int, and the floor of their quotient."""
+    family = _coarse_reference(alpha, k, m, convention)
+    longest, step = family.max_length(), dist_to_int(m * alpha)
+    exponent = (longest / step).floor() + (longest != step)
+    if not with_witness or exponent * m > DEFAULT_ORACLE_CAP:
+        return ExponentRecord(k, m, exponent, longest, step)
+    start = max(family.intervals, key=lambda iv: iv.length).start
+    x = start + (longest - (exponent - 1) * step) / 2
+    if (m * alpha).frac() > Fraction(1, 2):
+        x = x + (exponent - 1) * step
+    x = x.frac()
+    word = sturmian_prefix(SturmianSpec(alpha.frac(), x, convention), exponent * m)
+    return ExponentRecord(k, m, exponent, longest, step, x, word)
+
+
+def _reference_bound_check(cf, k, t_range):
+    """exponent_bound_check on QuadReal, with _reference_exponent."""
+    alpha = cf.value()
+    level = _level_reference(alpha, 2 * k - 2)
+    shortest, longest = level.min_length(), level.max_length()
+    ts = sorted(set(t_range))
+    convs = cf.convergents(max(ts) + 1)
+    report = BoundReport(k, [], [], [], [], [])
+    exponent = {}
+    for t in ts:
+        q_t = convs[t].q
+        if dist_to_int(q_t * alpha) >= shortest:
+            continue
+        report.t_checked.append(t)
+        for m in {q_t, *range(1, convs[t + 1].q)} - set(exponent):
+            exponent[m] = _reference_exponent(alpha, k, m, with_witness=False).exponent
+        a_qt = exponent[q_t]
+        for m in range(1, convs[t + 1].q):
+            a_m = exponent[m]
+            if a_m > a_qt + 2:
+                report.convergent_slack_violations.append((t, m))
+            elif a_m == a_qt + 2:
+                report.improved_slack_exceedances.append((t, m))
+            step = dist_to_int(m * alpha)
+            if step < shortest:
+                diff = a_m - (longest / step).floor()
+                if not -1 <= diff <= 2 and m not in report.approx_window_violations:
+                    report.approx_window_violations.append(m)
+            if k == 1 and m < q_t and a_m >= a_qt:
+                report.k1_monotone_violations.append((t, m))
+    return report
+
+
+def _spelled(x):
+    """A result with every QuadReal in it replaced by its spelling."""
+    if isinstance(x, QuadReal):
+        return ("QuadReal", x.p, x.q, x.d, x.r)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__, *(_spelled(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_spelled, x))
+    return x
+
+
+def _check_exponent(alpha, k, m, convention=LEFT_CLOSED):
+    got = max_kab_exponent(alpha, k, m, convention)
+    assert _spelled(got) == _spelled(_reference_exponent(alpha, k, m, convention))
+
+
+@given(shifted_cfs, st.integers(1, 6), st.integers(1, 400), st.sampled_from([LEFT_CLOSED, RIGHT_CLOSED]))
+@settings(max_examples=150, deadline=None)
+def test_exponent_records_match_the_quadreal_formula(cf, k, m, convention):
+    """Every field, spellings and witness included, for alpha, alpha + 1
+    and 1 - alpha."""
+    alpha = cf.value()
+    for x in (alpha, alpha + 1, 1 - alpha):
+        _check_exponent(x, k, m, convention)
+
+
+@pytest.mark.parametrize("base", AWKWARD)
+def test_exponent_records_on_awkward_spellings(base):
+    """At m = q_t - 1, q_t, q_t + 1; for the first slope floor(L/s) reaches
+    the hundreds at m = q_t = 11, where ||m*alpha|| is tiny."""
+    for x in (base, base + 1, 1 - base):
+        for _, q in _convergents(x, 1200)[1:-1]:
+            for m in {q - 1, q, q + 1} - {0}:
+                for k in range(1, 5):
+                    _check_exponent(x, k, m)
+    assert max_kab_exponent(SPIKE.value(), 1, 11, with_witness=False).exponent > 100
+
+
+@given(shifted_cfs, st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_bound_reports_match_the_quadreal_check(cf, k):
+    """Over the t whose q_{t+1} stays at most 120."""
+    convs = cf.convergents(12)
+    t_range = [t for t in range(12) if convs[t + 1].q <= 120] or [0]
+    got = exponent_bound_check(cf, k, t_range)
+    assert _spelled(got) == _spelled(_reference_bound_check(cf, k, t_range))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_bound_report_on_the_spike(k):
+    t_range = range(5)  # q_5 = 1107 follows q_4 = 11
+    got = exponent_bound_check(SPIKE, k, t_range)
+    assert _spelled(got) == _spelled(_reference_bound_check(SPIKE, k, t_range))
+
+
+@given(shifted_cfs, st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_theta_matches_the_quadreal_longest_interval(cf, k):
+    want = _level_reference(cf.value(), 2 * k - 2).max_length() * cf.lagrange_constant()
+    assert _spelled(theta_k(cf, k)) == _spelled(want)
+
+
+@given(shifted_cfs, st.integers(1, 6), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_limsup_terms_match_the_quadreal_formula(cf, k, t_max):
+    alpha = cf.value()
+    want = [
+        (c.t, Fraction(_reference_exponent(alpha, k, c.q, with_witness=False).exponent, c.q))
+        for c in cf.convergents(t_max)[1:]
+    ]
+    assert list(theta_limsup_estimate(cf, k, t_max).terms) == want
+
+
+@given(
+    st.sampled_from(AWKWARD),
+    st.integers(-10**6, 10**6),
+    st.integers(-500, 500),
+    st.integers(-10**6, 10**6),
+    st.integers(-500, 500).filter(bool),
+)
+@settings(max_examples=300, deadline=None)
+def test_pair_signs_and_floors_match_quadreal(alpha, a1, b1, a2, b2):
+    """The lemma's sign test and the rationalised floor, on raw pairs."""
+    x, y = a1 + b1 * alpha, a2 + b2 * alpha
+    p, q = _convergent_past(alpha, abs(b1 - b2))
+    key = _pair_key(p, q)
+    assert (key((a1, b1)) > key((a2, b2))) == (x > y)
+    assert _floor_ratio(alpha, (a1, b1), (a2, b2)) == (x / y).floor()
+
+
+def test_nearest_integer_needs_a_convergent_past_twice_the_period():
+    """||4*alpha|| of the golden slope is 0.472...: its convergent 5/8 is
+    past m = 4 but not past 2m, and picks the wrong side of 1/2."""
+    golden = ContinuedFraction([0], [1]).value()
+    want = _spelled(dist_to_int(4 * golden))
+    assert _convergent_past(golden, 5) == (5, 8)
+    assert _spelled(_value(golden, *_dist_to_int_pair(4, 5, 8))) != want
+    assert _spelled(_value(golden, *_dist_to_int_pair(4, *_convergent_past(golden, 8)))) == want

@@ -339,3 +339,10 @@ def test_spectrum_points_sit_in_the_expected_band():
         assert p.theta.compare(hi) < 0
     for p in sample_spectrum(1, GOLDEN_TAIL, 20):
         assert p.theta.compare(hi) >= 0
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "2.5"])
+def test_cap_from_the_environment_must_be_a_nonnegative_integer(monkeypatch, value):
+    monkeypatch.setenv("STURMIAN_SPECTRA_CAP", value)
+    with pytest.raises(ValueError, match="STURMIAN_SPECTRA_CAP"):
+        brute_kab_exponent(FIB_SLOPE, 1, 5)
