@@ -266,7 +266,7 @@ def _cmd_exponent(cfg: RunConfig) -> int:
     record = max_kab_exponent(alpha, cfg.k, cfg.m, convention)
     brute = None
     if cfg.verify:
-        brute = brute_kab_exponent(alpha, cfg.k, cfg.m, convention)
+        brute = brute_kab_exponent(alpha, cfg.k, cfg.m)
         if brute != record.exponent:
             return _error(
                 EXIT_INTERNAL,

@@ -211,18 +211,13 @@ def _longest_block_run(alpha: QuadReal, m: int, key, cap: int) -> int:
         length = min(cap, length * 2)
 
 
-def brute_kab_exponent(
-    alpha: QuadReal,
-    k: int,
-    m: int,
-    convention: EndpointConvention = LEFT_CLOSED,
-    cap: int | None = None,
-) -> int:
+def brute_kab_exponent(alpha: QuadReal, k: int, m: int, cap: int | None = None) -> int:
     """Independent check of max_kab_exponent by enumerating actual factors.
 
     No interval-length reasoning: splits enumerated factors into m-blocks
     and compares their signatures, computed once per distinct block.  The
-    factors, and so the result, do not depend on the endpoint convention.
+    factors, and so the result, do not depend on an endpoint convention,
+    so none is taken.
     Raises ResourceCapExceeded (a declared failure, never a wrong answer)
     if the needed factor length passes the cap, env-overridable via
     STURMIAN_SPECTRA_CAP.

@@ -5,29 +5,37 @@ i-th letter says which side of the two-interval partition {I(0, 1-alpha),
 I(1-alpha, 1)} the point x + i*alpha (mod 1) falls on, i.e. whether x lies
 in the arc from {-(i+1)*alpha} to {-i*alpha}.
 
-Prefixes from a given intercept are decided by exact sign computations on
-scaled integer numerator pairs over a common denominator.
+Every letter is read off one rational rotation, by the lemma in the
+geometry module docstring.  Spell x over alpha's radicand as
+(A + B*alpha)/D with D > 0, and take the first convergent p/q of alpha
+with q > |B| + D*n.  For 0 <= i <= n the lemma, applied to the pairs
+(A - t*D) + (B + i*D)*alpha, gives floor(x + i*alpha) =
+floor((K + i*D*p)/(D*q)) with K = A*q + B*p, and x + i*alpha is an integer
+only when D*q divides K + i*D*p.  So with r_i = (K + i*D*p) mod D*q, the
+point {x + i*alpha} lies in [1-alpha, 1) exactly when r_i >= D*(q - p),
+which is letter i = 1 under the left-closed convention, and in
+(1-alpha, 1], with 0 taken as 1, exactly when r_i > D*(q - p) or r_i = 0,
+which is letter i = 1 under the right-closed one.
 
-Factors of a given length need no sign tests at all: the level-n family,
-cut at {-j*alpha} for 0 <= j <= n, has one interval per length-n factor,
-and geometry orders those cuts with integers alone (the convergent
-argument is in its module docstring), which gives each cut's circle rank,
-rank[j].  Letter i of the factor on interval r is 1 exactly when
-(r - rank[i+1]) mod (n+1) < (rank[i] - rank[i+1]) mod (n+1), and crossing
-the cut {-j*alpha} only turns letter j-1 into 1 and letter j into 0.  No
-sampling, no prefix scanning, and no QuadReal.
+Factors of length n need nothing more: the level-n family, cut at
+{-j*alpha} for 0 <= j <= n, has one interval per length-n factor, and
+geometry orders those cuts by the same lemma.  The first interval starts
+at cut 0, so its word is the coding of intercept 0 (K = 0, D = 1, with
+the order's p and q), and crossing the cut {-j*alpha} only turns letter
+j-1 into 1 and letter j into 0.  No sampling, no sign tests, and no
+QuadReal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 
 from .geometry import (
     EndpointConvention,
     Interval,
     LEFT_CLOSED,
+    _convergent_past,
     _level_order,
     level_intervals,
 )
@@ -60,95 +68,49 @@ class SturmianSpec:
         object.__setattr__(self, "intercept", self.intercept.frac())
 
 
-def _code_letters(
-    alpha: QuadReal, start: QuadReal, count: int, zero_in_i0: bool
-) -> str:
-    """count letters of the coding from `start`, via integer sign tests.
-
-    Each step decides two signs: whether the point lies in I(1-alpha, 1),
-    and whether adding alpha wrapped past 1.  This serves prefixes from an
-    arbitrary intercept; factor languages are built from circle ranks.
-    """
-    alpha, start = _common_radicand(alpha, start)
-    d = alpha.d
-    R = lcm(alpha.r, start.r)
-    ap = alpha.p * (R // alpha.r)
-    aq = alpha.q * (R // alpha.r)
-    pp = start.p * (R // start.r)
-    pq = start.q * (R // start.r)
-    tp = R - ap  # 1 - alpha, scaled
-    tq = -aq
-    out = []
-    for _ in range(count):
-        a = pp - tp
-        b = pq - tq
-        # sign of a + b*sqrt(d)
-        if b == 0:
-            s = (a > 0) - (a < 0)
-        elif a == 0:
-            s = (b > 0) - (b < 0)
-        elif a > 0 and b > 0:
-            s = 1
-        elif a < 0 and b < 0:
-            s = -1
-        else:
-            t = a * a - b * b * d
-            s = (t > 0) - (t < 0)
-            if a < 0:
-                s = -s
-        if zero_in_i0:
-            out.append("0" if s < 0 else "1")
-        else:
-            out.append("1" if (s > 0 or (pp == 0 and pq == 0)) else "0")
-        pp += ap
-        pq += aq
-        a = pp - R
-        b = pq
-        if b == 0:
-            s = (a > 0) - (a < 0)
-        elif a == 0:
-            s = (b > 0) - (b < 0)
-        elif a > 0 and b > 0:
-            s = 1
-        elif a < 0 and b < 0:
-            s = -1
-        else:
-            t = a * a - b * b * d
-            s = (t > 0) - (t < 0)
-            if a < 0:
-                s = -s
-        if s >= 0:
-            pp -= R
-    return "".join(out)
+def _code_letters(k: int, step: int, mod: int, n: int, zero_in_i0: bool) -> str:
+    """n letters of the rational rotation r -> r + step on Z/mod, from r = k:
+    letter i is 1 when r_i >= mod - step, or under the right-closed
+    convention when r_i > mod - step or r_i == 0 (see the module docstring)."""
+    cut = mod - step
+    r = k % mod
+    letters = bytearray(b"0" * n)
+    for i in range(n):
+        if (r >= cut) if zero_in_i0 else (r > cut or r == 0):
+            letters[i] = 49  # ord("1")
+        r = (r + step) % mod
+    return letters.decode()
 
 
 def sturmian_prefix(spec: SturmianSpec, n: int) -> str:
     """First n letters of the coding described by spec."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    return _code_letters(spec.alpha, spec.intercept, n, spec.convention.zero_in_I0)
+    alpha, x = _common_radicand(spec.alpha, spec.intercept)
+    # x = (A + B*alpha)/D over alpha's radicand, D > 0
+    a, b, d = x.p * alpha.q - x.q * alpha.p, x.q * alpha.r, x.r * alpha.q
+    if d < 0:
+        a, b, d = -a, -b, -d
+    p, q = _convergent_past(alpha, abs(b) + d * n)
+    return _code_letters(a * q + b * p, d * p, d * q, n, spec.convention.zero_in_I0)
 
 
 @lru_cache(maxsize=8)
 def _factor_words(alpha: QuadReal, n: int) -> tuple[str, ...]:
     """The n+1 length-n factors in circle order of the level-n family.
 
-    Read off the integer circle ranks by the rule of the module docstring;
-    the endpoint convention never changes a word, so it is not a key.  Eight
-    entries hold one slope's whole oracle ladder (64, 128, ..., 2000), and
-    at n = 2000 each entry takes about 4 MB.
+    The first is the coding of intercept 0, the rest follow by the crossing
+    rule of the module docstring; the endpoint convention never changes a
+    word, so it is not a key.  Eight entries hold one slope's whole oracle
+    ladder (64, 128, ..., 2000), and at n = 2000 each entry takes about
+    4 MB.
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    order = _level_order(alpha, n)[0]
-    size = n + 1
-    rank = [0] * size
-    for r, j in enumerate(order):
-        rank[j] = r
-    # the rank rule of the module docstring at r = 0
-    letters = bytearray(
-        b"01"[-rank[i + 1] % size < (rank[i] - rank[i + 1]) % size] for i in range(n)
-    )
+    order, p, q = _level_order(alpha, n)
+    # the coding of intercept 0, where the interval from cut 0 starts; p mod q,
+    # since a slope outside (0, 1) is the rotation by its fractional part
+    letters = bytearray(_code_letters(0, p % q, q, n, True), "ascii")
     words = [letters.decode()]
     for j in order[1:]:
         letters[j - 1] = 49  # ord("1"): entering the arc of letter j-1
@@ -166,7 +128,7 @@ def factors_of_length(
 
     Returns (word, interval) pairs in circle order of the level-n family;
     there are exactly n+1 of them.  The word attached to an interval is the
-    coding of its interior points, read off the circle ranks of the cuts,
+    coding of its interior points, read off the circle order of the cuts,
     so the endpoint convention changes the intervals' ownership of their
     endpoints but never a word.
     """

@@ -72,6 +72,19 @@ def test_classes_emit_circle_lists_the_cuts(capsys):
     assert obj["cuts"][0]["decimal"] == "0"
 
 
+# (cf, k, m, convention) -> exponent, witness, witness intercept (p, q, d, r)
+FROZEN_WITNESSES = {
+    (FIB, "2", "5", "left"): (
+        5, "0100101001010010010100101", ("-63", "29", "5", "4")),
+    (FIB, "2", "5", "right"): (
+        5, "0100101001010010010100101", ("-63", "29", "5", "4")),
+    ("[0; 3, 1, 1, 1, 100, (1)]", "2", "4", "left"): (
+        6, "001000100010010001000100", ("549029", "12", "5", "2426302")),
+    ("[0; 3, 1, 1, 1, 100, (1)]", "2", "4", "right"): (
+        6, "001000100010010001000100", ("549029", "12", "5", "2426302")),
+}
+
+
 def test_exponent_json_with_verification(capsys):
     code, out, _ = _run(capsys, "exponent", FIB, "-k", "2", "-m", "5",
                         "--verify", "--format", "json")
@@ -81,6 +94,14 @@ def test_exponent_json_with_verification(capsys):
     assert obj["witness"] == "0100101001010010010100101"
     assert obj["verified"] is True
     assert obj["step"]["decimal"].startswith("0.0901699437")
+    for (text, k, m, conv), (exponent, witness, x) in FROZEN_WITNESSES.items():
+        code, out, err = _run(capsys, "exponent", text, "-k", k, "-m", m,
+                              "--convention", conv, "--verify", "--format", "json")
+        assert code == EXIT_OK and err == ""
+        obj = json.loads(out)
+        assert (obj["exponent"], obj["witness"], obj["verified"]) == (exponent, witness, True)
+        intercept = obj["witness_intercept"]
+        assert tuple(intercept[f] for f in "pqdr") == x
 
 
 def test_exponent_accepts_slopes_outside_the_unit_interval(capsys):

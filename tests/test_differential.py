@@ -136,16 +136,31 @@ def test_integer_level_order_on_awkward_spellings(base):
                 _check_level_order(x, n)
 
 
+def _located_coding(alpha, x, n):
+    """The coding from x by locating each point x + i*alpha in the
+    two-interval family, independent of the integer coder."""
+    fam = level_intervals(alpha, 1)
+    letters = []
+    for _ in range(n):
+        letters.append("01"[fam.locate(x)])
+        x = (x + alpha).frac()
+    return "".join(letters)
+
+
 @given(periodic_slopes, st.integers(1, 200))
 @settings(max_examples=150, deadline=None)
-def test_ranked_factors_match_the_sign_test_coder(alpha, n):
-    """Each word read off the circle ranks is the coding from its interval's
-    midpoint, under both endpoint conventions."""
+def test_ranked_factors_match_the_prefix_coder(alpha, n):
+    """Each word read off the circle order is the coding from its interval's
+    midpoint, by the prefix coder under both endpoint conventions and, up to
+    n = 60, by locating every point."""
     for conv in (LEFT_CLOSED, RIGHT_CLOSED):
         factors = factors_of_length(alpha, n, conv)
         assert len({w for w, _ in factors}) == n + 1
         for word, iv in factors:
             assert word == sturmian_prefix(SturmianSpec(alpha, iv.midpoint(), conv), n)
+    if n <= 60:  # the locate reference takes n*(n+1) QuadReal steps
+        for word, iv in factors:
+            assert word == _located_coding(alpha, iv.midpoint(), n)
 
 
 @given(preperiodic_slopes, st.integers(1, 5), st.integers(1, 80))

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import LEFT_CLOSED, RIGHT_CLOSED, level_intervals
-from sturmian_spectra.quadreal import QuadReal
+from sturmian_spectra.quadreal import MixedRadicandError, QuadReal
 from sturmian_spectra.words import (
     SturmianSpec,
     factors_of_length,
@@ -22,6 +23,9 @@ FIB_SLOPE = QuadReal(3, -1, 5, 2)
 SILVER_SLOPE = QuadReal(-1, 1, 2, 1)
 FIB_WORD = SturmianSpec(FIB_SLOPE, FIB_SLOPE)
 
+periodic_slopes = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
+    lambda period: ContinuedFraction([0], period).value()
+)
 small_intercepts = st.fractions(
     min_value=0, max_value=Fraction(199, 200), max_denominator=200
 ).map(QuadReal.from_fraction)
@@ -49,6 +53,8 @@ def test_prefix_lengths_and_validation():
         SturmianSpec(QuadReal.from_fraction(Fraction(2, 5)), QuadReal(0))
     with pytest.raises(ValueError):
         SturmianSpec(QuadReal(3, 1, 5, 2), QuadReal(0))  # slope above 1
+    with pytest.raises(MixedRadicandError):
+        sturmian_prefix(SturmianSpec(FIB_SLOPE, QuadReal(0, 1, 2, 3)), 5)
 
 
 def test_intercept_reduced_into_unit_interval():
@@ -136,13 +142,30 @@ def test_balance_checker_validation():
         is_balanced_pair("02", "00")
 
 
-@given(small_intercepts, st.integers(1, 60))
-@settings(max_examples=100)
-def test_fast_coder_agrees_with_locate_reference(rho, n):
-    """The incremental integer kernel matches locating every point afresh."""
+def _intercepts(alpha, n):
+    """Rational and irrational intercepts, and the points where the two
+    conventions part: the cuts {-j*alpha} for 0 <= j <= n, 0 and 1 - alpha."""
+    return st.one_of(
+        small_intercepts,
+        st.builds(
+            lambda a, b, d: ((a + b * alpha) / d).frac(),
+            st.integers(-300, 300),
+            st.integers(-300, 300),
+            st.integers(1, 300),
+        ),
+        st.integers(0, n).map(lambda j: (-j * alpha).frac()),
+        st.sampled_from([QuadReal(0), 1 - alpha]),
+    )
+
+
+@given(st.one_of(st.just(FIB_SLOPE), periodic_slopes), st.integers(1, 60), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fast_coder_agrees_with_locate_reference(alpha, n, data):
+    """The rational-rotation coder matches locating every point afresh."""
+    rho = data.draw(_intercepts(alpha, n))
     for conv in (LEFT_CLOSED, RIGHT_CLOSED):
-        spec = SturmianSpec(FIB_SLOPE, rho, conv)
-        assert sturmian_prefix(spec, n) == _slow_coding(FIB_SLOPE, rho, n, conv)
+        spec = SturmianSpec(alpha, rho, conv)
+        assert sturmian_prefix(spec, n) == _slow_coding(alpha, rho, n, conv)
 
 
 @given(small_intercepts)
