@@ -2,9 +2,12 @@
 
 The text form is ``[a0; a1, a2, (b1, b2)]``: a finite list of partial
 quotients with an optional parenthesized repeating block at the end.
-Whitespace is insignificant on input; rendering is canonical.  Values,
-convergents, Lagrange constants and tail equivalence are all computed
-exactly over :class:`~sturmian_spectra.quadreal.QuadReal`.
+Whitespace is insignificant on input; rendering is canonical.
+
+Values, denominators and Lagrange constants come from one integer fold,
+the convergent recurrence over a quotient list (`_moebius`), and each
+builds a single :class:`~sturmian_spectra.quadreal.QuadReal` at the end
+for the value it reports.
 """
 
 from __future__ import annotations
@@ -146,16 +149,18 @@ class ContinuedFraction:
     # -- value ---------------------------------------------------------------
 
     def value(self) -> QuadReal:
-        """Exact value as a QuadReal (rational values have q == 0)."""
+        """Exact value as a QuadReal (rational values have q == 0).
+
+        The preperiod folds to z -> (a*z + b)/(c*z + d): a rational
+        expansion is a/c, and a periodic one is that map at the value
+        (P + sqrt(D))/R of its purely periodic tail, rationalised.
+        """
+        a, b, c, d = _moebius(self.preperiod)
         if self.is_rational:
-            v = Fraction(self.preperiod[-1])
-            for a in reversed(self.preperiod[:-1]):
-                v = a + 1 / v
-            return QuadReal.from_fraction(v)
-        x = _purely_periodic_value(self.period)
-        for a in reversed(self.preperiod):
-            x = a + 1 / x
-        return x
+            return QuadReal.from_fraction(Fraction(a, c))
+        P, D, R = _purely_periodic_value(self.period)
+        u, v = a * P + b * R, c * P + d * R
+        return QuadReal(u * v - a * c * D, (a * d - b * c) * R, D, v * v - c * c * D)
 
     # -- convergents -----------------------------------------------------
 
@@ -179,23 +184,22 @@ class ContinuedFraction:
     def lagrange_constant(self) -> QuadReal:
         """limsup_t ( [a_{t+1}; a_{t+2}, ...] + [0; a_t, ..., a_1] ), exact.
 
-        Along the periodic tail the forward term is purely periodic and the
-        backward term converges to the purely periodic value of the reversed
-        cycle, so the limsup is the maximum over cycle offsets of
-        forward + 1/backward, both evaluated exactly.
+        Along the periodic tail the forward term at cycle offset j is the
+        purely periodic x_j = (a - d + sqrt(disc)) / (2c), the fixed point
+        of the j-th rotation of the cycle folded to (a, b, c, d).  By
+        Galois' theorem the backward term [0; a_{j-1}, a_{j-2}, ...] is
+        -x'_j, the negated conjugate, so forward + backward is
+        x_j - x'_j = sqrt(disc) / c.  disc = (a - d)^2 + 4bc is
+        trace^2 - 4*det and so the same for every rotation: the limsup is
+        sqrt(disc) over the least c among the rotations, with no
+        comparison of irrationals.
         """
         if self.is_rational:
             raise ValueError("Lagrange constant needs an irrational value")
         cycle = self.period
-        best: QuadReal | None = None
-        for j in range(len(cycle)):
-            rot = cycle[j:] + cycle[:j]
-            fwd = _purely_periodic_value(rot)
-            bwd = _purely_periodic_value(tuple(reversed(rot)))
-            cand = fwd + 1 / bwd
-            if best is None or cand.compare(best) > 0:
-                best = cand
-        return best
+        _, disc, _ = _purely_periodic_value(cycle)
+        least = min(_moebius(cycle[j:] + cycle[:j])[2] for j in range(len(cycle)))
+        return QuadReal(0, 1, disc, least)
 
     # -- equivalence -------------------------------------------------------
 
@@ -210,15 +214,25 @@ class ContinuedFraction:
         return any(doubled[i : i + len(b)] == b for i in range(len(a)))
 
 
-def _purely_periodic_value(cycle: tuple[int, ...]) -> QuadReal:
-    """Value of the purely periodic expansion [c0; c1, ..., c0, c1, ...].
+def _moebius(quotients: Iterable[int]) -> tuple[int, int, int, int]:
+    """The convergent recurrence folded over `quotients` x_0, ..., x_t.
 
-    The repeating block acts as a Moebius map z -> (az + b)/(cz + d); the
-    value is the positive fixed point.
+    Returns (p_t, p_{t-1}, q_t, q_{t-1}) =: (a, b, c, d), so that
+    z -> (a*z + b)/(c*z + d) is [x_0; x_1, ..., x_t, z]; the empty list
+    folds to the identity.
     """
     a, b, c, d = 1, 0, 0, 1
-    for x in cycle:
+    for x in quotients:
         a, b, c, d = a * x + b, a, c * x + d, c
-    disc = (a - d) * (a - d) + 4 * b * c
-    return QuadReal(a - d, 1, disc, 2 * c)
+    return a, b, c, d
 
+
+def _purely_periodic_value(cycle: tuple[int, ...]) -> tuple[int, int, int]:
+    """Value of the purely periodic expansion [c0; c1, ..., c0, c1, ...],
+    spelled as integers (P, D, R) for (P + sqrt(D))/R.
+
+    The repeating block folds to a Moebius map z -> (az + b)/(cz + d); the
+    value is its positive fixed point.
+    """
+    a, b, c, d = _moebius(cycle)
+    return a - d, (a - d) * (a - d) + 4 * b * c, 2 * c

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -39,36 +38,6 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 _CONVENTIONS = {"left": LEFT_CLOSED, "right": RIGHT_CLOSED}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Complete, serializable description of one CLI invocation."""
-
-    command: str
-    cf_text: str | None = None
-    k: int | None = None
-    m: int | None = None
-    t_max: int | None = None
-    target: str | None = None
-    stages: int | None = None
-    pool: int | None = None
-    convention: str = "left"
-    output: str = "text"
-    verify: bool = False
-    emit_circle: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = {
-            name: getattr(args, name)
-            for name in cls.__dataclass_fields__
-            if hasattr(args, name)
-        }
-        return cls(**fields)
-
-    def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _error(code: int, kind: str, message: str, **extra) -> int:
@@ -178,15 +147,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_cf(cfg: RunConfig) -> int:
-    cf = ContinuedFraction.parse(cfg.cf_text)
+def _cmd_cf(args: argparse.Namespace) -> int:
+    cf = ContinuedFraction.parse(args.cf_text)
     value = cf.value()
-    t_max = cfg.t_max
+    t_max = args.t_max
     if cf.is_rational:  # a finite expansion just ends early
         t_max = min(t_max, len(cf.preperiod) - 1)
     convs = cf.convergents(t_max)
     lam = None if cf.is_rational else cf.lagrange_constant()
-    if cfg.output == "json":
+    if args.output == "json":
         doc = {
             "cf": cf.render(),
             "value": value.to_json(),
@@ -196,7 +165,7 @@ def _cmd_cf(cfg: RunConfig) -> int:
             ],
         }
         print(json.dumps(doc))
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["t", "p", "q"])
         for c in convs:
@@ -213,25 +182,20 @@ def _cmd_cf(cfg: RunConfig) -> int:
 
 
 def _interval_doc(fam, index: int) -> dict:
-    iv = fam.intervals[index]
-    return {
-        "index": index,
-        "start": iv.start.to_json(),
-        "length": iv.length.to_json(),
-    }
+    return {"index": index, **fam.intervals[index].to_json()}
 
 
-def _cmd_classes(cfg: RunConfig) -> int:
-    cf = ContinuedFraction.parse(cfg.cf_text)
+def _cmd_classes(args: argparse.Namespace) -> int:
+    cf = ContinuedFraction.parse(args.cf_text)
     alpha = _irrational_value(cf)
-    convention = _CONVENTIONS[cfg.convention]
-    classes = classify_by_intervals(alpha, cfg.k, cfg.m, convention)
-    fam = ikm_intervals(alpha, cfg.k, cfg.m, convention)
-    if cfg.output == "json":
+    convention = _CONVENTIONS[args.convention]
+    classes = classify_by_intervals(alpha, args.k, args.m, convention)
+    fam = ikm_intervals(alpha, args.k, args.m, convention)
+    if args.output == "json":
         doc = {
             "cf": cf.render(),
-            "k": cfg.k,
-            "m": cfg.m,
+            "k": args.k,
+            "m": args.m,
             "classes": [
                 {
                     "words": list(c.members),
@@ -240,11 +204,11 @@ def _cmd_classes(cfg: RunConfig) -> int:
                 for c in classes
             ],
         }
-        if cfg.emit_circle:
+        if args.emit_circle:
             doc["cuts"] = [cut.to_json() for cut in fam.cuts]
         print(json.dumps(doc))
     else:
-        print(f"cf: {cf.render()}  k={cfg.k}  m={cfg.m}  classes={len(classes)}")
+        print(f"cf: {cf.render()}  k={args.k}  m={args.m}  classes={len(classes)}")
         for c in classes:
             iv = fam.intervals[c.interval_index]
             words = " ".join(c.members)
@@ -252,34 +216,34 @@ def _cmd_classes(cfg: RunConfig) -> int:
                 f"class {c.interval_index}: {{{words}}}  "
                 f"start={iv.start.decimal(12)} length={iv.length.decimal(12)}"
             )
-        if cfg.emit_circle:
+        if args.emit_circle:
             print("cuts:")
             for i, cut in enumerate(fam.cuts):
                 print(f"  {i}: {_show(cut)}")
     return EXIT_OK
 
 
-def _cmd_exponent(cfg: RunConfig) -> int:
-    cf = ContinuedFraction.parse(cfg.cf_text)
+def _cmd_exponent(args: argparse.Namespace) -> int:
+    cf = ContinuedFraction.parse(args.cf_text)
     alpha = _irrational_value(cf)
-    convention = _CONVENTIONS[cfg.convention]
-    record = max_kab_exponent(alpha, cfg.k, cfg.m, convention)
+    convention = _CONVENTIONS[args.convention]
+    record = max_kab_exponent(alpha, args.k, args.m, convention)
     brute = None
-    if cfg.verify:
-        brute = brute_kab_exponent(alpha, cfg.k, cfg.m)
+    if args.verify:
+        brute = brute_kab_exponent(alpha, args.k, args.m)
         if brute != record.exponent:
             return _error(
                 EXIT_INTERNAL,
                 "oracle_mismatch",
                 f"interval formula gave {record.exponent}, oracle gave {brute}",
-                k=cfg.k,
-                m=cfg.m,
+                k=args.k,
+                m=args.m,
             )
-    if cfg.output == "json":
+    if args.output == "json":
         doc = {
             "cf": cf.render(),
-            "k": cfg.k,
-            "m": cfg.m,
+            "k": args.k,
+            "m": args.m,
             "exponent": record.exponent,
             "max_interval_length": record.max_interval_length.to_json(),
             "step": record.step.to_json(),
@@ -293,7 +257,7 @@ def _cmd_exponent(cfg: RunConfig) -> int:
         }
         print(json.dumps(doc))
     else:
-        print(f"cf: {cf.render()}  k={cfg.k}  m={cfg.m}")
+        print(f"cf: {cf.render()}  k={args.k}  m={args.m}")
         print(f"exponent: {record.exponent}")
         print(f"max_interval_length: {_show(record.max_interval_length)}")
         print(f"step: {_show(record.step)}")
@@ -305,47 +269,47 @@ def _cmd_exponent(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_theta(cfg: RunConfig) -> int:
-    cf = ContinuedFraction.parse(cfg.cf_text)
-    theta = theta_k(cf, cfg.k)
-    if cfg.output == "json":
-        doc = {"cf": cf.render(), "k": cfg.k, "theta": theta.to_json()}
+def _cmd_theta(args: argparse.Namespace) -> int:
+    cf = ContinuedFraction.parse(args.cf_text)
+    theta = theta_k(cf, args.k)
+    if args.output == "json":
+        doc = {"cf": cf.render(), "k": args.k, "theta": theta.to_json()}
         print(json.dumps(doc))
     else:
-        print(f"cf: {cf.render()}  k={cfg.k}")
+        print(f"cf: {cf.render()}  k={args.k}")
         print(f"theta: {_show(theta)}")
     return EXIT_OK
 
 
-def _cmd_spectrum(cfg: RunConfig) -> int:
-    base = ContinuedFraction.parse(cfg.cf_text)
-    points = sample_spectrum(cfg.k, base, cfg.pool)
-    if cfg.output == "json":
+def _cmd_spectrum(args: argparse.Namespace) -> int:
+    base = ContinuedFraction.parse(args.cf_text)
+    points = sample_spectrum(args.k, base, args.pool)
+    if args.output == "json":
         for p in points:
             print(
                 json.dumps(
                     {"cf": p.cf.render(), "k": p.k, "theta": p.theta.to_json()}
                 )
             )
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["cf", "k", "theta_decimal"])
         for p in points:
             writer.writerow([p.cf.render(), p.k, p.theta.decimal()])
     else:
-        print(f"base: {base.render()}  k={cfg.k}  points={len(points)}")
+        print(f"base: {base.render()}  k={args.k}  points={len(points)}")
         for p in points:
             print(f"{p.cf.render()}\t{p.theta.decimal()}")
     return EXIT_OK
 
 
-def _cmd_linfty(cfg: RunConfig) -> int:
+def _cmd_linfty(args: argparse.Namespace) -> int:
     try:
-        lam = Fraction(cfg.target)
+        lam = Fraction(args.target)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CFSyntaxError(f"bad rational target {cfg.target!r}: {exc}") from exc
-    report = construct_linfty_slope(lam, cfg.stages)
-    if cfg.output == "json":
+        raise CFSyntaxError(f"bad rational target {args.target!r}: {exc}") from exc
+    report = construct_linfty_slope(lam, args.stages)
+    if args.output == "json":
         doc = {
             "target": _frac_json(report.target),
             "stages": [
@@ -397,9 +361,8 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig.from_args(args)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except CFSyntaxError as exc:
         return _error(EXIT_USAGE, "parse_error", str(exc))
     except ResourceCapExceeded as exc:

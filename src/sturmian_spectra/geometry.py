@@ -167,12 +167,6 @@ class IntervalFamily:
             i = bisect_left(self.cuts, x) - 1
         return i % len(self._intervals)
 
-    def to_json(self) -> dict:
-        return {
-            "convention": {"zero_in_I0": self.convention.zero_in_I0},
-            "intervals": [iv.to_json() for iv in self._intervals],
-        }
-
 
 def _convergent_past(alpha: QuadReal, n: int) -> tuple[int, int]:
     """The first convergent p/q of the irrational alpha with q > n >= 0.

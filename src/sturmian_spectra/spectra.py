@@ -14,13 +14,14 @@ Lagrange constant of the slope, which is what theta_k computes exactly.
 
 from __future__ import annotations
 
+import itertools
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cf import ContinuedFraction
+from .cf import ContinuedFraction, _moebius
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
@@ -125,13 +126,13 @@ def max_kab_exponent(
     m: int,
     convention: EndpointConvention = LEFT_CLOSED,
     with_witness: bool = True,
-    witness_cap: int | None = None,
 ) -> ExponentRecord:
     """Largest n such that some factor is a k-abelian n-th power of period m.
 
     Exact: floor(longest coarse interval / dist(m*alpha)), plus one unless
     the two are equal, all decided on integer pairs (see the geometry
-    module docstring).  The witness, when requested and within the cap, is
+    module docstring).  The witness, when requested and within the oracle
+    cap (STURMIAN_SPECTRA_CAP, default DEFAULT_ORACLE_CAP symbols), is
     an intercept placed inside the longest interval so that all n period-m
     steps stay inside it, together with the coded word of length n*m.  A
     slope outside (0, 1) is the same rotation as its fractional part, which
@@ -141,7 +142,7 @@ def max_kab_exponent(
     p, q = _convergent_past(alpha, 2 * m)
     exponent, (c, j), longest, step = _kab_exponent(alpha, indices, m, p, q)
     record = ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step))
-    if not with_witness or exponent * m > _oracle_cap(witness_cap):
+    if not with_witness or exponent * m > _oracle_cap(None):
         return record
     slack = record.max_interval_length - (exponent - 1) * record.step
     x = _value(alpha, c, -j) + slack / 2
@@ -401,25 +402,21 @@ class SpectrumPoint:
     theta: QuadReal
 
 
-def preperiod_pool(count: int) -> Iterator[tuple[int, ...]]:
-    """Deterministic enumeration of preperiod digit tuples: the empty tuple
-    first, then pairs (c1, c2) in expanding square shells."""
-    if count > 0:
-        yield ()
-    produced = 1
-    shell = 1
-    while produced < count:
+def _preperiods() -> Iterator[tuple[int, ...]]:
+    """Every preperiod digit tuple in pool order: the empty tuple first,
+    then pairs (c1, c2) in expanding square shells."""
+    yield ()
+    for shell in itertools.count(1):
         for c1 in range(1, shell + 1):
-            if produced >= count:
-                return
             yield (c1, shell)
-            produced += 1
         for c2 in range(1, shell):
-            if produced >= count:
-                return
             yield (shell, c2)
-            produced += 1
-        shell += 1
+
+
+def preperiod_pool(count: int) -> Iterator[tuple[int, ...]]:
+    """The first `count` preperiod digit tuples in pool order (none for a
+    count below 1): the empty tuple, then pairs in expanding square shells."""
+    return itertools.islice(_preperiods(), max(count, 0))
 
 
 def sample_spectrum(
@@ -452,19 +449,12 @@ def _variant(base: ContinuedFraction, digits: tuple[int, ...]) -> ContinuedFract
 
 
 def _distinct_variants(base: ContinuedFraction, count: int) -> list[ContinuedFraction]:
-    out: list[ContinuedFraction] = []
-    seen: set[ContinuedFraction] = set()
-    expand = 1
-    while len(out) < count:
-        for digits in preperiod_pool(count * expand):
-            cf = _variant(base, digits)
-            if cf not in seen:
-                seen.add(cf)
-                out.append(cf)
-                if len(out) >= count:
-                    break
-        expand += 1
-    return out
+    """The first `count` distinct variants of base, in pool order."""
+    seen: dict[ContinuedFraction, None] = {}  # insertion-ordered set
+    for digits in _preperiods():
+        seen.setdefault(_variant(base, digits))
+        if len(seen) == count:
+            return list(seen)
 
 
 @dataclass(frozen=True)
@@ -562,8 +552,6 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
 
 
 def _denominator(quotients: Sequence[int], upto: int) -> int:
-    """q_upto for the expansion [0; quotients[0], quotients[1], ...]."""
-    q_prev, q_cur = 0, 1
-    for a in quotients[:upto]:
-        q_prev, q_cur = q_cur, a * q_cur + q_prev
-    return q_cur
+    """q_upto for the expansion [0; quotients[0], quotients[1], ...]: the
+    numerator of [quotients[0]; ..., quotients[upto - 1]]."""
+    return _moebius(quotients[:upto])[0]

@@ -115,7 +115,9 @@ def test_lagrange_constants_exact():
 def test_lagrange_matches_two_sided_truncation():
     """Forward tail plus reversed head, maximized over a late cycle window."""
     eps = QuadReal.from_fraction(Fraction(1, 10**30))
-    for cf in [FIB, SILVER, ALT]:
+    rng = random.Random(20261018)
+    periods = [[rng.randint(1, 9) for _ in range(rng.randint(1, 5))] for _ in range(12)]
+    for cf in [FIB, SILVER, ALT] + [ContinuedFraction([0], per) for per in periods]:
         period = len(cf.period)
         best = None
         for t in range(120, 120 + 2 * period):

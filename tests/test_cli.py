@@ -13,7 +13,6 @@ from sturmian_spectra.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
-    RunConfig,
     main,
 )
 
@@ -332,11 +331,3 @@ def test_console_script_round_trip():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["theta"]["d"] == "5"
-
-
-def test_run_config_serializes_cleanly():
-    config = RunConfig(command="theta", cf_text=FIB, k=2)
-    obj = config.to_json()
-    assert obj["command"] == "theta" and obj["k"] == 2
-    assert "m" not in obj  # unset fields stay out of the record
-    json.dumps(obj)

@@ -4,7 +4,9 @@ Each slope is [0; (b1, ..., bp)] with 1 <= p <= 8 and quotients in 1..30,
 so the fixed slopes of the other suites are far from the only ones tried;
 the integer circle order (families and classes) and the exponent formulas
 on integer pairs also see up to two preperiod quotients, a0 != 0,
-alpha + 1 and 1 - alpha.
+alpha + 1 and 1 - alpha.  Values and Lagrange constants of continued
+fractions are played against QuadReal folds over rational and periodic
+expansions with a0 in -3..3 and quotients up to 1000.
 """
 
 import dataclasses
@@ -350,3 +352,48 @@ def test_nearest_integer_needs_a_convergent_past_twice_the_period():
     assert _convergent_past(golden, 5) == (5, 8)
     assert _spelled(_value(golden, *_dist_to_int_pair(4, 5, 8))) != want
     assert _spelled(_value(golden, *_dist_to_int_pair(4, *_convergent_past(golden, 8)))) == want
+
+
+def _reference_purely_periodic(cycle):
+    """The positive fixed point of the cycle's map z -> (a*z + b)/(c*z + d)."""
+    a, b, c, d = 1, 0, 0, 1
+    for x in cycle:
+        a, b, c, d = a * x + b, a, c * x + d, c
+    return QuadReal(a - d, 1, (a - d) ** 2 + 4 * b * c, 2 * c)
+
+
+def _reference_value(cf):
+    """The backward fold a + 1/x over the quotients, in Fraction or QuadReal."""
+    if cf.is_rational:
+        x, head = Fraction(cf.preperiod[-1]), cf.preperiod[:-1]
+    else:
+        x, head = _reference_purely_periodic(cf.period), cf.preperiod
+    for a in reversed(head):
+        x = a + 1 / x
+    return QuadReal.from_fraction(x) if cf.is_rational else x
+
+
+def _reference_lagrange(cf):
+    """The largest forward + 1/backward over the cycle offsets, by exact
+    comparison."""
+    rotations = [cf.period[j:] + cf.period[:j] for j in range(len(cf.period))]
+    return max(
+        _reference_purely_periodic(rot) + 1 / _reference_purely_periodic(rot[::-1])
+        for rot in rotations
+    )
+
+
+quotients = st.integers(1, 9) | st.integers(1, 1000)
+
+
+@given(
+    st.integers(-3, 3),
+    st.lists(quotients, max_size=4),
+    st.lists(quotients, max_size=9),  # empty: a rational expansion
+)
+@settings(max_examples=300, deadline=None)
+def test_values_and_lagrange_constants_match_the_quadreal_folds(a0, pre, period):
+    cf = ContinuedFraction([a0, *pre], period)
+    assert _spelled(cf.value()) == _spelled(_reference_value(cf))
+    if not cf.is_rational:
+        assert _spelled(cf.lagrange_constant()) == _spelled(_reference_lagrange(cf))

@@ -314,6 +314,7 @@ def test_linfty_rejects_bad_targets():
 def test_preperiod_pool_order_frozen():
     assert list(preperiod_pool(10)) == [
         (), (1, 1), (1, 2), (2, 2), (2, 1), (1, 3), (2, 3), (3, 3), (3, 1), (3, 2)]
+    assert list(preperiod_pool(0)) == list(preperiod_pool(-3)) == []
 
 
 def test_spectrum_sampling_is_deterministic():
@@ -323,6 +324,11 @@ def test_spectrum_sampling_is_deterministic():
     assert len(a) == 25
     assert len({p.cf for p in a}) == 25
     assert a[0].cf == GOLDEN_TAIL  # the empty preperiod tweak is the base
+    # (1, 1), (2, 1) and (3, 1) collide with earlier slopes and are skipped
+    assert [p.cf.render() for p in sample_spectrum(1, GOLDEN_TAIL, 12)] == [
+        "[0; (1)]", "[0; 1, 2, (1)]", "[0; 2, 2, (1)]", "[0; 2, (1)]",
+        "[0; 1, 3, (1)]", "[0; 2, 3, (1)]", "[0; 3, 3, (1)]", "[0; 3, (1)]",
+        "[0; 3, 2, (1)]", "[0; 1, 4, (1)]", "[0; 2, 4, (1)]", "[0; 3, 4, (1)]"]
 
 
 def test_spectrum_accepts_an_explicit_pool():
