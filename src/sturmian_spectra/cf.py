@@ -4,17 +4,17 @@ The text form is ``[a0; a1, a2, (b1, b2)]``: a finite list of partial
 quotients with an optional parenthesized repeating block at the end.
 Whitespace is insignificant on input; rendering is canonical.
 
-Values, denominators and Lagrange constants come from one integer fold,
-the convergent recurrence over a quotient list (`_moebius`), and each
-builds a single :class:`~sturmian_spectra.quadreal.QuadReal` at the end
-for the value it reports.
+Convergents, values, denominators and Lagrange constants come from one
+integer fold, the convergent recurrence over a quotient list (`_folds`,
+and its last step `_moebius`), and each value builds a single
+:class:`~sturmian_spectra.quadreal.QuadReal` at the end.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .quadreal import QuadReal
 
@@ -168,16 +168,8 @@ class ContinuedFraction:
         """Convergents p_t/q_t for t = 0..t_max via the standard recurrence."""
         if t_max < 0:
             raise ValueError("t_max must be >= 0")
-        out = []
-        p_prev, q_prev = 1, 0
-        p_cur, q_cur = self.partial_quotient(0), 1
-        out.append(Convergent(0, p_cur, q_cur))
-        for t in range(1, t_max + 1):
-            a = self.partial_quotient(t)
-            p_cur, p_prev = a * p_cur + p_prev, p_cur
-            q_cur, q_prev = a * q_cur + q_prev, q_cur
-            out.append(Convergent(t, p_cur, q_cur))
-        return out
+        folds = _folds(map(self.partial_quotient, range(t_max + 1)))
+        return [Convergent(t, p, q) for t, (p, _, q, _) in enumerate(folds)]
 
     # -- Lagrange constant -------------------------------------------------
 
@@ -214,17 +206,22 @@ class ContinuedFraction:
         return any(doubled[i : i + len(b)] == b for i in range(len(a)))
 
 
-def _moebius(quotients: Iterable[int]) -> tuple[int, int, int, int]:
-    """The convergent recurrence folded over `quotients` x_0, ..., x_t.
-
-    Returns (p_t, p_{t-1}, q_t, q_{t-1}) =: (a, b, c, d), so that
-    z -> (a*z + b)/(c*z + d) is [x_0; x_1, ..., x_t, z]; the empty list
-    folds to the identity.
-    """
+def _folds(quotients: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
+    """The convergent recurrence over `quotients` x_0, x_1, ...: after each
+    x_t, yields (p_t, p_{t-1}, q_t, q_{t-1}) =: (a, b, c, d), so that
+    z -> (a*z + b)/(c*z + d) is [x_0; x_1, ..., x_t, z]."""
     a, b, c, d = 1, 0, 0, 1
     for x in quotients:
         a, b, c, d = a * x + b, a, c * x + d, c
-    return a, b, c, d
+        yield a, b, c, d
+
+
+def _moebius(quotients: Iterable[int]) -> tuple[int, int, int, int]:
+    """The last of `_folds(quotients)`, or the identity for no quotients."""
+    fold = 1, 0, 0, 1
+    for fold in _folds(quotients):
+        pass
+    return fold
 
 
 def _purely_periodic_value(cycle: tuple[int, ...]) -> tuple[int, int, int]:

@@ -195,14 +195,6 @@ def _convergent_past(alpha: QuadReal, n: int) -> tuple[int, int]:
     return p, q
 
 
-def _level_order(alpha: QuadReal, n: int) -> tuple[list[int], int, int]:
-    """The indices 0..n in circle order of {-j*alpha}, and the p, q used:
-    sorted on -j*p mod q, exact by the argument of the module docstring.
-    order[0] == 0."""
-    p, q = _convergent_past(alpha, n)
-    return sorted(range(n + 1), key=lambda j: -j * p % q), p, q
-
-
 def _value(alpha: QuadReal, a: int, b: int) -> QuadReal:
     """The pair a + b*alpha, one exact constructor call."""
     return QuadReal(a * alpha.r + b * alpha.p, b * alpha.q, alpha.d, alpha.r)

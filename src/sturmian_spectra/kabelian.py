@@ -22,9 +22,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices, _level_order
+from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices
 from .quadreal import QuadReal, dist_to_int
-from .words import SturmianSpec, _factor_words, sigma_factors_of_length
+from .words import SturmianSpec, _crossings, _factor_words, sigma_factors_of_length
 
 __all__ = [
     "KAbelianSignature",
@@ -131,8 +131,9 @@ def classify_by_intervals(
     nor their order depend on the endpoint convention.
     """
     coarse = _coarse_indices(k, m)
+    words = _factor_words(alpha, m)  # checks the budget before anything is sorted
     members: list[list[str]] = []
-    for j, word in zip(_level_order(alpha, m)[0], _factor_words(alpha, m)):
+    for j, word in zip(_crossings(alpha, m)[1], words):
         if j in coarse:  # a coarse cut opens the next class; j == 0 comes first
             members.append([])
         members[-1].append(word)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .cf import ContinuedFraction, _moebius
+from .cf import ContinuedFraction, _folds, _moebius
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
@@ -34,7 +34,8 @@ from .geometry import (
 )
 from .kabelian import signature
 from .quadreal import QuadReal, _floor_parts
-from .words import SturmianSpec, _factor_words, sturmian_prefix
+from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, SturmianSpec
+from .words import _crossing_walk, sturmian_prefix
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -57,20 +58,7 @@ __all__ = [
 ]
 
 ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
-DEFAULT_ORACLE_CAP = 2000
 _DEFAULT_STR_DIGITS = 4300  # CPython's default int-to-str digit limit
-
-
-class ResourceCapExceeded(RuntimeError):
-    """A computation would exceed its budget: the enumeration oracle's
-    symbol cap, or the interpreter's int-to-str digit limit for linfty."""
-
-    def __init__(self, needed: int, cap: int, message: str | None = None):
-        super().__init__(
-            message or f"enumeration would need factors of length {needed}, cap is {cap}"
-        )
-        self.needed = needed
-        self.cap = cap
 
 
 def _oracle_cap(cap: int | None) -> int:
@@ -155,11 +143,8 @@ def max_kab_exponent(
 
 
 class _BlockClasses(dict):
-    """m-block -> class id under `key`, filled in on first sight of a block.
-
-    A run compares block ids by one slice and one dict lookup per block;
-    `key` runs once per distinct block, and there are at most m+1 of those.
-    """
+    """m-block -> class id under `key`, filled in on first sight of a block:
+    `key` runs once per distinct block, and there are at most m+1 of those."""
 
     def __init__(self, key):
         super().__init__()
@@ -171,15 +156,34 @@ class _BlockClasses(dict):
         return cid
 
 
-def _initial_run(word: str, m: int, classes: _BlockClasses) -> int:
-    """Number of leading m-blocks of `word` all equivalent to the first."""
-    first = classes[word[:m]]
-    n = 1
-    pos = m
-    while pos + m <= len(word) and classes[word[pos : pos + m]] == first:
-        n += 1
-        pos += m
-    return n
+def _best_initial_run(alpha: QuadReal, n: int, m: int, classes: _BlockClasses) -> int:
+    """Max over the length-n factors (n >= m) of the leading whole m-blocks
+    equivalent to the first, along the words module's crossing walk: cut j
+    re-ids only the blocks of letters j-1 and j, and the run is repaired,
+    since the blocks below it that did not change still match block 0."""
+    blocks = n // m
+    walk = _crossing_walk(alpha, n)
+    _, letters = next(walk)
+    ids = [classes[letters[s : s + m].decode()] for s in range(0, blocks * m, m)]
+    best = run = next((b for b in range(1, blocks) if ids[b] != ids[0]), blocks)
+    for j, _ in walk:
+        lo, hi = (j - 1) // m, j // m
+        if lo >= blocks:
+            continue  # both letters lie past the last whole block
+        ids[lo] = classes[letters[lo * m : lo * m + m].decode()]
+        if hi != lo and j < n and hi < blocks:
+            ids[hi] = classes[letters[hi * m : hi * m + m].decode()]
+        if lo == 0:
+            run = 1
+        elif lo < run and ids[lo] != ids[0]:
+            run = lo
+        elif hi < run and ids[hi] != ids[0]:
+            run = hi
+        while run < blocks and ids[run] == ids[0]:
+            run += 1
+        if run > best:
+            best = run
+    return best
 
 
 def _longest_block_run(alpha: QuadReal, m: int, key, cap: int) -> int:
@@ -194,17 +198,13 @@ def _longest_block_run(alpha: QuadReal, m: int, key, cap: int) -> int:
         raise ResourceCapExceeded(2 * m, cap)
     classes = _BlockClasses(key)
     # Shared ladder of lengths (powers of two up to the cap) so repeated
-    # calls with different periods reuse the cached factor languages.
+    # calls with different periods reuse the cached crossing orders.
     length = 64
     while length < 4 * m and length < cap:
         length *= 2
     length = min(length, cap)
     while True:
-        best = 1
-        for w in _factor_words(alpha, length):
-            run = _initial_run(w, m, classes)
-            if run > best:
-                best = run
+        best = _best_initial_run(alpha, length, m, classes)
         if (best + 1) * m <= length:
             return best
         if length >= cap:
@@ -239,15 +239,13 @@ def max_integer_power_exponent(
         raise ValueError("slope must be irrational")
     if m < 1:
         raise ValueError("period must be >= 1")
-    q_prev, q_cur = 0, 1  # q_{-1}, q_0
-    t = 0
-    while q_cur <= m:
-        if q_cur == m and t > 1:
+    quotients = map(cf.partial_quotient, itertools.count())
+    for t, (_, _, q, _) in enumerate(_folds(quotients)):
+        if q > m:
+            break
+        if q == m and t > 1:
             return cf.partial_quotient(t + 1) + 2
-        t += 1
-        q_prev, q_cur = q_cur, cf.partial_quotient(t) * q_cur + q_prev
-    alpha = cf.value()
-    return _longest_block_run(alpha, m, lambda b: b, _oracle_cap(cap))
+    return _longest_block_run(cf.value(), m, lambda b: b, _oracle_cap(cap))
 
 
 @dataclass

@@ -22,21 +22,25 @@ Factors of length n need nothing more: the level-n family, cut at
 geometry orders those cuts by the same lemma.  The first interval starts
 at cut 0, so its word is the coding of intercept 0 (K = 0, D = 1, with
 the order's p and q), and crossing the cut {-j*alpha} only turns letter
-j-1 into 1 and letter j into 0.  No sampling, no sign tests, and no
-QuadReal.
+j-1 into 1 and letter j into 0.  So a language is kept as its first word
+and crossing order, O(n), and one bytearray walked through the crossings
+holds each factor in turn: no sampling, no sign tests, and no QuadReal.
+Decoding every factor takes (n+1)*n symbols, refused past
+LANGUAGE_SYMBOL_CAP; the brute oracle decodes only the blocks a crossing
+touches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .geometry import (
     EndpointConvention,
     Interval,
     LEFT_CLOSED,
     _convergent_past,
-    _level_order,
     level_intervals,
 )
 from .quadreal import QuadReal, _common_radicand
@@ -50,6 +54,22 @@ __all__ = [
     "sigma_factors_of_length",
     "is_balanced_pair",
 ]
+
+
+DEFAULT_ORACLE_CAP = 2000  # longest factor the brute oracle (spectra) enumerates
+LANGUAGE_SYMBOL_CAP = 10**8  # symbols in one decoded factor language
+
+
+class ResourceCapExceeded(RuntimeError):
+    """A computation would exceed its budget: the enumeration oracle's
+    symbol cap, a decoded language's symbols, or linfty's digit limit."""
+
+    def __init__(self, needed: int, cap: int, message: str | None = None):
+        super().__init__(
+            message or f"enumeration would need factors of length {needed}, cap is {cap}"
+        )
+        self.needed = needed
+        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -96,28 +116,38 @@ def sturmian_prefix(spec: SturmianSpec, n: int) -> str:
 
 
 @lru_cache(maxsize=8)
-def _factor_words(alpha: QuadReal, n: int) -> tuple[str, ...]:
-    """The n+1 length-n factors in circle order of the level-n family.
+def _crossings(alpha: QuadReal, n: int) -> tuple[str, list[int]]:
+    """The length-n language in O(n): its first word (intercept 0's coding)
+    and the cuts 0..n in circle order, 0 first, sorted on -j*p mod q as in
+    geometry.  The endpoint convention changes neither, so it is no key."""
+    p, q = _convergent_past(alpha, n)
+    order = sorted(range(n + 1), key=lambda j: -j * p % q)
+    # p mod q, since a slope outside (0, 1) is the rotation by its fractional part
+    return _code_letters(0, p % q, q, n, True), order
 
-    The first is the coding of intercept 0, the rest follow by the crossing
-    rule of the module docstring; the endpoint convention never changes a
-    word, so it is not a key.  Eight entries hold one slope's whole oracle
-    ladder (64, 128, ..., 2000), and at n = 2000 each entry takes about
-    4 MB.
-    """
-    if n < 1:
-        raise ValueError("factor length must be >= 1")
-    order, p, q = _level_order(alpha, n)
-    # the coding of intercept 0, where the interval from cut 0 starts; p mod q,
-    # since a slope outside (0, 1) is the rotation by its fractional part
-    letters = bytearray(_code_letters(0, p % q, q, n, True), "ascii")
-    words = [letters.decode()]
+
+def _crossing_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, bytearray]]:
+    """(j, letters) for each cut j in circle order: one bytearray, changed in
+    place, holds the factor whose level-n interval starts at cut j."""
+    first, order = _crossings(alpha, n)
+    letters = bytearray(first, "ascii")
+    yield 0, letters
     for j in order[1:]:
         letters[j - 1] = 49  # ord("1"): entering the arc of letter j-1
         if j < n:
             letters[j] = 48  # ord("0"): leaving the arc of letter j
-        words.append(letters.decode())
-    return tuple(words)
+        yield j, letters
+
+
+def _factor_words(alpha: QuadReal, n: int) -> Iterator[str]:
+    """The n+1 length-n factors in circle order, decoded off the crossing
+    walk; refused, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
+    if n < 1:
+        raise ValueError("factor length must be >= 1")
+    if (n + 1) * n > LANGUAGE_SYMBOL_CAP:
+        msg = f"the length-{n} language has more than {LANGUAGE_SYMBOL_CAP} symbols"
+        raise ResourceCapExceeded((n + 1) * n, LANGUAGE_SYMBOL_CAP, msg)
+    return (letters.decode() for _, letters in _crossing_walk(alpha, n))
 
 
 @lru_cache(maxsize=8)
@@ -132,7 +162,7 @@ def factors_of_length(
     so the endpoint convention changes the intervals' ownership of their
     endpoints but never a word.
     """
-    words = _factor_words(alpha, n)
+    words = _factor_words(alpha, n)  # checks the budget before anything is built
     return tuple(zip(words, level_intervals(alpha, n, convention).intervals))
 
 
@@ -169,12 +199,9 @@ def sigma_factors_of_length(alpha: QuadReal, n: int) -> tuple[str, ...]:
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    seen = set()
-    for w in _factor_words(alpha, n + 1):
-        img = sigma_image(w)
-        for i in range(len(img) - n + 1):
-            seen.add(img[i : i + n])
-    return tuple(sorted(seen))
+    images = map(sigma_image, _factor_words(alpha, n + 1))
+    windows = {img[i : i + n] for img in images for i in range(len(img) - n + 1)}
+    return tuple(sorted(windows))
 
 
 def is_balanced_pair(u: str, v: str) -> bool:

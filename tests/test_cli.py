@@ -103,6 +103,82 @@ def test_exponent_json_with_verification(capsys):
         assert tuple(intercept[f] for f in "pqdr") == x
 
 
+SPIKE = "[0; 3, 1, 1, 1, 100, (1)]"
+
+# Verified exponents whose oracle climbs the ladder past its first length
+# (64): (exponent + 1) * m is 154, 150 and 144 letters.  Output taken from
+# the rescanning oracle this one replaced.
+FROZEN_VERIFIED_TEXT = {
+    ("[0; (1, 5)]", "3", "7", "left"): """\
+cf: [0; (1, 5)]  k=3  m=7
+exponent: 21
+max_interval_length: (21-9*sqrt(5))/2 = 0.4376941012509463661587184907092569405172
+step: (47-21*sqrt(5))/2 = 0.02128623625220818770367647832159952787351
+witness_intercept: (989-441*sqrt(5))/4 = 0.7235054806481859708886030223767950426718
+witness: 111101111110111111011111101111110111111011111101111101111110111111011111101111110111111011111101111101111110111111011111101111110111111011111101111
+verify: oracle agrees (21)
+""",
+    (SPIKE, "1", "15", "right"): """\
+cf: [0; 3, 1, 1, 1, 100, (1)]  k=1  m=15
+exponent: 10
+max_interval_length: (2202725+15*sqrt(5))/2426302 = 0.9078665974061194759949281406869511582414
+step: (223577-15*sqrt(5))/2426302 = 0.09213340259388052400507185931304884175856
+witness_intercept: (95266+75*sqrt(5))/2426302 = 0.03933298703059737997464070343475579120722
+witness: 000100010010001000100100010001001000100010010001000100100010001001000100010010001000100100010001001000100010010001000100100010001001000100010010001000
+verify: oracle agrees (10)
+""",
+}
+FROZEN_VERIFIED_JSON = {
+    (FIB, "1", "8", "right"): {
+        "cf": "[0; 2, (1)]", "k": 1, "m": 8, "exponent": 17,
+        "max_interval_length": {
+            "p": "-8", "q": "4", "d": "5", "r": "1",
+            "decimal": "0.9442719099991587856366946749251049417625"},
+        "step": {
+            "p": "9", "q": "-4", "d": "5", "r": "1",
+            "decimal": "0.05572809000084121436330532507489505823753"},
+        "witness": "00100101001001010010100100101001010010010100100101001010010010"
+                   "10010010100101001001010010100100101001001010010100100101001010"
+                   "010010100100",
+        "witness_intercept": {
+            "p": "-76", "q": "34", "d": "5", "r": "1",
+            "decimal": "0.02631123499284967791190473686339200498102"},
+        "verified": True,
+    },
+}
+
+
+def test_verified_exponent_output_is_frozen(capsys, monkeypatch):
+    monkeypatch.delenv("STURMIAN_SPECTRA_CAP", raising=False)
+    for (text, k, m, conv), want in FROZEN_VERIFIED_TEXT.items():
+        got = _run(capsys, "exponent", text, "-k", k, "-m", m,
+                   "--convention", conv, "--verify")
+        assert got == (EXIT_OK, want, "")
+    for (text, k, m, conv), want in FROZEN_VERIFIED_JSON.items():
+        got = _run(capsys, "exponent", text, "-k", k, "-m", m,
+                   "--convention", conv, "--verify", "--format", "json")
+        assert got == (EXIT_OK, json.dumps(want) + "\n", "")
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+@pytest.mark.parametrize("text, k, m, needed", [
+    (FIB, "2", "89", 2047),  # the ladder climbs 512, 1024, 2000
+    (SPIKE, "1", "11", 2002),  # 64 up to 2000: 181 equal blocks at the cap
+])
+def test_verified_exponent_past_the_cap_is_frozen(capsys, monkeypatch, output,
+                                                  text, k, m, needed):
+    monkeypatch.delenv("STURMIAN_SPECTRA_CAP", raising=False)
+    code, out, err = _run(capsys, "exponent", text, "-k", k, "-m", m,
+                          "--verify", "--format", output)
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert json.loads(err) == {"error": {
+        "type": "resource_cap",
+        "message": f"enumeration would need factors of length {needed}, cap is 2000",
+        "needed": needed,
+        "cap": 2000,
+    }}
+
+
 def test_exponent_accepts_slopes_outside_the_unit_interval(capsys):
     """[1; (2)] and [-1; (2)] are the rotation of [0; (2)]: the same
     exponent, witness and oracle check, whatever m is."""
@@ -311,6 +387,18 @@ def test_long_period_slope_finishes_quickly():
     done = subprocess.run(cmd, capture_output=True, timeout=5)
     assert done.returncode == EXIT_OK
     assert b"lambda: " in done.stdout
+
+
+def test_classes_past_the_symbol_budget_are_a_resource_cap():
+    """20000001 factors of length 20000000 would be 4e14 symbols; the
+    budget refuses them before anything is sorted."""
+    cmd = [sys.executable, "-m", "sturmian_spectra", "classes", "[0;(1)]",
+           "-k", "2", "-m", "20000000"]
+    done = subprocess.run(cmd, capture_output=True, text=True, timeout=5)
+    assert (done.returncode, done.stdout) == (EXIT_RESOURCE, "")
+    payload = json.loads(done.stderr)["error"]
+    assert payload["type"] == "resource_cap"
+    assert (payload["needed"], payload["cap"]) == (20000001 * 20000000, 10**8)
 
 
 def test_long_factor_language_classes_finish_quickly():

@@ -6,16 +6,21 @@ the integer circle order (families and classes) and the exponent formulas
 on integer pairs also see up to two preperiod quotients, a0 != 0,
 alpha + 1 and 1 - alpha.  Values and Lagrange constants of continued
 fractions are played against QuadReal folds over rational and periodic
-expansions with a0 in -3..3 and quotients up to 1000.
+expansions with a0 in -3..3 and quotients up to 1000.  The brute
+oracle's incremental block scan is played against a plain rescan of every
+factor.
 """
 
 import dataclasses
 from fractions import Fraction
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmian_spectra import spectra
 from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
@@ -23,27 +28,35 @@ from sturmian_spectra.geometry import (
     IntervalFamily,
     _convergent_past,
     _dist_to_int_pair,
-    _level_order,
     _pair_key,
     _value,
     ikm_intervals,
     level_intervals,
 )
-from sturmian_spectra.kabelian import classify_brute, classify_by_intervals
+from sturmian_spectra.kabelian import classify_brute, classify_by_intervals, signature
 from sturmian_spectra.quadreal import QuadReal, dist_to_int
 from sturmian_spectra.spectra import (
     DEFAULT_ORACLE_CAP,
     BoundReport,
     ExponentRecord,
     ResourceCapExceeded,
+    _best_initial_run,
+    _BlockClasses,
     _floor_ratio,
+    _longest_block_run,
     brute_kab_exponent,
     exponent_bound_check,
     max_kab_exponent,
     theta_k,
     theta_limsup_estimate,
 )
-from sturmian_spectra.words import SturmianSpec, factors_of_length, sturmian_prefix
+from sturmian_spectra.words import (
+    SturmianSpec,
+    _crossings,
+    _factor_words,
+    factors_of_length,
+    sturmian_prefix,
+)
 
 periodic_slopes = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
     lambda period: ContinuedFraction([0], period).value()
@@ -103,7 +116,8 @@ def _check_level_order(alpha, n):
     """The integer circle order and the families built from it, against the
     exact sort of the points {-j*alpha} and the families cut at them, cuts
     and lengths spelled alike (family equality looks at the cuts only)."""
-    order, p, q = _level_order(alpha, n)
+    p, q = _convergent_past(alpha, n)
+    order = _crossings(alpha, n)[1]
     assert (p, q) == _convergents(alpha, n)[-1]
     assert order == sorted(range(n + 1), key=lambda j: (-j * alpha).frac())
     for conv in (LEFT_CLOSED, RIGHT_CLOSED):
@@ -194,6 +208,69 @@ def test_exponent_formula_matches_the_oracle(alpha, k, m):
     except ResourceCapExceeded:
         return  # a declared refusal, never a wrong answer
     assert got == want
+
+
+def _initial_run(word, m, classes):
+    """Number of leading m-blocks of `word` all equivalent to the first."""
+    first = classes[word[:m]]
+    n = 1
+    pos = m
+    while pos + m <= len(word) and classes[word[pos : pos + m]] == first:
+        n += 1
+        pos += m
+    return n
+
+
+def _rescanned_run(alpha, n, m, classes):
+    """The best initial run over the length-n factors, each factor decoded
+    and split into m-blocks from scratch."""
+    return max(_initial_run(w, m, classes) for w in _factor_words(alpha, n))
+
+
+# the oracle's keys: signatures at k = 1..4, and the identity of
+# max_integer_power_exponent.  Both tell apart blocks with different letter
+# counts, so a crossing always moves block j-1 out of block 0's class; the
+# first-letter key lets block j-1 keep its class while block j leaves it.
+block_keys = st.one_of(
+    st.integers(1, 4).map(lambda k: partial(signature, k=k)),
+    st.just(lambda b: b),
+    st.just(lambda b: b[0]),
+)
+
+
+def _ladder_outcome(alpha, m, key, cap):
+    try:
+        return _longest_block_run(alpha, m, key, cap)
+    except ResourceCapExceeded as exc:
+        return ("cap", exc.needed, exc.cap)
+
+
+@given(st.one_of(periodic_slopes, preperiodic_slopes), st.integers(1, 40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_incremental_block_scan_matches_the_rescan(alpha, m, data):
+    """The crossing walk's repaired runs against a rescan of every factor,
+    on one language of length 2m..300 (m need not divide it), and along the
+    whole ladder at a small cap, cap refusals included."""
+    key = data.draw(block_keys)
+    n = data.draw(st.integers(2 * m, 300))
+    got = _best_initial_run(alpha, n, m, _BlockClasses(key))
+    assert got == _rescanned_run(alpha, n, m, _BlockClasses(key))
+    cap = data.draw(st.integers(2 * m - 1, 300))
+    got = _ladder_outcome(alpha, m, key, cap)
+    with mock.patch.object(spectra, "_best_initial_run", _rescanned_run):
+        assert got == _ladder_outcome(alpha, m, key, cap)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_block_scan_ends_the_run_where_block_j_leaves(m):
+    """On the golden slope the first-letter key often keeps block j-1 in
+    block 0's class while block j leaves it, so the run must end at j's
+    block, not stay long (at m = 2, n = 8 the stale run would read 4, not
+    3)."""
+    alpha = ContinuedFraction([0], [1]).value()
+    for n in range(2 * m, 120):
+        got = _best_initial_run(alpha, n, m, _BlockClasses(lambda b: b[0]))
+        assert got == _rescanned_run(alpha, n, m, _BlockClasses(lambda b: b[0]))
 
 
 # -- exponent formulas on integer pairs, against their QuadReal versions --------

@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 
 from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import LEFT_CLOSED, RIGHT_CLOSED, level_intervals
+from sturmian_spectra.kabelian import classify_by_intervals
 from sturmian_spectra.quadreal import MixedRadicandError, QuadReal
+from sturmian_spectra.spectra import ResourceCapExceeded
 from sturmian_spectra.words import (
+    LANGUAGE_SYMBOL_CAP,
     SturmianSpec,
+    _crossings,
+    _factor_words,
     factors_of_length,
     is_balanced_pair,
     occurrences,
@@ -81,6 +86,25 @@ def test_every_factor_occurs_in_a_bounded_window():
     for n in range(1, 13):
         for w, _ in factors_of_length(FIB_SLOPE, n):
             assert occurrences(prefix, w) >= 1
+
+
+def test_languages_past_the_symbol_budget_are_refused_before_sorting():
+    """10001 factors of length 10000 pass the budget of 10**8 symbols, by
+    10**4; every path that decodes a language refuses them before it sorts
+    a crossing order.  9999 is within the budget, and decodes lazily."""
+    misses = _crossings.cache_info().misses
+    for decode in (
+        lambda n: _factor_words(FIB_SLOPE, n),
+        lambda n: factors_of_length(FIB_SLOPE, n),
+        lambda n: sigma_factors_of_length(FIB_SLOPE, n - 1),
+        lambda n: classify_by_intervals(FIB_SLOPE, 2, n),
+    ):
+        with pytest.raises(ResourceCapExceeded) as info:
+            decode(10**4)
+        assert (info.value.needed, info.value.cap) == (10001 * 10**4, LANGUAGE_SYMBOL_CAP)
+    assert LANGUAGE_SYMBOL_CAP == 10**8
+    _factor_words(FIB_SLOPE, 9999)
+    assert _crossings.cache_info().misses == misses
 
 
 def test_exactly_one_right_special_factor_per_length():
