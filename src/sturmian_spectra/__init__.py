@@ -1,8 +1,9 @@
 """Exact repetition thresholds of Sturmian words.
 
 Sturmian words are the codings of irrational circle rotations by a
-two-interval partition.  This package computes, in exact quadratic-field
-arithmetic throughout:
+two-interval partition.  This package computes exactly, with no floating
+point: every order and floor is decided on integers (pairs A + B*alpha
+and rational rotations), and a QuadReal is built to report a value:
 
 * continued fractions of quadratic irrationals: parsing, canonical form,
   convergents, Lagrange constants, equivalence (`cf`);

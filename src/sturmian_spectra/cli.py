@@ -20,7 +20,7 @@ from functools import cache
 from typing import Sequence
 
 from .cf import CFSyntaxError, ContinuedFraction
-from .geometry import LEFT_CLOSED, RIGHT_CLOSED, EndpointConvention, ikm_intervals
+from .geometry import LEFT_CLOSED, RIGHT_CLOSED, ikm_intervals
 from .kabelian import classify_by_intervals
 from .quadreal import QuadReal
 from .spectra import (
@@ -52,10 +52,6 @@ def _frac_json(x: Fraction) -> dict:
 
 def _show(x: QuadReal) -> str:
     return f"{x} = {x.decimal()}"
-
-
-def _show_frac(x: Fraction) -> str:
-    return f"{x} = {QuadReal.from_fraction(x).decimal()}"
 
 
 def _positive_int(text: str) -> int:
@@ -188,9 +184,8 @@ def _interval_doc(fam, index: int) -> dict:
 def _cmd_classes(args: argparse.Namespace) -> int:
     cf = ContinuedFraction.parse(args.cf_text)
     alpha = _irrational_value(cf)
-    convention = _CONVENTIONS[args.convention]
-    classes = classify_by_intervals(alpha, args.k, args.m, convention)
-    fam = ikm_intervals(alpha, args.k, args.m, convention)
+    classes = classify_by_intervals(alpha, args.k, args.m)
+    fam = ikm_intervals(alpha, args.k, args.m)
     if args.output == "json":
         doc = {
             "cf": cf.render(),
@@ -330,7 +325,7 @@ def _cmd_linfty(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc))
     else:
-        print(f"target: {_show_frac(report.target)}")
+        print(f"target: {_show(QuadReal.from_fraction(report.target))}")
         print("t\tk\tq\ta_next\tratio\terror\tbound")
         for s in report.stages:
             print(

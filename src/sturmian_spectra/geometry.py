@@ -1,12 +1,14 @@
 """Circle rotation geometry.
 
 Points live on the unit circle [0, 1) as exact QuadReal values.  The key
-objects are interval families: the circle cut at a finite set of points,
-with a convention flag saying which side of each cut belongs to which
-interval.  Two partitions matter downstream: the level-n family cut at
-{0, -a, ..., -na} (mod 1), whose intervals biject with the length-n
-factors of the rotation coding, and the coarser family used for k-abelian
-classification, cut at the first and last few of those orbit points.
+objects are interval families: the circle cut at a finite set of points.
+Which side owns a cut matters only where a point on a cut is located or
+coded, so the endpoint convention is an argument of locate and of the
+coder, never of a family.  Two partitions matter downstream: the level-n
+family cut at {0, -a, ..., -na} (mod 1), whose intervals biject with the
+length-n factors of the rotation coding, and the coarser family used for
+k-abelian classification, cut at the first and last few of those orbit
+points.
 
 Both are cut at points {-j*alpha} with 0 <= j <= n, and every cut and
 length the package makes is an integer pair A + B*alpha, ordered by
@@ -79,73 +81,29 @@ class Interval(NamedTuple):
         """Endpoint start + length; may exceed 1 for the wrapping interval."""
         return self.start + self.length
 
-    def midpoint(self) -> QuadReal:
-        return (self.start + self.length / 2).frac()
-
     def to_json(self) -> dict:
         return {"start": self.start.to_json(), "length": self.length.to_json()}
 
 
+@dataclass(frozen=True)
 class IntervalFamily:
-    """The circle cut at a finite set of exact points.
+    """The circle cut at a finite set of exact points, as its intervals in
+    circle order: interval i runs from its cut to the next one
+    counterclockwise (the last one wraps through 1 = 0), and the first cut
+    is the least.  The package's families come from _orbit_family."""
 
-    Cuts are stored sorted; interval i runs from cuts[i] to the next cut
-    counterclockwise (the last one wraps through 1 = 0).  Identity of an
-    interval is its starting cut.  The public constructor sorts, dedupes
-    and subtracts generically; the package's own families come through
-    _orbit_family, which already knows the order and the lengths.
-    """
-
-    __slots__ = ("cuts", "convention", "_intervals")
-
-    def __init__(self, points: Iterable[QuadReal], convention: EndpointConvention = LEFT_CLOSED):
-        # Equal values sort next to each other whatever their spelling, so
-        # dropping equal neighbours dedupes without hashing big integers.
-        ordered = sorted(points)
-        cuts = ordered[:1] + [b for a, b in zip(ordered, ordered[1:]) if b != a]
-        if not cuts:
-            raise ValueError("need at least one cut point")
-        if cuts[0] < 0 or cuts[-1] >= 1:
-            raise ValueError("cut points must lie in [0, 1)")
-        lengths = [b - a for a, b in zip(cuts, cuts[1:])]
-        lengths.append(1 + cuts[0] - cuts[-1])
-        self._fill(cuts, lengths, convention)
-
-    @classmethod
-    def _ordered(
-        cls, cuts: list[QuadReal], lengths: list[QuadReal], convention: EndpointConvention
-    ) -> "IntervalFamily":
-        """A family from cuts already in circle order and their lengths."""
-        family = cls.__new__(cls)
-        family._fill(cuts, lengths, convention)
-        return family
-
-    def _fill(self, cuts, lengths, convention) -> None:
-        object.__setattr__(self, "cuts", tuple(cuts))
-        object.__setattr__(self, "convention", convention)
-        object.__setattr__(self, "_intervals", tuple(map(Interval, cuts, lengths)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntervalFamily is immutable")
+    intervals: tuple[Interval, ...]
 
     def __len__(self):
-        return len(self._intervals)
-
-    def __hash__(self):
-        return hash((self.cuts, self.convention))
-
-    def __eq__(self, other):
-        if not isinstance(other, IntervalFamily):
-            return NotImplemented
-        return self.cuts == other.cuts and self.convention == other.convention
+        return len(self.intervals)
 
     @property
-    def intervals(self) -> tuple[Interval, ...]:
-        return self._intervals
+    def cuts(self) -> tuple[QuadReal, ...]:
+        return tuple(iv.start for iv in self.intervals)
 
     @property
     def lengths(self) -> tuple[QuadReal, ...]:
-        return tuple(iv.length for iv in self._intervals)
+        return tuple(iv.length for iv in self.intervals)
 
     def min_length(self) -> QuadReal:
         return min(self.lengths)
@@ -153,19 +111,19 @@ class IntervalFamily:
     def max_length(self) -> QuadReal:
         return max(self.lengths)
 
-    def locate(self, x: QuadReal) -> int:
+    def locate(self, x: QuadReal, convention: EndpointConvention = LEFT_CLOSED) -> int:
         """Index of the interval containing the circle point x.
 
         Total: every point of [0, 1) belongs to exactly one interval under
-        the family's convention.
+        the convention, which decides only for x on a cut.
         """
         if x < 0 or x >= 1:
             raise ValueError("locate expects a point in [0, 1)")
-        if self.convention.zero_in_I0:
+        if convention.zero_in_I0:
             i = bisect_right(self.cuts, x) - 1
         else:
             i = bisect_left(self.cuts, x) - 1
-        return i % len(self._intervals)
+        return i % len(self.intervals)
 
 
 def _convergent_past(alpha: QuadReal, n: int) -> tuple[int, int]:
@@ -225,30 +183,27 @@ def _orbit_cuts(
     return cuts, [(cb - ca, a - b) for (ca, a), (cb, b) in zip(cuts, ends)]
 
 
-def _orbit_family(
-    alpha: QuadReal, indices: Iterable[int], n: int, convention: EndpointConvention
-) -> IntervalFamily:
+def _orbit_family(alpha: QuadReal, indices: Iterable[int], n: int) -> IntervalFamily:
     """The circle cut at {-j*alpha} for the distinct j in `indices`, which
     lie in 0..n and include 0: _orbit_cuts, with one constructor call for
     each cut and each length."""
     cuts, lengths = _orbit_cuts(indices, *_convergent_past(alpha, n))
-    return IntervalFamily._ordered(
-        [_value(alpha, c, -j) for c, j in cuts],
-        [_value(alpha, a, b) for a, b in lengths],
-        convention,
+    return IntervalFamily(
+        tuple(
+            Interval(_value(alpha, c, -j), _value(alpha, a, b))
+            for (c, j), (a, b) in zip(cuts, lengths)
+        )
     )
 
 
-def level_intervals(
-    alpha: QuadReal, n: int, convention: EndpointConvention = LEFT_CLOSED
-) -> IntervalFamily:
+def level_intervals(alpha: QuadReal, n: int) -> IntervalFamily:
     """Circle cut at {0, -alpha, ..., -n*alpha}: n+1 intervals.
 
     Interval i is exactly the set of intercepts whose rotation coding
     starts with the i-th length-n factor, so this family *is* the language
     of length n in geometric form.
     """
-    return _orbit_family(alpha, range(n + 1), n, convention)
+    return _orbit_family(alpha, range(n + 1), n)
 
 
 def _coarse_indices(k: int, m: int) -> set[int]:
@@ -276,13 +231,11 @@ def _checked_coarse_indices(k: int, m: int) -> set[int]:
     return indices
 
 
-def ikm_intervals(
-    alpha: QuadReal, k: int, m: int, convention: EndpointConvention = LEFT_CLOSED
-) -> IntervalFamily:
+def ikm_intervals(alpha: QuadReal, k: int, m: int) -> IntervalFamily:
     """The coarse family whose intervals collect k-abelian equivalent factors.
 
     Cut at {0, -alpha, ..., -j*alpha} for j = min(m, k-1) together with the
     preimages of those points under m-(k-1) more rotation steps (when
     m >= k-1).  Size is min(2k, m+1).
     """
-    return _orbit_family(alpha, _checked_coarse_indices(k, m), m, convention)
+    return _orbit_family(alpha, _checked_coarse_indices(k, m), m)

@@ -127,8 +127,8 @@ def classify_by_intervals(
     level-m interval lies in the coarse interval whose cut has the largest
     circle rank not above the factor's own; ranks are integers (see
     geometry), and no interval is built.  Classes come back in circle order,
-    one per coarse interval of ikm_intervals(alpha, k, m), and neither they
-    nor their order depend on the endpoint convention.
+    one per coarse interval of ikm_intervals(alpha, k, m).  `convention` is
+    accepted and changes nothing: no point is coded here.
     """
     coarse = _coarse_indices(k, m)
     words = _factor_words(alpha, m)  # checks the budget before anything is sorted

@@ -59,6 +59,7 @@ __all__ = [
 
 ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
 _DEFAULT_STR_DIGITS = 4300  # CPython's default int-to-str digit limit
+LIMSUP_WINDOW = 5  # trailing convergent indices theta_limsup_estimate maxes over
 
 
 def _oracle_cap(cap: int | None) -> int:
@@ -226,14 +227,13 @@ def brute_kab_exponent(alpha: QuadReal, k: int, m: int, cap: int | None = None) 
     return _longest_block_run(alpha, m, lambda b: signature(b, k), _oracle_cap(cap))
 
 
-def max_integer_power_exponent(
-    cf: ContinuedFraction, m: int, cap: int | None = None
-) -> int:
+def max_integer_power_exponent(cf: ContinuedFraction, m: int) -> int:
     """Largest n with a literal n-th power of period m among the factors.
 
     At convergent denominators q_t with t > 1 this is a_{t+1} + 2; other
     periods fall back to enumeration (they never reach 3 in practice, but
-    the fallback double-checks rather than assumes).
+    the fallback double-checks rather than assumes), under the oracle cap
+    STURMIAN_SPECTRA_CAP.
     """
     if cf.is_rational:
         raise ValueError("slope must be irrational")
@@ -245,7 +245,7 @@ def max_integer_power_exponent(
             break
         if q == m and t > 1:
             return cf.partial_quotient(t + 1) + 2
-    return _longest_block_run(cf.value(), m, lambda b: b, _oracle_cap(cap))
+    return _longest_block_run(cf.value(), m, lambda b: b, _oracle_cap(None))
 
 
 @dataclass
@@ -357,13 +357,11 @@ class LimsupEstimate:
     terms: tuple[tuple[int, Fraction], ...]
 
 
-def theta_limsup_estimate(
-    cf: ContinuedFraction, k: int, t_max: int, window: int = 5
-) -> LimsupEstimate:
+def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEstimate:
     """Finite-stage rational estimate of theta_k.
 
     Computes A_k(q_t)/q_t for every convergent denominator q_t with
-    t <= t_max and takes the max over the last `window` indices only.
+    t <= t_max and takes the max over the last LIMSUP_WINDOW indices only.
     The ratios at small t routinely overshoot the limit (the +1 tie term
     and the family-vs-limit gap are both O(1/q_t)), so folding them into
     the max would freeze the estimate at an early spike; a tail max is
@@ -378,8 +376,6 @@ def theta_limsup_estimate(
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    if window < 1:
-        raise ValueError("window must be >= 1")
     alpha = cf.value()
     convs = cf.convergents(t_max)
     p, q = _convergent_past(alpha, 2 * convs[-1].q)
@@ -387,7 +383,7 @@ def theta_limsup_estimate(
     for conv in convs[1:]:
         a = _kab_exponent(alpha, _checked_coarse_indices(k, conv.q), conv.q, p, q)[0]
         terms.append((conv.t, Fraction(a, conv.q)))
-    window_start = max(1, t_max - window + 1)
+    window_start = max(1, t_max - LIMSUP_WINDOW + 1)
     estimate = max(v for t, v in terms if t >= window_start)
     slack = Fraction(2, convs[window_start].q)
     return LimsupEstimate(k, t_max, window_start, estimate, slack, tuple(terms))

@@ -158,12 +158,11 @@ def factors_of_length(
 
     Returns (word, interval) pairs in circle order of the level-n family;
     there are exactly n+1 of them.  The word attached to an interval is the
-    coding of its interior points, read off the circle order of the cuts,
-    so the endpoint convention changes the intervals' ownership of their
-    endpoints but never a word.
+    coding of its interior points, read off the circle order of the cuts.
+    `convention` is accepted and changes nothing: no point is coded here.
     """
     words = _factor_words(alpha, n)  # checks the budget before anything is built
-    return tuple(zip(words, level_intervals(alpha, n, convention).intervals))
+    return tuple(zip(words, level_intervals(alpha, n).intervals))
 
 
 def occurrences(w: str, u: str) -> int:

@@ -71,6 +71,18 @@ def test_classes_emit_circle_lists_the_cuts(capsys):
     assert obj["cuts"][0]["decimal"] == "0"
 
 
+@pytest.mark.parametrize("cf", [FIB, "[0; (2)]", "[0; 3, (1, 4)]"])
+def test_classes_output_does_not_depend_on_the_convention(capsys, cf):
+    """--convention is accepted by classes and changes no byte of stdout."""
+    for k, m in [(1, 4), (2, 5), (3, 12), (5, 7)]:
+        for extra in ([], ["--format", "json"], ["--emit-circle"],
+                      ["--emit-circle", "--format", "json"]):
+            argv = ["classes", cf, "-k", str(k), "-m", str(m), *extra]
+            left = _run(capsys, *argv, "--convention", "left")
+            assert left[0] == EXIT_OK
+            assert _run(capsys, *argv, "--convention", "right") == left
+
+
 # (cf, k, m, convention) -> exponent, witness, witness intercept (p, q, d, r)
 FROZEN_WITNESSES = {
     (FIB, "2", "5", "left"): (

@@ -25,7 +25,6 @@ from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
-    IntervalFamily,
     _convergent_past,
     _dist_to_int_pair,
     _pair_key,
@@ -57,6 +56,8 @@ from sturmian_spectra.words import (
     factors_of_length,
     sturmian_prefix,
 )
+
+from reference import midpoint, sorted_family
 
 periodic_slopes = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
     lambda period: ContinuedFraction([0], period).value()
@@ -90,12 +91,11 @@ def _spelling(family):
     ]
 
 
-def _coarse_reference(alpha, k, m, conv):
+def _coarse_reference(alpha, k, m):
     """The coarse family cut at its points {-j*alpha}, sorted generically."""
     j = min(m, k - 1)
     shifts = (0, m - j) if m >= k - 1 else (0,)
-    points = [(-(i + s) * alpha).frac() for i in range(j + 1) for s in shifts]
-    return IntervalFamily(points, conv)
+    return sorted_family((-(i + s) * alpha).frac() for i in range(j + 1) for s in shifts)
 
 
 def _convergents(alpha, limit):
@@ -115,23 +115,22 @@ def _convergents(alpha, limit):
 def _check_level_order(alpha, n):
     """The integer circle order and the families built from it, against the
     exact sort of the points {-j*alpha} and the families cut at them, cuts
-    and lengths spelled alike (family equality looks at the cuts only)."""
+    and lengths spelled alike (family equality compares values only)."""
     p, q = _convergent_past(alpha, n)
     order = _crossings(alpha, n)[1]
     assert (p, q) == _convergents(alpha, n)[-1]
     assert order == sorted(range(n + 1), key=lambda j: (-j * alpha).frac())
-    for conv in (LEFT_CLOSED, RIGHT_CLOSED):
-        got = level_intervals(alpha, n, conv)
-        want = IntervalFamily([(-j * alpha).frac() for j in range(n + 1)], conv)
+    got = level_intervals(alpha, n)
+    want = _level_reference(alpha, n)
+    assert got == want
+    assert _spelling(got) == _spelling(want)
+    if n < 1:
+        return  # a coarse family needs m >= 1
+    for k in range(1, 7):
+        got = ikm_intervals(alpha, k, n)
+        want = _coarse_reference(alpha, k, n)
         assert got == want
         assert _spelling(got) == _spelling(want)
-        if n < 1:
-            continue  # a coarse family needs m >= 1
-        for k in range(1, 7):
-            got = ikm_intervals(alpha, k, n, conv)
-            want = _coarse_reference(alpha, k, n, conv)
-            assert got == want
-            assert _spelling(got) == _spelling(want)
 
 
 @given(preperiodic_slopes, st.data())
@@ -168,15 +167,17 @@ def _located_coding(alpha, x, n):
 def test_ranked_factors_match_the_prefix_coder(alpha, n):
     """Each word read off the circle order is the coding from its interval's
     midpoint, by the prefix coder under both endpoint conventions and, up to
-    n = 60, by locating every point."""
-    for conv in (LEFT_CLOSED, RIGHT_CLOSED):
-        factors = factors_of_length(alpha, n, conv)
-        assert len({w for w, _ in factors}) == n + 1
-        for word, iv in factors:
-            assert word == sturmian_prefix(SturmianSpec(alpha, iv.midpoint(), conv), n)
+    n = 60, by locating every point.  The convention passed to
+    factors_of_length changes no word and no interval."""
+    factors = factors_of_length(alpha, n, LEFT_CLOSED)
+    assert factors_of_length(alpha, n, RIGHT_CLOSED) == factors
+    assert len({w for w, _ in factors}) == n + 1
+    for word, iv in factors:
+        for conv in (LEFT_CLOSED, RIGHT_CLOSED):
+            assert word == sturmian_prefix(SturmianSpec(alpha, midpoint(iv), conv), n)
     if n <= 60:  # the locate reference takes n*(n+1) QuadReal steps
         for word, iv in factors:
-            assert word == _located_coding(alpha, iv.midpoint(), n)
+            assert word == _located_coding(alpha, midpoint(iv), n)
 
 
 @given(preperiodic_slopes, st.integers(1, 5), st.integers(1, 80))
@@ -278,13 +279,13 @@ def test_block_scan_ends_the_run_where_block_j_leaves(m):
 
 def _level_reference(alpha, n):
     """The level-n family cut at its points {-j*alpha}, sorted generically."""
-    return IntervalFamily([(-j * alpha).frac() for j in range(n + 1)])
+    return sorted_family((-j * alpha).frac() for j in range(n + 1))
 
 
 def _reference_exponent(alpha, k, m, convention=LEFT_CLOSED, with_witness=True):
     """max_kab_exponent on QuadReal: the longest length of a generically
     sorted coarse family, dist_to_int, and the floor of their quotient."""
-    family = _coarse_reference(alpha, k, m, convention)
+    family = _coarse_reference(alpha, k, m)
     longest, step = family.max_length(), dist_to_int(m * alpha)
     exponent = (longest / step).floor() + (longest != step)
     if not with_witness or exponent * m > DEFAULT_ORACLE_CAP:

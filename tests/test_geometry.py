@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
-    IntervalFamily,
     ikm_intervals,
     level_intervals,
 )
 from sturmian_spectra.quadreal import QuadReal
+
+from reference import midpoint, sorted_family
 
 FIB_SLOPE = QuadReal(3, -1, 5, 2)
 SILVER_SLOPE = QuadReal(-1, 1, 2, 1)  # sqrt 2 - 1
@@ -24,11 +25,11 @@ points_in_unit = st.fractions(
 ).map(QuadReal.from_fraction)
 
 
-def _contains(fam, i, x):
-    """Whether interval i of fam contains circle point x, per its convention."""
+def _contains(fam, i, x, conv):
+    """Whether interval i of fam contains circle point x, per the convention."""
     iv = fam.intervals[i]
     for lift in (x, x + 1):
-        if fam.convention.zero_in_I0:
+        if conv.zero_in_I0:
             if iv.start <= lift < iv.end:
                 return True
         elif iv.start < lift <= iv.end:
@@ -74,7 +75,7 @@ def test_three_distance_law():
 def test_rotating_all_cuts_preserves_lengths():
     base = level_intervals(FIB_SLOPE, 9)
     shift = QuadReal.from_fraction(Fraction(2, 7))
-    moved = IntervalFamily([(c + shift).frac() for c in base.cuts])
+    moved = sorted_family([(c + shift).frac() for c in base.cuts])
     assert sorted(moved.lengths) == sorted(base.lengths)
 
 
@@ -94,22 +95,21 @@ def test_coarse_cuts_are_a_subfamily_of_the_fine_cuts():
 
 
 def test_locate_zero_respects_convention():
-    fam_l = level_intervals(FIB_SLOPE, 3, LEFT_CLOSED)
-    fam_r = level_intervals(FIB_SLOPE, 3, RIGHT_CLOSED)
+    fam = level_intervals(FIB_SLOPE, 3)
     zero = QuadReal(0)
-    assert fam_l.locate(zero) == 0  # zero opens the first interval
-    assert fam_r.locate(zero) == len(fam_r) - 1  # zero closes the last one
+    assert fam.locate(zero) == 0  # zero opens the first interval
+    assert fam.locate(zero, LEFT_CLOSED) == 0
+    assert fam.locate(zero, RIGHT_CLOSED) == len(fam) - 1  # zero closes the last one
 
 
 def test_conventions_agree_off_the_cuts():
-    fam_l = level_intervals(SILVER_SLOPE, 6, LEFT_CLOSED)
-    fam_r = level_intervals(SILVER_SLOPE, 6, RIGHT_CLOSED)
+    fam = level_intervals(SILVER_SLOPE, 6)
     x = QuadReal.from_fraction(Fraction(1, 3))
-    assert x not in set(fam_l.cuts)
-    assert fam_l.locate(x) == fam_r.locate(x)
-    cut = fam_l.cuts[2]
-    assert fam_l.locate(cut) == 2
-    assert fam_r.locate(cut) == 1
+    assert x not in set(fam.cuts)
+    assert fam.locate(x, LEFT_CLOSED) == fam.locate(x, RIGHT_CLOSED)
+    cut = fam.cuts[2]
+    assert fam.locate(cut, LEFT_CLOSED) == 2
+    assert fam.locate(cut, RIGHT_CLOSED) == 1
 
 
 def test_orbit_points_are_reduced_mod_one():
@@ -125,10 +125,6 @@ def test_orbit_points_are_reduced_mod_one():
 
 def test_family_rejects_bad_input():
     with pytest.raises(ValueError):
-        IntervalFamily([])
-    with pytest.raises(ValueError):
-        IntervalFamily([QuadReal(2)])
-    with pytest.raises(ValueError):
         level_intervals(QuadReal.from_fraction(Fraction(1, 3)), 4)
     with pytest.raises(ValueError):
         ikm_intervals(FIB_SLOPE, 0, 5)
@@ -138,15 +134,15 @@ def test_family_rejects_bad_input():
 @settings(max_examples=100)
 def test_locate_is_total_and_correct(x, n):
     """Every circle point lands in exactly one interval of each family."""
+    fam = level_intervals(FIB_SLOPE, n)
     for conv in (LEFT_CLOSED, RIGHT_CLOSED):
-        fam = level_intervals(FIB_SLOPE, n, conv)
-        i = fam.locate(x)
-        assert _contains(fam, i, x)
-        assert sum(1 for j in range(len(fam)) if _contains(fam, j, x)) == 1
+        i = fam.locate(x, conv)
+        assert _contains(fam, i, x, conv)
+        assert sum(1 for j in range(len(fam)) if _contains(fam, j, x, conv)) == 1
 
 
 def test_midpoints_locate_to_their_own_interval():
+    fam = level_intervals(ALT_SLOPE, 11)
     for conv in (LEFT_CLOSED, RIGHT_CLOSED):
-        fam = level_intervals(ALT_SLOPE, 11, conv)
         for i, iv in enumerate(fam.intervals):
-            assert fam.locate(iv.midpoint()) == i
+            assert fam.locate(midpoint(iv), conv) == i

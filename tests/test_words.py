@@ -38,10 +38,10 @@ small_intercepts = st.fractions(
 
 def _slow_coding(alpha, intercept, n, convention):
     """Reference coder: locate each orbit point in the two-interval family."""
-    fam = level_intervals(alpha, 1, convention)
+    fam = level_intervals(alpha, 1)
     out = []
     for i in range(n):
-        out.append("01"[fam.locate((intercept + i * alpha).frac())])
+        out.append("01"[fam.locate((intercept + i * alpha).frac(), convention)])
     return "".join(out)
 
 
