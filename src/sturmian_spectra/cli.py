@@ -68,9 +68,21 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+class _UsageError(Exception):
+    """A command line argparse would refuse with a usage message."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error by raising, so main can answer in JSON with
+    exit 2; --help still prints and exits as argparse does."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 @cache  # built once per process; parse_args keeps no state between calls
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sturmian-spectra",
         description="Exact repetition thresholds of Sturmian words.",
     )
@@ -85,12 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="output format (default: text)",
         )
 
-    def add_convention(p: argparse.ArgumentParser) -> None:
+    def add_convention(p: argparse.ArgumentParser, text: str) -> None:
         p.add_argument(
-            "--convention",
-            choices=sorted(_CONVENTIONS),
-            default="left",
-            help="endpoint convention for the coding intervals",
+            "--convention", choices=sorted(_CONVENTIONS), default="left", help=text
         )
 
     p_cf = sub.add_parser("cf", help="value, convergents and Lagrange constant")
@@ -107,7 +116,11 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include circle cut coordinates for plotting",
     )
-    add_convention(p_classes)
+    add_convention(
+        p_classes,
+        "accepted and has no effect: classes and their intervals do not "
+        "depend on the endpoint convention",
+    )
     add_format(p_classes, "text", "json")
 
     p_exp = sub.add_parser("exponent", help="max k-abelian power exponent of period m")
@@ -119,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check against the brute-force oracle",
     )
-    add_convention(p_exp)
+    add_convention(p_exp, "endpoint convention for the coding intervals")
     add_format(p_exp, "text", "json")
 
     p_theta = sub.add_parser("theta", help="exact k-abelian critical exponent")
@@ -354,8 +367,10 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _error(EXIT_USAGE, "usage_error", str(exc))
     try:
         return _HANDLERS[args.command](args)
     except CFSyntaxError as exc:

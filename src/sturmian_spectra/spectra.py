@@ -32,7 +32,7 @@ from .geometry import (
     _pair_key,
     _value,
 )
-from .kabelian import signature
+from .kabelian import _signature_key
 from .quadreal import QuadReal, _floor_parts
 from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, SturmianSpec
 from .words import _crossing_walk, sturmian_prefix
@@ -224,7 +224,7 @@ def brute_kab_exponent(alpha: QuadReal, k: int, m: int, cap: int | None = None) 
     if the needed factor length passes the cap, env-overridable via
     STURMIAN_SPECTRA_CAP.
     """
-    return _longest_block_run(alpha, m, lambda b: signature(b, k), _oracle_cap(cap))
+    return _longest_block_run(alpha, m, lambda b: _signature_key(b, k), _oracle_cap(cap))
 
 
 def max_integer_power_exponent(cf: ContinuedFraction, m: int) -> int:

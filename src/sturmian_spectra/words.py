@@ -150,7 +150,6 @@ def _factor_words(alpha: QuadReal, n: int) -> Iterator[str]:
     return (letters.decode() for _, letters in _crossing_walk(alpha, n))
 
 
-@lru_cache(maxsize=8)
 def factors_of_length(
     alpha: QuadReal, n: int, convention: EndpointConvention = LEFT_CLOSED
 ) -> tuple[tuple[str, Interval], ...]:
@@ -159,10 +158,20 @@ def factors_of_length(
     Returns (word, interval) pairs in circle order of the level-n family;
     there are exactly n+1 of them.  The word attached to an interval is the
     coding of its interior points, read off the circle order of the cuts.
-    `convention` is accepted and changes nothing: no point is coded here.
+    `convention` is accepted and changes nothing: no point is coded here,
+    so the cache is keyed on (alpha, n) alone.
     """
+    return _factors_of_length(alpha, n)
+
+
+@lru_cache(maxsize=8)
+def _factors_of_length(alpha: QuadReal, n: int) -> tuple[tuple[str, Interval], ...]:
     words = _factor_words(alpha, n)  # checks the budget before anything is built
     return tuple(zip(words, level_intervals(alpha, n).intervals))
+
+
+# the hit rate stays readable off the public name (bench/tracer.py reads it)
+factors_of_length.cache_info = _factors_of_length.cache_info
 
 
 def occurrences(w: str, u: str) -> int:

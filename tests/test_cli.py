@@ -297,9 +297,41 @@ def test_rational_slope_is_a_usage_error_for_classes(capsys):
 
 
 def test_nonpositive_length_is_rejected_by_the_parser(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["classes", FIB, "-k", "2", "-m", "0"])
-    assert info.value.code == 2
+    code, out, err = _run(capsys, "classes", FIB, "-k", "2", "-m", "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "usage_error"
+    assert "-m" in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["theta", "[0;(1)]", "-k", "0"],
+    ["theta", FIB, "-k", "x"],
+    ["exponent", FIB, "-k", "2"],
+    ["classes", FIB, "-k", "2", "-m", "5", "--convention", "middle"],
+    ["cf", FIB, "--format", "xml"],
+    ["theta", FIB, "-k", "2", "--bogus"],
+    ["nonesuch"],
+    [],
+])
+def test_usage_errors_return_2_with_json_on_stderr(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "usage_error"
+    assert payload["message"].startswith("sturmian-spectra")
+
+
+def test_classes_help_says_the_convention_has_no_effect(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = _exit_and_streams(capsys, ["classes", "--help"])
+    assert code == EXIT_OK
+    text = " ".join(out.split())
+    assert "--convention {left,right} accepted and has no effect" in text
+    _, out, _ = _exit_and_streams(capsys, ["exponent", "--help"])
+    assert "endpoint convention for the coding intervals" in " ".join(out.split())
 
 
 def test_resource_cap_exit_code(capsys, monkeypatch):
@@ -338,7 +370,8 @@ def test_memory_exhaustion_is_a_resource_cap(capsys, monkeypatch):
 def _exit_and_streams(capsys, argv):
     try:
         code = main(argv)
-    except SystemExit as exc:  # --help and usage errors leave through argparse
+    except SystemExit as exc:  # only --help leaves through argparse, with 0
+        assert exc.code == EXIT_OK, argv
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err

@@ -8,7 +8,9 @@ alpha + 1 and 1 - alpha.  Values and Lagrange constants of continued
 fractions are played against QuadReal folds over rational and periodic
 expansions with a0 in -3..3 and quotients up to 1000.  The brute
 oracle's incremental block scan is played against a plain rescan of every
-factor.
+factor, and k-abelian signatures counted on bit masks against a Counter
+over slices, on binary and ternary words and on random slopes' factor
+languages.
 """
 
 import dataclasses
@@ -32,7 +34,12 @@ from sturmian_spectra.geometry import (
     ikm_intervals,
     level_intervals,
 )
-from sturmian_spectra.kabelian import classify_brute, classify_by_intervals, signature
+from sturmian_spectra.kabelian import (
+    _signature_key,
+    classify_brute,
+    classify_by_intervals,
+    signature,
+)
 from sturmian_spectra.quadreal import QuadReal, dist_to_int
 from sturmian_spectra.spectra import (
     DEFAULT_ORACLE_CAP,
@@ -57,7 +64,7 @@ from sturmian_spectra.words import (
     sturmian_prefix,
 )
 
-from reference import midpoint, sorted_family
+from reference import counter_signature, midpoint, sorted_family
 
 periodic_slopes = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
     lambda period: ContinuedFraction([0], period).value()
@@ -200,6 +207,41 @@ def test_interval_classes_match_signature_classes(alpha, k, m):
                 assert outer.start <= inner.start and inner.end <= outer.end
 
 
+# -- k-abelian signatures on bit masks, against Counter over slices ------------
+
+# digits int(., 2) would also read, spaced, signed, prefixed or underscored
+MISREAD = ["0b1", "1_0", " 01", "+1", "-0", "0B1", "1\n"]
+signature_cases = st.one_of(
+    st.text("01", max_size=30), st.text("012", max_size=30), st.sampled_from(MISREAD)
+).flatmap(lambda u: st.tuples(st.just(u), st.integers(1, len(u) + 2)))
+
+
+@given(signature_cases)
+@settings(max_examples=400)
+def test_mask_signature_matches_the_counter(case):
+    u, k = case
+    assert signature(u, k) == counter_signature(u, k)
+
+
+@pytest.mark.parametrize("u", ["", "0", "1", "2", "0110", "2021", *MISREAD])
+def test_mask_signature_at_and_past_the_word_length(u):
+    for k in range(1, len(u) + 4):  # k = len(u) and k > len(u) included
+        assert signature(u, k) == counter_signature(u, k), (u, k)
+
+
+@given(preperiodic_slopes, st.integers(1, 6), st.integers(1, 120))
+@settings(max_examples=150, deadline=None)
+def test_brute_classes_are_the_counter_signature_classes(alpha, k, m):
+    """classify_brute groups a factor language exactly as the Counter
+    signature does, members sorted and classes by smallest member."""
+    words = [w for w, _ in factors_of_length(alpha, m)]
+    groups = {}
+    for w in words:
+        groups.setdefault(counter_signature(w, k), []).append(w)
+    want = sorted(tuple(sorted(g)) for g in groups.values())
+    assert [c.members for c in classify_brute(words, k)] == want
+
+
 @given(periodic_slopes, st.integers(1, 4), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
 def test_exponent_formula_matches_the_oracle(alpha, k, m):
@@ -228,12 +270,12 @@ def _rescanned_run(alpha, n, m, classes):
     return max(_initial_run(w, m, classes) for w in _factor_words(alpha, n))
 
 
-# the oracle's keys: signatures at k = 1..4, and the identity of
+# the oracle's keys: signature keys at k = 1..4, and the identity of
 # max_integer_power_exponent.  Both tell apart blocks with different letter
 # counts, so a crossing always moves block j-1 out of block 0's class; the
 # first-letter key lets block j-1 keep its class while block j leaves it.
 block_keys = st.one_of(
-    st.integers(1, 4).map(lambda k: partial(signature, k=k)),
+    st.integers(1, 4).map(lambda k: partial(_signature_key, k=k)),
     st.just(lambda b: b),
     st.just(lambda b: b[0]),
 )

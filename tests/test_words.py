@@ -107,6 +107,18 @@ def test_languages_past_the_symbol_budget_are_refused_before_sorting():
     assert _crossings.cache_info().misses == misses
 
 
+def test_factor_cache_ignores_the_convention_spelling():
+    """The convention changes no language, so the three spellings of one
+    call share one cache entry: one miss, then two hits."""
+    alpha = ContinuedFraction([0], [4, 7]).value()
+    before = factors_of_length.cache_info()
+    first = factors_of_length(alpha, 301)
+    assert factors_of_length(alpha, 301, LEFT_CLOSED) is first
+    assert factors_of_length(alpha, 301, RIGHT_CLOSED) is first
+    after = factors_of_length.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
 def test_exactly_one_right_special_factor_per_length():
     for n in range(1, 61):
         words = {w for w, _ in factors_of_length(FIB_SLOPE, n)}
