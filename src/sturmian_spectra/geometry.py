@@ -23,17 +23,25 @@ value, q' >= q being the next convergent denominator.
 
 Take the first convergent with q > n.  For 0 <= j <= n the lemma gives
 ceil(j*alpha) = ceil(j*p/q) =: c_j, so the cut {-j*alpha} is the pair
-c_j - j*alpha.  Cut j comes before cut j' when (c_j*q - j*p) - (c_j'*q -
-j'*p) < 0, and c_j*q - j*p = -j*p mod q, so sorting on that integer is
-exact, with {0} first.  The length from cut a to the next cut b is the
-pair (c_b - c_a) + (a - b)*alpha, the last one wrapping to 1 = 1 + 0*alpha.
+c_j - j*alpha.  Call A*q + B*p the rank of the pair A + B*alpha: cut j has
+rank c_j*q - j*p = -j*p mod q, so sorting on ranks orders the cuts
+exactly, with {0} first.  The length from cut a to the next cut b is the
+pair (c_b - c_a) + (a - b)*alpha, the last one wrapping to 1 = 1 + 0*alpha,
+and its rank is the gap between the two cut ranks (q closes the circle).
 
 Two such lengths differ by a pair with |B| <= 2n.  So does the choice of
 ||m*alpha|| between {m*alpha} = -floor(m*p/q) + m*alpha and 1 - {m*alpha},
-which differ by B = 2m.  The exponent formulas, which take the longest
-coarse length and ||m*alpha||, therefore expand alpha to a convergent past
-2m, not just past m as the order needs.  There each comparison is the sign
-of one integer, and a QuadReal is built only for a value that is reported.
+which differ by B = 2m; its rank is min(r, q - r) for r = m*p mod q.  So
+the exponent formulas expand alpha to a convergent past 2m at least, and
+build a QuadReal only for a value that is reported.
+
+Corollary (floor).  Let L and s > 0 be pairs with ranks G and S, B-parts B
+and B', and n = G // S.  If q > |B| + (n+1)*|B'|, then floor(L/s) = n, and
+L = s exactly when G = S.  Indeed L - n*s and L - (n+1)*s are pairs whose
+B-parts are below q in absolute value, so by the lemma they have the
+signs of G - n*S >= 0 and G - (n+1)*S < 0 (S > 0 has the sign of s).  For
+the longest coarse length L (|B| <= m) and s = ||m*alpha||, the exponent
+floor(L/s) + [L != s] is thus G // S + (G != S) once q > (G // S + 2)*m.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .quadreal import QuadReal
 
@@ -153,22 +161,22 @@ def _convergent_past(alpha: QuadReal, n: int) -> tuple[int, int]:
     return p, q
 
 
-def _value(alpha: QuadReal, a: int, b: int) -> QuadReal:
-    """The pair a + b*alpha, one exact constructor call."""
-    return QuadReal(a * alpha.r + b * alpha.p, b * alpha.q, alpha.d, alpha.r)
+def _value(alpha: QuadReal, a: int, b: int, d: int = 1) -> QuadReal:
+    """The pair a + b*alpha over d, one exact constructor call."""
+    return QuadReal(a * alpha.r + b * alpha.p, b * alpha.q, alpha.d, d * alpha.r)
 
 
-def _pair_key(p: int, q: int):
-    """Key on pairs (A, B) standing for A + B*alpha: A*q + B*p, which orders
-    them exactly while p/q is past every |B| of their differences."""
-    return lambda pair: pair[0] * q + pair[1] * p
+def _rank_gaps(indices: Iterable[int], p: int, q: int) -> list[int]:
+    """The ranks of the lengths of _orbit_cuts(indices, p, q), in its order:
+    the gaps between the sorted cut ranks, q closing the circle."""
+    ranks = sorted([-j * p % q for j in indices]) + [q]
+    return [b - a for a, b in zip(ranks, ranks[1:])]
 
 
-def _dist_to_int_pair(m: int, p: int, q: int) -> tuple[int, int]:
-    """||m*alpha|| as a pair, for a convergent p/q of alpha past 2m: the
-    nearer of {m*alpha} = -f + m*alpha and 1 - {m*alpha}, f = floor(m*p/q)."""
-    f = m * p // q
-    return (-f, m) if (-2 * f - 1) * q + 2 * m * p < 0 else (1 + f, -m)
+def _dist_rank(m: int, p: int, q: int) -> int:
+    """The rank of ||m*alpha||, for a convergent p/q of alpha past 2m."""
+    r = m * p % q
+    return min(r, q - r)
 
 
 def _orbit_cuts(
@@ -206,22 +214,19 @@ def level_intervals(alpha: QuadReal, n: int) -> IntervalFamily:
     return _orbit_family(alpha, range(n + 1), n)
 
 
-def _coarse_indices(k: int, m: int) -> set[int]:
-    """The j of the coarse cuts {-j*alpha}: 0..j together with the same run
-    shifted by m-(k-1) (when m >= k-1), for j = min(m, k-1)."""
+def _coarse_indices(k: int, m: int) -> Sequence[int]:
+    """The j of the coarse cuts {-j*alpha}, ascending: 0..k-1 together with
+    the same run shifted by m-(k-1), which is all of 0..m when m < 2k."""
     if k < 1:
         raise ValueError("order k must be >= 1")
     if m < 1:
         raise ValueError("length m must be >= 1")
-    j = min(m, k - 1)
-    front = set(range(j + 1))
-    if m < k - 1:
-        return front
-    shift = m - (k - 1)
-    return front | set(range(shift, shift + j + 1))
+    if m < 2 * k:
+        return range(m + 1)
+    return (*range(k), *range(m - k + 1, m + 1))
 
 
-def _checked_coarse_indices(k: int, m: int) -> set[int]:
+def _checked_coarse_indices(k: int, m: int) -> Sequence[int]:
     """_coarse_indices(k, m), whose size min(2k, m+1) is checked explicitly:
     a raise, unlike `assert`, survives -O."""
     indices = _coarse_indices(k, m)

@@ -174,7 +174,7 @@ def classify_by_intervals(
     one per coarse interval of ikm_intervals(alpha, k, m).  `convention` is
     accepted and changes nothing: no point is coded here.
     """
-    coarse = _coarse_indices(k, m)
+    coarse = set(_coarse_indices(k, m))
     words = _factor_words(alpha, m)  # checks the budget before anything is sorted
     members: list[list[str]] = []
     for j, word in zip(_crossings(alpha, m)[1], words):

@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .cf import ContinuedFraction, _folds, _moebius
@@ -27,13 +28,13 @@ from .geometry import (
     LEFT_CLOSED,
     _checked_coarse_indices,
     _convergent_past,
-    _dist_to_int_pair,
+    _dist_rank,
     _orbit_cuts,
-    _pair_key,
+    _rank_gaps,
     _value,
 )
 from .kabelian import _signature_key
-from .quadreal import QuadReal, _floor_parts
+from .quadreal import QuadReal
 from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, SturmianSpec
 from .words import _crossing_walk, sturmian_prefix
 
@@ -86,27 +87,20 @@ class ExponentRecord:
     witness: str | None = None
 
 
-def _floor_ratio(alpha: QuadReal, num: tuple[int, int], den: tuple[int, int]) -> int:
-    """floor((A1 + B1*alpha) / (A2 + B2*alpha)) for pairs with B2 != 0: one
-    exact floor of the quotient, rationalised over the radicand of alpha."""
-    ap, aq, d, r = alpha.p, alpha.q, alpha.d, alpha.r
-    x1, y1 = num[0] * r + num[1] * ap, num[1] * aq
-    x2, y2 = den[0] * r + den[1] * ap, den[1] * aq
-    norm = x2 * x2 - y2 * y2 * d
-    if norm < 0:
-        x2, y2, norm = -x2, -y2, -norm
-    return _floor_parts(x1 * x2 - y1 * y2 * d, y1 * x2 - x1 * y2, d, norm)
+def _kab_exponent(k: int, m: int, p: int, q: int) -> int:
+    """A_k(m) = G // S + (G != S) on ranks (the floor corollary in the
+    geometry module docstring), for a convergent p/q past (G // S + 2)*m."""
+    g, s = max(_rank_gaps(_checked_coarse_indices(k, m), p, q)), _dist_rank(m, p, q)
+    return _covered_floor(g, s, m, m, q) + (g != s)
 
 
-def _kab_exponent(alpha: QuadReal, indices: set[int], m: int, p: int, q: int):
-    """A_k(m) on integer pairs from the coarse cut indices, for a convergent
-    p/q of alpha past 2m: the exponent, the first longest coarse cut (c, j)
-    with its length pair, and the pair of ||m*alpha||."""
-    cuts, lengths = _orbit_cuts(indices, p, q)
-    key = _pair_key(p, q)
-    longest, cut = max(zip(lengths, cuts), key=lambda lc: key(lc[0]))
-    step = _dist_to_int_pair(m, p, q)
-    return _floor_ratio(alpha, longest, step) + (longest != step), cut, longest, step
+def _covered_floor(g: int, s: int, m: int, b: int, q: int) -> int:
+    """g // s for the ranks of a pair with |B| <= b and of ||m*alpha||, with
+    q > b + (g // s + 1)*m checked by a raise, which unlike `assert` survives -O."""
+    n = g // s
+    if q <= b + (n + 1) * m:
+        raise AssertionError(f"convergent {q} too small for floor {n} at period {m}")
+    return n
 
 
 def max_kab_exponent(
@@ -119,28 +113,32 @@ def max_kab_exponent(
     """Largest n such that some factor is a k-abelian n-th power of period m.
 
     Exact: floor(longest coarse interval / dist(m*alpha)), plus one unless
-    the two are equal, all decided on integer pairs (see the geometry
-    module docstring).  The witness, when requested and within the oracle
-    cap (STURMIAN_SPECTRA_CAP, default DEFAULT_ORACLE_CAP symbols), is
-    an intercept placed inside the longest interval so that all n period-m
-    steps stay inside it, together with the coded word of length n*m.  A
-    slope outside (0, 1) is the same rotation as its fractional part, which
-    codes the witness.
+    the two are equal, decided on circle ranks as G // S + (G != S) (the
+    floor corollary in the geometry module docstring).  The witness, when
+    requested and within the oracle cap (STURMIAN_SPECTRA_CAP, default
+    DEFAULT_ORACLE_CAP symbols), is an intercept placed inside the longest
+    interval so that all n period-m steps stay inside it, together with the
+    coded word of length n*m.  A slope outside (0, 1) is the same rotation
+    as its fractional part, which codes the witness.
     """
     indices = _checked_coarse_indices(k, m)
-    p, q = _convergent_past(alpha, 2 * m)
-    exponent, (c, j), longest, step = _kab_exponent(alpha, indices, m, p, q)
-    record = ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step))
-    if not with_witness or exponent * m > _oracle_cap(None):
-        return record
-    slack = record.max_interval_length - (exponent - 1) * record.step
-    x = _value(alpha, c, -j) + slack / 2
-    if step[1] < 0:
-        # {m*alpha} > 1/2: successive period-m steps drift downward; anchor near the top
-        x = x + (exponent - 1) * record.step
-    x = x.frac()
-    word = sturmian_prefix(SturmianSpec(alpha.frac(), x, convention), exponent * m)
-    return ExponentRecord(k, m, exponent, record.max_interval_length, record.step, x, word)
+    q, bound = 0, 2 * m
+    while q <= bound:  # from past 2m, refine until the floor corollary covers G // S
+        p, q = _convergent_past(alpha, bound)
+        gaps, s = _rank_gaps(indices, p, q), _dist_rank(m, p, q)
+        bound = (max(gaps) // s + 2) * m
+    g = max(gaps)
+    exponent = g // s + (g != s)
+    (c, j), longest = (x[gaps.index(g)] for x in _orbit_cuts(indices, p, q))
+    f, r = divmod(m * p, q)  # ||m*alpha|| is {m*alpha} when s == r, else 1 - {m*alpha}
+    step, sign = ((-f, m), -1) if s == r else ((1 + f, -m), 1)
+    x = word = None
+    if with_witness and exponent * m <= _oracle_cap(None):
+        # sign = 1 when x + i*m*alpha runs downward: x = cut + (longest + sign*(n-1)*step)/2
+        a, b = (2 * u + v + sign * (exponent - 1) * w for u, v, w in zip((c, -j), longest, step))
+        x = _value(alpha, a, b, 2).frac()
+        word = sturmian_prefix(SturmianSpec(alpha.frac(), x, convention), exponent * m)
+    return ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step), x, word)
 
 
 class _BlockClasses(dict):
@@ -289,6 +287,12 @@ def exponent_bound_check(
 
     For k = 1 the stronger A(m) < A(q_t) for m < q_t is recorded as well,
     informationally (it does not affect `ok`).
+
+    All is decided on ranks over one convergent.  For T = max(t_range) each
+    period m taken is at most q_{T+1}, so ||m*alpha|| >= ||q_{T+1}*alpha|| >
+    1/(2*q_{T+2}) and a floor of a length <= 1 by it is below 2*q_{T+2}: a
+    convergent past 2*q_{T+2}*(q_{T+1} + 1) + 4k meets the lemma and the
+    floor corollary of the geometry module docstring throughout.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -298,24 +302,16 @@ def exponent_bound_check(
     ts = sorted(set(t_range))
     if not ts or min(ts) < 0:
         raise ValueError("t_range must be nonempty with t >= 0")
-    convs = cf.convergents(max(ts) + 1)
-    # one convergent past twice every period, level index and q_t compared
-    p, q = _convergent_past(alpha, 2 * max(convs[-1].q, 2 * k - 2))
-    key = _pair_key(p, q)
-    level = _orbit_cuts(range(2 * k - 1), p, q)[1]
-    shortest, longest = min(level, key=key), max(level, key=key)
-    below = key(shortest)
+    convs = cf.convergents(max(ts) + 2)
+    p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-2].q + 1) + 4 * k)
+    level = _rank_gaps(range(2 * k - 1), p, q)
+    shortest, longest = min(level), max(level)
     report = BoundReport(k, [], [], [], [], [])
-    memo: dict[int, int] = {}
-
-    def exponent(m: int) -> int:
-        if m not in memo:
-            memo[m] = _kab_exponent(alpha, _checked_coarse_indices(k, m), m, p, q)[0]
-        return memo[m]
+    exponent = cache(lambda m: _kab_exponent(k, m, p, q))
 
     for t in ts:
         q_t = convs[t].q
-        if key(_dist_to_int_pair(q_t, p, q)) >= below:
+        if _dist_rank(q_t, p, q) >= shortest:
             continue
         report.t_checked.append(t)
         a_qt = exponent(q_t)
@@ -326,9 +322,9 @@ def exponent_bound_check(
                 report.convergent_slack_violations.append((t, m))
             elif a_m == bound:
                 report.improved_slack_exceedances.append((t, m))
-            step = _dist_to_int_pair(m, p, q)
-            if key(step) < below:
-                diff = a_m - _floor_ratio(alpha, longest, step)
+            s = _dist_rank(m, p, q)
+            if s < shortest:
+                diff = a_m - _covered_floor(longest, s, m, 2 * k - 2, q)
                 if not -1 <= diff <= 2 and m not in report.approx_window_violations:
                     report.approx_window_violations.append(m)
             if k == 1 and m < q_t and a_m >= a_qt:
@@ -343,7 +339,8 @@ def theta_k(cf: ContinuedFraction, k: int) -> QuadReal:
         raise ValueError("order k must be >= 1")
     alpha = cf.value()
     p, q = _convergent_past(alpha, 4 * k - 4)
-    longest = max(_orbit_cuts(range(2 * k - 1), p, q)[1], key=_pair_key(p, q))
+    lengths = _orbit_cuts(range(2 * k - 1), p, q)[1]
+    longest = max(lengths, key=lambda ab: ab[0] * q + ab[1] * p)  # the greatest rank
     return _value(alpha, *longest) * cf.lagrange_constant()
 
 
@@ -377,12 +374,10 @@ def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEs
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     alpha = cf.value()
-    convs = cf.convergents(t_max)
-    p, q = _convergent_past(alpha, 2 * convs[-1].q)
-    terms = []
-    for conv in convs[1:]:
-        a = _kab_exponent(alpha, _checked_coarse_indices(k, conv.q), conv.q, p, q)[0]
-        terms.append((conv.t, Fraction(a, conv.q)))
+    convs = cf.convergents(t_max + 1)
+    # the floor at m = q_t is below 1/||q_t*alpha|| < q_t + q_{t+1} <= 2*q_{t_max+1}
+    p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-1].q + 1))
+    terms = [(c.t, Fraction(_kab_exponent(k, c.q, p, q), c.q)) for c in convs[1:-1]]
     window_start = max(1, t_max - LIMSUP_WINDOW + 1)
     estimate = max(v for t, v in terms if t >= window_start)
     slack = Fraction(2, convs[window_start].q)

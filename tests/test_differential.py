@@ -19,7 +19,7 @@ from functools import partial
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmian_spectra import spectra
@@ -27,10 +27,10 @@ from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
+    _coarse_indices,
     _convergent_past,
-    _dist_to_int_pair,
-    _pair_key,
-    _value,
+    _dist_rank,
+    _rank_gaps,
     ikm_intervals,
     level_intervals,
 )
@@ -48,7 +48,6 @@ from sturmian_spectra.spectra import (
     ResourceCapExceeded,
     _best_initial_run,
     _BlockClasses,
-    _floor_ratio,
     _longest_block_run,
     brute_kab_exponent,
     exponent_bound_check,
@@ -429,6 +428,15 @@ def test_bound_report_on_the_spike(k):
     assert _spelled(got) == _spelled(_reference_bound_check(SPIKE, k, t_range))
 
 
+def test_bound_report_where_the_first_two_denominators_are_one():
+    """[0; 1, (1000)] has q_0 = q_1 = 1, and A_1(q_0) = 1001 is far past
+    2*q_1: exponent_bound_check must size its convergent by q_2."""
+    cf = ContinuedFraction([0, 1], [1000])
+    got = exponent_bound_check(cf, 1, [0])
+    assert got.t_checked == [0]
+    assert _spelled(got) == _spelled(_reference_bound_check(cf, 1, [0]))
+
+
 @given(shifted_cfs, st.integers(1, 8))
 @settings(max_examples=100, deadline=None)
 def test_theta_matches_the_quadreal_longest_interval(cf, k):
@@ -454,24 +462,61 @@ def test_limsup_terms_match_the_quadreal_formula(cf, k, t_max):
     st.integers(-10**6, 10**6),
     st.integers(-500, 500).filter(bool),
 )
+@example(AWKWARD[1], 7, -3, 7, -3)
 @settings(max_examples=300, deadline=None)
 def test_pair_signs_and_floors_match_quadreal(alpha, a1, b1, a2, b2):
-    """The lemma's sign test and the rationalised floor, on raw pairs."""
+    """The lemma's sign test on raw pairs, and the floor corollary: on a
+    convergent past |B1| + (|n| + 1)*|B2|, the rank quotient G // S of
+    x = A1 + B1*alpha over y = A2 + B2*alpha > 0 is n = floor(x/y), and
+    equal ranks mean equal values."""
     x, y = a1 + b1 * alpha, a2 + b2 * alpha
     p, q = _convergent_past(alpha, abs(b1 - b2))
-    key = _pair_key(p, q)
-    assert (key((a1, b1)) > key((a2, b2))) == (x > y)
-    assert _floor_ratio(alpha, (a1, b1), (a2, b2)) == (x / y).floor()
+    assert (a1 * q + b1 * p > a2 * q + b2 * p) == (x > y)
+    if y < 0:
+        x, y, a1, b1, a2, b2 = -x, -y, -a1, -b1, -a2, -b2
+    n = (x / y).floor()
+    p, q = _convergent_past(alpha, abs(b1) + (abs(n) + 1) * abs(b2))
+    g, s = a1 * q + b1 * p, a2 * q + b2 * p
+    assert g // s == n
+    assert (g == s) == (x == y)
+
+
+@pytest.mark.parametrize(
+    "cf, m, convergent, shortcut, exponent",
+    [
+        (ContinuedFraction([0], [1]), 42, (55, 89), 22, 23),
+        (ContinuedFraction([0, 5], [7]), 12, (7, 36), 3, 2),
+    ],
+    ids=["golden-m42", "0-5-(7)-m12"],
+)
+def test_exponent_refines_a_convergent_the_corollary_does_not_cover(
+    cf, m, convergent, shortcut, exponent
+):
+    """At k = 1, G // S + (G != S) on the convergent past 2m undershoots
+    the golden slope's A_1(42) and overshoots A_1(12) of [0; 5, (7)]; that
+    convergent is not past (n + 2)*m, so max_kab_exponent refines it."""
+    alpha = cf.value()
+    p, q = _convergent_past(alpha, 2 * m)
+    g, s = max(_rank_gaps(_coarse_indices(1, m), p, q)), _dist_rank(m, p, q)
+    assert (p, q) == convergent
+    assert g // s + (g != s) == shortcut != exponent
+    assert q <= (exponent + 2) * m
+    got = max_kab_exponent(alpha, 1, m)
+    assert got.exponent == exponent
+    assert _spelled(got) == _spelled(_reference_exponent(alpha, 1, m))
 
 
 def test_nearest_integer_needs_a_convergent_past_twice_the_period():
-    """||4*alpha|| of the golden slope is 0.472...: its convergent 5/8 is
-    past m = 4 but not past 2m, and picks the wrong side of 1/2."""
+    """||4*alpha|| of the golden slope is {4*alpha} = 0.472...: its
+    convergent 5/8 is past m = 4 but not past 2m, and there the ranks of
+    {4*alpha} and 1 - {4*alpha} tie; past 2m they tell the two apart."""
     golden = ContinuedFraction([0], [1]).value()
     want = _spelled(dist_to_int(4 * golden))
     assert _convergent_past(golden, 5) == (5, 8)
-    assert _spelled(_value(golden, *_dist_to_int_pair(4, 5, 8))) != want
-    assert _spelled(_value(golden, *_dist_to_int_pair(4, *_convergent_past(golden, 8)))) == want
+    assert 4 * 5 % 8 == 8 - 4 * 5 % 8 == _dist_rank(4, 5, 8)
+    p, q = _convergent_past(golden, 8)
+    assert _dist_rank(4, p, q) == 4 * p % q < q - 4 * p % q
+    assert _spelled(max_kab_exponent(golden, 1, 4, with_witness=False).step) == want
 
 
 def _reference_purely_periodic(cycle):

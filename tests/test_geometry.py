@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
+    _coarse_indices,
     ikm_intervals,
     level_intervals,
 )
@@ -80,10 +81,14 @@ def test_rotating_all_cuts_preserves_lengths():
 
 
 def test_coarse_family_sizes():
+    """And the coarse cut indices come ascending and each once: 0..j and
+    the same run shifted by m - j, for j = min(m, k-1)."""
     for k in range(1, 6):
         for m in range(1, 13):
             fam = ikm_intervals(FIB_SLOPE, k, m)
             assert len(fam) == min(2 * k, m + 1)
+            j = min(m, k - 1)
+            assert list(_coarse_indices(k, m)) == sorted({*range(j + 1), *range(m - j, m + 1)})
 
 
 def test_coarse_cuts_are_a_subfamily_of_the_fine_cuts():
