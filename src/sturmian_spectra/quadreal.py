@@ -394,10 +394,6 @@ class QuadReal:
             "decimal": self.decimal(40),
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuadReal":
-        return cls(int(obj["p"]), int(obj["q"]), int(obj["d"]), int(obj["r"]))
-
 
 def _coerce(x) -> QuadReal | None:
     if isinstance(x, QuadReal):

@@ -20,9 +20,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .cf import ContinuedFraction, _folds, _moebius
+from .cf import ContinuedFraction, _folds
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
@@ -35,8 +35,7 @@ from .geometry import (
 )
 from .kabelian import _signature_key
 from .quadreal import QuadReal
-from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, SturmianSpec
-from .words import _crossing_walk, sturmian_prefix
+from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, _code_pair, _crossing_walk
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -136,8 +135,11 @@ def max_kab_exponent(
     if with_witness and exponent * m <= _oracle_cap(None):
         # sign = 1 when x + i*m*alpha runs downward: x = cut + (longest + sign*(n-1)*step)/2
         a, b = (2 * u + v + sign * (exponent - 1) * w for u, v, w in zip((c, -j), longest, step))
-        x = _value(alpha, a, b, 2).frac()
-        word = sturmian_prefix(SturmianSpec(alpha.frac(), x, convention), exponent * m)
+        # x = (a + b*alpha)/2 needs no reduction mod 1: it lies in [cut, cut +
+        # longest), inside [0, 1), as (n-1)*step < longest once n > 1 (longest =
+        # N*step would have B-part N*m, N >= 2, and coarse lengths have |B| <= m)
+        x = _value(alpha, a, b, 2)
+        word = _code_pair(alpha, a, b, 2, exponent * m, convention.zero_in_I0)
     return ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step), x, word)
 
 
@@ -489,58 +491,51 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
         raise ValueError("target must be a positive rational")
     if stages < 1:
         raise ValueError("need at least one stage")
-    digits = getattr(sys, "get_int_max_str_digits", int)() or _DEFAULT_STR_DIGITS
+    digits = _str_digit_limit()
     too_big = 10**digits // max(lam.numerator, lam.denominator)
-    quotients: list[int] = []  # position i holds a_{i+1}; padding value is 1
+    quotients = [1, 1]  # position i holds a_{i+1}; padding value is 1
+    qs = [1, 1]  # position i holds q_i; stages plant a_{k+1} for k >= 2 only
     stage_records: list[LinftyStage] = []
-    prev_k = 1
     for t in range(1, stages + 1):
         bound = Fraction(1, 2**t)
-        k = prev_k + 1
         while True:
-            while len(quotients) < k + 1:
-                quotients.append(1)
-            q = _denominator(quotients, k)
+            k = len(qs)  # the candidates run on from the last stage's index
+            q = quotients[k - 1] * qs[k - 1] + qs[k - 2]
+            qs.append(q)
+            quotients.append(1)
             if q >= too_big:
-                raise ResourceCapExceeded(
-                    digits + 1,
-                    digits,
-                    f"linfty stage {t} needs integers of more than {digits} "
-                    "digits, the interpreter's int-to-str limit",
-                )
+                raise _digit_cap(digits, f"linfty stage {t}")
             v_num = (lam.numerator * q) // lam.denominator  # floor(lam * q)
-            err = lam - Fraction(v_num, q)
             a_next = max(1, v_num - 2)
             ratio = Fraction(a_next + 2, q)
-            if err < bound and abs(lam - ratio) < bound:
+            if lam - Fraction(v_num, q) < bound and abs(lam - ratio) < bound:
                 quotients[k] = a_next  # position k holds a_{k+1}
+                r, s = divmod(v_num, q)
                 stage_records.append(
-                    LinftyStage(
-                        t, k, q, v_num // q, v_num % q, a_next, ratio, abs(lam - ratio), bound
-                    )
+                    LinftyStage(t, k, q, r, s, a_next, ratio, abs(lam - ratio), bound)
                 )
-                prev_k = k
                 break
-            k += 1
     picked = {rec.k for rec in stage_records}
-    padding_ok = True
-    threshold_seen = False
-    for i in range(1, prev_k + 1):
-        if i in picked:
-            continue
-        # position i holds a_{i+1}, so its window ratio is (a_{i+1} + 2) / q_i
-        pad_ratio = Fraction(quotients[i] + 2, _denominator(quotients, i))
-        if pad_ratio <= lam:
-            threshold_seen = True
-        elif threshold_seen:
-            padding_ok = False
-    prefix = ContinuedFraction([0] + quotients[: prev_k + 1])
-    return LinftyReport(
-        lam, tuple(stage_records), tuple(quotients[: prev_k + 1]), prefix, padding_ok
+    # position i holds a_{i+1}, so its window ratio is (a_{i+1} + 2) / q_i; once
+    # one unpicked ratio is <= lam, every later one must be too
+    unpicked = (i for i in range(1, len(qs)) if i not in picked)
+    below = [Fraction(quotients[i] + 2, qs[i]) <= lam for i in unpicked]
+    padding_ok = all(itertools.dropwhile(lambda seen: not seen, below))
+    prefix = ContinuedFraction([0] + quotients)
+    return LinftyReport(lam, tuple(stage_records), tuple(quotients), prefix, padding_ok)
+
+
+def _str_digit_limit() -> int:
+    """The interpreter's int-to-str digit limit, CPython's default when none is set."""
+    return getattr(sys, "get_int_max_str_digits", int)() or _DEFAULT_STR_DIGITS
+
+
+def _digit_cap(digits: int, what: str) -> ResourceCapExceeded:
+    """The refusal of output whose integers would pass the digit limit."""
+    return ResourceCapExceeded(
+        digits + 1,
+        digits,
+        f"{what} needs integers of more than {digits} digits, "
+        "the interpreter's int-to-str limit",
     )
 
-
-def _denominator(quotients: Sequence[int], upto: int) -> int:
-    """q_upto for the expansion [0; quotients[0], quotients[1], ...]: the
-    numerator of [quotients[0]; ..., quotients[upto - 1]]."""
-    return _moebius(quotients[:upto])[0]

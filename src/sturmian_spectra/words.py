@@ -15,7 +15,9 @@ only when D*q divides K + i*D*p.  So with r_i = (K + i*D*p) mod D*q, the
 point {x + i*alpha} lies in [1-alpha, 1) exactly when r_i >= D*(q - p),
 which is letter i = 1 under the left-closed convention, and in
 (1-alpha, 1], with 0 taken as 1, exactly when r_i > D*(q - p) or r_i = 0,
-which is letter i = 1 under the right-closed one.
+which is letter i = 1 under the right-closed one.  _code_pair is the only
+coder: prefixes, language first words and exponent witnesses all call it
+on their integer pair.
 
 Factors of length n need nothing more: the level-n family, cut at
 {-j*alpha} for 0 <= j <= n, has one interval per length-n factor, and
@@ -88,12 +90,14 @@ class SturmianSpec:
         object.__setattr__(self, "intercept", self.intercept.frac())
 
 
-def _code_letters(k: int, step: int, mod: int, n: int, zero_in_i0: bool) -> str:
-    """n letters of the rational rotation r -> r + step on Z/mod, from r = k:
-    letter i is 1 when r_i >= mod - step, or under the right-closed
-    convention when r_i > mod - step or r_i == 0 (see the module docstring)."""
-    cut = mod - step
-    r = k % mod
+def _code_pair(alpha: QuadReal, a: int, b: int, d: int, n: int, zero_in_i0: bool) -> str:
+    """The first n letters from the intercept (a + b*alpha)/d, d > 0, read
+    off the rotation r -> r + d*(p mod q) on Z/(d*q) from r = a*q + b*p for
+    the first convergent p/q past |b| + d*n (see the module docstring);
+    p mod q makes a slope outside (0, 1) the rotation by its fractional part."""
+    p, q = _convergent_past(alpha, abs(b) + d * n)
+    step, mod = d * (p % q), d * q
+    cut, r = mod - step, (a * q + b * p) % mod
     letters = bytearray(b"0" * n)
     for i in range(n):
         if (r >= cut) if zero_in_i0 else (r > cut or r == 0):
@@ -111,8 +115,7 @@ def sturmian_prefix(spec: SturmianSpec, n: int) -> str:
     a, b, d = x.p * alpha.q - x.q * alpha.p, x.q * alpha.r, x.r * alpha.q
     if d < 0:
         a, b, d = -a, -b, -d
-    p, q = _convergent_past(alpha, abs(b) + d * n)
-    return _code_letters(a * q + b * p, d * p, d * q, n, spec.convention.zero_in_I0)
+    return _code_pair(alpha, a, b, d, n, spec.convention.zero_in_I0)
 
 
 @lru_cache(maxsize=8)
@@ -122,8 +125,7 @@ def _crossings(alpha: QuadReal, n: int) -> tuple[str, list[int]]:
     geometry.  The endpoint convention changes neither, so it is no key."""
     p, q = _convergent_past(alpha, n)
     order = sorted(range(n + 1), key=lambda j: -j * p % q)
-    # p mod q, since a slope outside (0, 1) is the rotation by its fractional part
-    return _code_letters(0, p % q, q, n, True), order
+    return _code_pair(alpha, 0, 0, 1, n, True), order
 
 
 def _crossing_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, bytearray]]:

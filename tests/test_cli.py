@@ -274,6 +274,40 @@ def test_linfty_past_the_digit_limit_is_a_resource_cap(capsys, stages):
     assert payload["cap"] == 4300
 
 
+@pytest.mark.parametrize("t_max", ["21000", "1000000000"])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_cf_past_the_digit_limit_is_a_resource_cap(capsys, fmt, t_max):
+    """q_21000 of the golden slope has about 4390 digits: the table is
+    refused before anything is printed, not cut off as a usage error, and
+    before a far longer table is folded out."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever the environment set
+    try:
+        code, out, err = _run(capsys, "cf", "[0; (1)]", "--t-max", t_max, "--format", fmt)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "resource_cap"
+    assert payload["cap"] == 4300
+
+
+def test_cf_digit_limit_is_sharp(capsys):
+    """Under the least digit limit, 640, q_3063 of the golden slope has 640
+    digits and prints; q_3064 has 641 and is refused."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        last = _run(capsys, "cf", "[0; (1)]", "--t-max", "3063", "--format", "csv")
+        past = _run(capsys, "cf", "[0; (1)]", "--t-max", "3064", "--format", "csv")
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert last[0] == EXIT_OK and len(last[1].splitlines()) == 3065
+    assert past[0] == EXIT_RESOURCE and past[1] == ""
+    assert json.loads(past[2])["error"]["cap"] == 640
+
+
 def test_linfty_many_stages_stop_quickly():
     cmd = [sys.executable, "-m", "sturmian_spectra", "linfty", "7/3",
            "--stages", "30"]

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import level_intervals
@@ -300,6 +302,22 @@ def test_linfty_stage_errors_shrink_geometrically():
             assert stage.ratio == Fraction(stage.a_next + 2, stage.q)
         ks = [s.k for s in rep.stages]
         assert ks == sorted(ks) and len(set(ks)) == len(ks)
+
+
+@given(
+    st.fractions(min_value=Fraction(1, 30), max_value=Fraction(50), max_denominator=30),
+    st.integers(1, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_linfty_stage_denominators_are_the_prefix_convergents(target, stages):
+    """q_k is the denominator of the prefix's convergent [0; a_1, ..., a_k],
+    read off its value: a planted a_{k+1} = 1 closing the prefix merges into
+    a_k when the expansion is canonicalised, so the prefix's own index k can
+    be missing."""
+    rep = construct_linfty_slope(target, stages)
+    for stage in rep.stages:
+        convergent = ContinuedFraction([0, *rep.quotients[: stage.k]]).value()
+        assert convergent.q == 0 and convergent.r == stage.q
 
 
 def test_linfty_rejects_bad_targets():
