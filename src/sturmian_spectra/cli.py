@@ -31,7 +31,7 @@ from .spectra import (
     sample_spectrum,
     theta_k,
 )
-from .spectra import _digit_cap, _str_digit_limit
+from .spectra import _digit_cap, _digit_limit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -163,11 +163,11 @@ def _cmd_cf(args: argparse.Namespace) -> int:
     t_max = args.t_max
     if cf.is_rational:  # a finite expansion just ends early
         t_max = min(t_max, len(cf.preperiod) - 1)
-    digits = _str_digit_limit()
+    digits, whose = _digit_limit()
     limit, convs = 10**digits, []
     for t, (p, _, q, _) in enumerate(_folds(map(cf.partial_quotient, range(t_max + 1)))):
         if max(q, abs(p)) >= limit:  # refused before printing or folding any further
-            raise _digit_cap(digits, f"the convergent table to t = {t_max}")
+            raise _digit_cap(digits, whose, f"the convergent table to t = {t_max}")
         convs.append(Convergent(t, p, q))
     lam = None if cf.is_rational else cf.lagrange_constant()
     if args.output == "json":

@@ -28,6 +28,9 @@ rank c_j*q - j*p = -j*p mod q, so sorting on ranks orders the cuts
 exactly, with {0} first.  The length from cut a to the next cut b is the
 pair (c_b - c_a) + (a - b)*alpha, the last one wrapping to 1 = 1 + 0*alpha,
 and its rank is the gap between the two cut ranks (q closes the circle).
+A family keeps these integer pairs, one Interval per cut: each QuadReal
+start or length is built the first time it is read, and then kept, so
+building a family (and so a factor language) makes no QuadReal at all.
 
 Two such lengths differ by a pair with |B| <= 2n.  So does the choice of
 ||m*alpha|| between {m*alpha} = -floor(m*p/q) + m*alpha and 1 - {m*alpha},
@@ -49,7 +52,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .quadreal import QuadReal
 
@@ -80,14 +83,67 @@ LEFT_CLOSED = EndpointConvention(zero_in_I0=True)
 RIGHT_CLOSED = EndpointConvention(zero_in_I0=False)
 
 
-class Interval(NamedTuple):
-    start: QuadReal
-    length: QuadReal
+class Interval:
+    """An arc of the circle: its start and its length, exact values.
+
+    Interval(start, length) takes the two values.  A family's intervals
+    instead keep the integer pairs of _orbit_cuts, the cut (c, j) standing
+    for c - j*alpha and the length (A, B) for A + B*alpha: each QuadReal is
+    built by _value the first time it is read, and then kept.  Intervals
+    unpack as (start, length), and compare and hash by value.
+    """
+
+    __slots__ = ("_alpha", "_start", "_length")
+
+    def __init__(self, start: QuadReal, length: QuadReal):
+        self._alpha, self._start, self._length = None, start, length
+
+    @classmethod
+    def _of_pairs(
+        cls, alpha: QuadReal, cuts: Sequence[tuple[int, int]], lengths: Sequence[tuple[int, int]]
+    ) -> tuple[Interval, ...]:
+        """The intervals from each cut (c, j) with its length (A, B) over
+        alpha, as _orbit_cuts returns them; no value is built yet."""
+        new, out = object.__new__, []
+        for cut, gap in zip(cuts, lengths):
+            iv = new(cls)
+            iv._alpha, iv._start, iv._length = alpha, cut, gap
+            out.append(iv)
+        return tuple(out)
+
+    @property
+    def start(self) -> QuadReal:
+        start = self._start
+        if type(start) is tuple:  # the cut (c, j), unread so far
+            c, j = start
+            start = self._start = _value(self._alpha, c, -j)
+        return start
+
+    @property
+    def length(self) -> QuadReal:
+        length = self._length
+        if type(length) is tuple:  # the pair (A, B), unread so far
+            length = self._length = _value(self._alpha, *length)
+        return length
 
     @property
     def end(self) -> QuadReal:
         """Endpoint start + length; may exceed 1 for the wrapping interval."""
         return self.start + self.length
+
+    def __iter__(self):
+        return iter((self.start, self.length))
+
+    def __eq__(self, other):
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return self.start == other.start and self.length == other.length
+
+    def __hash__(self):
+        return hash((self.start, self.length))
+
+    def __repr__(self):
+        return f"Interval(start={self.start!r}, length={self.length!r})"
 
     def to_json(self) -> dict:
         return {"start": self.start.to_json(), "length": self.length.to_json()}
@@ -193,15 +249,10 @@ def _orbit_cuts(
 
 def _orbit_family(alpha: QuadReal, indices: Iterable[int], n: int) -> IntervalFamily:
     """The circle cut at {-j*alpha} for the distinct j in `indices`, which
-    lie in 0..n and include 0: _orbit_cuts, with one constructor call for
-    each cut and each length."""
+    lie in 0..n and include 0: the pairs of _orbit_cuts, whose values are
+    built on read."""
     cuts, lengths = _orbit_cuts(indices, *_convergent_past(alpha, n))
-    return IntervalFamily(
-        tuple(
-            Interval(_value(alpha, c, -j), _value(alpha, a, b))
-            for (c, j), (a, b) in zip(cuts, lengths)
-        )
-    )
+    return IntervalFamily(Interval._of_pairs(alpha, cuts, lengths))
 
 
 def level_intervals(alpha: QuadReal, n: int) -> IntervalFamily:

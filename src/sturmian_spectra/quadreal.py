@@ -270,16 +270,15 @@ class QuadReal:
 
     def __hash__(self):
         # Every spelling of a value shares its rational part p/r and the
-        # square q*q*d/r*r of its irrational part, with the sign of q.
+        # square q*q*d/r*r of its irrational part, with the sign of q; as
+        # r > 0, a gcd brings each to one spelling, with no Fraction built
+        # (every lru_cache lookup keyed on a slope hashes it).  A rational
+        # value hashes like the Fraction it equals.
         if self.q == 0:
             return hash(Fraction(self.p, self.r))
-        return hash(
-            (
-                Fraction(self.p, self.r),
-                Fraction(self.q * self.q * self.d, self.r * self.r),
-                self.q > 0,
-            )
-        )
+        g, s, rr = gcd(self.p, self.r), self.q * self.q * self.d, self.r * self.r
+        h = gcd(s, rr)
+        return hash((self.p // g, self.r // g, s // h, rr // h, self.q > 0))
 
     def __lt__(self, other):
         return self.compare(other) < 0

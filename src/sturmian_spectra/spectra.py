@@ -58,7 +58,10 @@ __all__ = [
 ]
 
 ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
-_DEFAULT_STR_DIGITS = 4300  # CPython's default int-to-str digit limit
+# digits of one reported integer where the interpreter sets no int-to-str
+# limit: linfty's stages grow doubly exponentially and cf holds its table
+# whole, so a bound is needed all the same
+DIGIT_BUDGET = 4300
 LIMSUP_WINDOW = 5  # trailing convergent indices theta_limsup_estimate maxes over
 
 
@@ -482,16 +485,16 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
     clamped quotient can push the ratio outside the window at small q.
 
     Denominators grow doubly exponentially, so a stage that could report an
-    integer past the int-to-str digit limit (each is at most q times the
-    target's larger term; CPython's default limit when none is set) raises
-    ResourceCapExceeded before the next, far larger, stage is computed.
+    integer past the digit limit (each is at most q times the target's
+    larger term; see _digit_limit) raises ResourceCapExceeded before the
+    next, far larger, stage is computed.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("target must be a positive rational")
     if stages < 1:
         raise ValueError("need at least one stage")
-    digits = _str_digit_limit()
+    digits, whose = _digit_limit()
     too_big = 10**digits // max(lam.numerator, lam.denominator)
     quotients = [1, 1]  # position i holds a_{i+1}; padding value is 1
     qs = [1, 1]  # position i holds q_i; stages plant a_{k+1} for k >= 2 only
@@ -504,7 +507,7 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
             qs.append(q)
             quotients.append(1)
             if q >= too_big:
-                raise _digit_cap(digits, f"linfty stage {t}")
+                raise _digit_cap(digits, whose, f"linfty stage {t}")
             v_num = (lam.numerator * q) // lam.denominator  # floor(lam * q)
             a_next = max(1, v_num - 2)
             ratio = Fraction(a_next + 2, q)
@@ -525,17 +528,19 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
     return LinftyReport(lam, tuple(stage_records), tuple(quotients), prefix, padding_ok)
 
 
-def _str_digit_limit() -> int:
-    """The interpreter's int-to-str digit limit, CPython's default when none is set."""
-    return getattr(sys, "get_int_max_str_digits", int)() or _DEFAULT_STR_DIGITS
+def _digit_limit() -> tuple[int, str]:
+    """The most digits a reported integer may have, and whose limit that is:
+    the interpreter's int-to-str limit, or DIGIT_BUDGET where it sets none
+    (a limit of 0, or an interpreter without one)."""
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits:
+        return digits, "the interpreter's int-to-str limit"
+    return DIGIT_BUDGET, "the package's digit budget"
 
 
-def _digit_cap(digits: int, what: str) -> ResourceCapExceeded:
-    """The refusal of output whose integers would pass the digit limit."""
+def _digit_cap(digits: int, whose: str, what: str) -> ResourceCapExceeded:
+    """The refusal of output whose integers would pass _digit_limit()."""
     return ResourceCapExceeded(
-        digits + 1,
-        digits,
-        f"{what} needs integers of more than {digits} digits, "
-        "the interpreter's int-to-str limit",
+        digits + 1, digits, f"{what} needs integers of more than {digits} digits, {whose}"
     )
 

@@ -15,6 +15,7 @@ from sturmian_spectra.cli import (
     EXIT_USAGE,
     main,
 )
+from sturmian_spectra.spectra import DIGIT_BUDGET
 
 FIB = "[0; 2, (1)]"
 
@@ -306,6 +307,27 @@ def test_cf_digit_limit_is_sharp(capsys):
     assert last[0] == EXIT_OK and len(last[1].splitlines()) == 3065
     assert past[0] == EXIT_RESOURCE and past[1] == ""
     assert json.loads(past[2])["error"]["cap"] == 640
+
+
+@pytest.mark.parametrize(
+    "argv", [("cf", "[0; (1)]", "--t-max", "21000", "--format", "csv"),
+             ("linfty", "7/3", "--stages", "15")])
+def test_no_interpreter_digit_limit_falls_back_to_the_package_budget(capsys, argv):
+    """An interpreter limit of 0 means none: the package's own DIGIT_BUDGET
+    bounds the output instead, and the refusal names that budget."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out, err = _run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert code == EXIT_RESOURCE
+    assert out == ""
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "resource_cap"
+    assert payload["cap"] == DIGIT_BUDGET
+    assert "the package's digit budget" in payload["message"]
+    assert "interpreter" not in payload["message"]
 
 
 def test_linfty_many_stages_stop_quickly():

@@ -27,6 +27,8 @@ from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
+    Interval,
+    IntervalFamily,
     _coarse_indices,
     _convergent_past,
     _dist_rank,
@@ -59,6 +61,7 @@ from sturmian_spectra.words import (
     SturmianSpec,
     _crossings,
     _factor_words,
+    _factors_of_length,
     factors_of_length,
     sturmian_prefix,
 )
@@ -184,6 +187,28 @@ def test_ranked_factors_match_the_prefix_coder(alpha, n):
     if n <= 60:  # the locate reference takes n*(n+1) QuadReal steps
         for word, iv in factors:
             assert word == _located_coding(alpha, midpoint(iv), n)
+
+
+@given(preperiodic_slopes, st.integers(1, 80), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_interval_values_built_on_read_match_the_sorted_family(alpha, n, rnd):
+    """A fresh language's intervals, their values built one read at a time
+    in a shuffled order (start or length first), are the generically sorted
+    level family, spelled alike; and each equals, and hashes like, the
+    interval constructed from its two values."""
+    fresh = [iv for _, iv in _factors_of_length.__wrapped__(alpha, n)]
+    for i in rnd.sample(range(n + 1), n + 1):
+        first, second = rnd.sample(("start", "length"), 2)
+        getattr(fresh[i], first)
+        getattr(fresh[i], second)
+    got, want = IntervalFamily(tuple(fresh)), _level_reference(alpha, n)
+    assert got == want
+    assert _spelling(got) == _spelling(want)
+    unread = [iv for _, iv in _factors_of_length.__wrapped__(alpha, n)]
+    for iv, other in zip(fresh, unread):
+        by_value = Interval(iv.start, iv.length)
+        assert by_value == iv and hash(by_value) == hash(iv)
+        assert hash(other) == hash(by_value) and other == by_value
 
 
 @given(preperiodic_slopes, st.integers(1, 5), st.integers(1, 80))

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmian_spectra.cf import ContinuedFraction
-from sturmian_spectra.geometry import LEFT_CLOSED, RIGHT_CLOSED, level_intervals
+from sturmian_spectra.geometry import (
+    LEFT_CLOSED,
+    RIGHT_CLOSED,
+    ikm_intervals,
+    level_intervals,
+)
 from sturmian_spectra.kabelian import classify_by_intervals
 from sturmian_spectra.quadreal import MixedRadicandError, QuadReal
 from sturmian_spectra.spectra import ResourceCapExceeded
@@ -117,6 +122,30 @@ def test_factor_cache_ignores_the_convention_spelling():
     assert factors_of_length(alpha, 301, RIGHT_CLOSED) is first
     after = factors_of_length.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
+def test_interval_values_are_built_only_when_read(monkeypatch):
+    """A language and its families make no QuadReal: an interval builds its
+    start and its length the first time each is read, and keeps them."""
+    alpha = ContinuedFraction([0, 5], [3, 8]).value()
+    made = []
+    init = QuadReal.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(QuadReal, "__init__", counting_init)
+    factors = factors_of_length(alpha, 257)
+    level_intervals(alpha, 258)
+    ikm_intervals(alpha, 4, 257)
+    assert made == []
+    iv = factors[100][1]
+    start, length = iv.start, iv.length
+    assert len(made) == 2
+    again = tuple(iv)  # unpacking reads both values once more
+    assert again[0] is start and again[1] is length
+    assert len(made) == 2
 
 
 def test_exactly_one_right_special_factor_per_length():
