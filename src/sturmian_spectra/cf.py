@@ -184,13 +184,19 @@ class ContinuedFraction:
         x_j - x'_j = sqrt(disc) / c.  disc = (a - d)^2 + 4bc is
         trace^2 - 4*det and so the same for every rotation: the limsup is
         sqrt(disc) over the least c among the rotations, with no
-        comparison of irrationals.
+        comparison of irrationals.  The fold of the next rotation is the
+        fold conjugated by the first quotient x's matrix ((x, 1), (1, 0)),
+        so the rotations cost O(L) steps in all, not O(L^2).
         """
         if self.is_rational:
             raise ValueError("Lagrange constant needs an irrational value")
         cycle = self.period
         _, disc, _ = _purely_periodic_value(cycle)
-        least = min(_moebius(cycle[j:] + cycle[:j])[2] for j in range(len(cycle)))
+        a, b, c, d = _moebius(cycle)
+        least = c
+        for x in cycle[:-1]:
+            a, b, c, d = x * c + d, c, x * (a - x * c) + b - x * d, a - x * c
+            least = min(least, c)
         return QuadReal(0, 1, disc, least)
 
     # -- equivalence -------------------------------------------------------

@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from operator import sub
 from typing import Iterable, Iterator
 
 from .cf import ContinuedFraction, _folds
@@ -89,11 +89,27 @@ class ExponentRecord:
     witness: str | None = None
 
 
-def _kab_exponent(k: int, m: int, p: int, q: int) -> int:
-    """A_k(m) = G // S + (G != S) on ranks (the floor corollary in the
-    geometry module docstring), for a convergent p/q past (G // S + 2)*m."""
-    g, s = max(_rank_gaps(_checked_coarse_indices(k, m), p, q)), _dist_rank(m, p, q)
-    return _covered_floor(g, s, m, m, q) + (g != s)
+def _kab_exponents(k: int, periods: Iterable[int], p: int, q: int) -> list[int]:
+    """A_k(m) = G // S + (G != S) on ranks for each m in `periods` (the floor
+    corollary in the geometry module docstring), for a convergent p/q past
+    (G // S + 2)*m at every m, which each floor checks.  The head cuts j < k
+    are ranked once: for m >= 2k the tail cuts m-k+1..m are the head shifted
+    by -(m-k+1)*p mod q, and for m < 2k the coarse family is all m+1 cuts."""
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    head = [-j * p % q for j in range(k)]
+    out = []
+    for m in periods:
+        if m < 2 * k:
+            ranks = sorted([-j * p % q for j in _checked_coarse_indices(k, m)])
+        else:
+            shift = -(m - k + 1) * p % q
+            ranks = sorted(head + [(h + shift) % q for h in head])
+        ranks.append(q)  # q closes the circle
+        g = max(map(sub, ranks[1:], ranks))
+        s = _dist_rank(m, p, q)
+        out.append(_covered_floor(g, s, m, m, q) + (g != s))
+    return out
 
 
 def _covered_floor(g: int, s: int, m: int, b: int, q: int) -> int:
@@ -293,11 +309,20 @@ def exponent_bound_check(
     For k = 1 the stronger A(m) < A(q_t) for m < q_t is recorded as well,
     informationally (it does not affect `ok`).
 
-    All is decided on ranks over one convergent.  For T = max(t_range) each
-    period m taken is at most q_{T+1}, so ||m*alpha|| >= ||q_{T+1}*alpha|| >
+    All is decided on ranks over one convergent, and one call of the rank
+    kernel _kab_exponents decides every period any checked t visits: m below
+    the largest q_{t+1}, and each q_t.  For T = max(t_range) each period m
+    taken is at most q_{T+1}, so ||m*alpha|| >= ||q_{T+1}*alpha|| >
     1/(2*q_{T+2}) and a floor of a length <= 1 by it is below 2*q_{T+2}: a
-    convergent past 2*q_{T+2}*(q_{T+1} + 1) + 4k meets the lemma and the
-    floor corollary of the geometry module docstring throughout.
+    convergent past 2*q_{T+2}*(q_{T+1} + 1) meets the lemma and the floor
+    corollary of the geometry module docstring for every coarse length,
+    whose |B| is at most m.  Level lengths have |B| <= 2k-2 and need no
+    term in k.  When q_t <= 2k-2, cuts 0 and q_t are both level cuts, so
+    the rank gap between them, _dist_rank(q_t), is at least the shortest
+    rank gap on any convergent, and t is rightly left unchecked.  So a
+    checked t has 2k-2 < q_t <= q_{T+2}, and every pair compared with a
+    level length has |B| <= q_{T+1} + 2k-2 < q_{T+1} + q_{T+2}, which the
+    convergent is past.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -308,32 +333,37 @@ def exponent_bound_check(
     if not ts or min(ts) < 0:
         raise ValueError("t_range must be nonempty with t >= 0")
     convs = cf.convergents(max(ts) + 2)
-    p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-2].q + 1) + 4 * k)
+    p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-2].q + 1))
     level = _rank_gaps(range(2 * k - 1), p, q)
     shortest, longest = min(level), max(level)
-    report = BoundReport(k, [], [], [], [], [])
-    exponent = cache(lambda m: _kab_exponent(k, m, p, q))
-
-    for t in ts:
+    checked = [t for t in ts if _dist_rank(convs[t].q, p, q) < shortest]
+    report = BoundReport(k, checked, [], [], [], [])
+    if not checked:
+        return report
+    last = checked[-1]
+    reach = convs[last + 1].q  # the periods m < reach, and each q_t <= reach
+    # q_0 = q_1 = 1 when a_1 = 1, so q_t can be reach itself
+    exponents = _kab_exponents(k, range(1, max(reach, convs[last].q + 1)), p, q)
+    for m in range(1, reach):  # A(m) is exponents[m - 1]
+        s = _dist_rank(m, p, q)
+        if s < shortest:
+            diff = exponents[m - 1] - _covered_floor(longest, s, m, 2 * k - 2, q)
+            if not -1 <= diff <= 2:
+                report.approx_window_violations.append(m)
+    for t in checked:
         q_t = convs[t].q
-        if _dist_rank(q_t, p, q) >= shortest:
-            continue
-        report.t_checked.append(t)
-        a_qt = exponent(q_t)
+        a_qt = exponents[q_t - 1]
         bound = a_qt + 2
-        for m in range(1, convs[t + 1].q):
-            a_m = exponent(m)
+        below = exponents[: convs[t + 1].q - 1]  # A(m) for 1 <= m < q_{t+1}
+        for m, a_m in enumerate(below, 1):
             if a_m > bound:
                 report.convergent_slack_violations.append((t, m))
             elif a_m == bound:
                 report.improved_slack_exceedances.append((t, m))
-            s = _dist_rank(m, p, q)
-            if s < shortest:
-                diff = a_m - _covered_floor(longest, s, m, 2 * k - 2, q)
-                if not -1 <= diff <= 2 and m not in report.approx_window_violations:
-                    report.approx_window_violations.append(m)
-            if k == 1 and m < q_t and a_m >= a_qt:
-                report.k1_monotone_violations.append((t, m))
+        if k == 1:
+            report.k1_monotone_violations += [
+                (t, m) for m, a_m in enumerate(below[: q_t - 1], 1) if a_m >= a_qt
+            ]
     return report
 
 
@@ -382,7 +412,8 @@ def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEs
     convs = cf.convergents(t_max + 1)
     # the floor at m = q_t is below 1/||q_t*alpha|| < q_t + q_{t+1} <= 2*q_{t_max+1}
     p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-1].q + 1))
-    terms = [(c.t, Fraction(_kab_exponent(k, c.q, p, q), c.q)) for c in convs[1:-1]]
+    exponents = _kab_exponents(k, [c.q for c in convs[1:-1]], p, q)
+    terms = [(c.t, Fraction(a, c.q)) for c, a in zip(convs[1:-1], exponents)]
     window_start = max(1, t_max - LIMSUP_WINDOW + 1)
     estimate = max(v for t, v in terms if t >= window_start)
     slack = Fraction(2, convs[window_start].q)

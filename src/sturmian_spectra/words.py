@@ -15,9 +15,11 @@ only when D*q divides K + i*D*p.  So with r_i = (K + i*D*p) mod D*q, the
 point {x + i*alpha} lies in [1-alpha, 1) exactly when r_i >= D*(q - p),
 which is letter i = 1 under the left-closed convention, and in
 (1-alpha, 1], with 0 taken as 1, exactly when r_i > D*(q - p) or r_i = 0,
-which is letter i = 1 under the right-closed one.  _code_pair is the only
-coder: prefixes, language first words and exponent witnesses all call it
-on their integer pair.
+which is letter i = 1 under the right-closed one.  Both say that the
+rotation wraps past a multiple of D*q on its step from r_i, so _code_pair
+places each letter 1 by one floor division at its wrap and never steps
+letter by letter.  It is the only coder: prefixes, language first words
+and exponent witnesses all call it on their integer pair.
 
 Factors of length n need nothing more: the level-n family, cut at
 {-j*alpha} for 0 <= j <= n, has one interval per length-n factor, and
@@ -94,15 +96,19 @@ def _code_pair(alpha: QuadReal, a: int, b: int, d: int, n: int, zero_in_i0: bool
     """The first n letters from the intercept (a + b*alpha)/d, d > 0, read
     off the rotation r -> r + d*(p mod q) on Z/(d*q) from r = a*q + b*p for
     the first convergent p/q past |b| + d*n (see the module docstring);
-    p mod q makes a slope outside (0, 1) the rotation by its fractional part."""
+    p mod q makes a slope outside (0, 1) the rotation by its fractional part.
+
+    Letter i is 1 exactly when the rotation wraps on its step from
+    r + i*step past a multiple t*mod: one in (r + i*step, r + (i+1)*step]
+    left-closed, in [r + i*step, r + (i+1)*step) right-closed.  So with
+    u = r + 1 left-closed and u = r right-closed, each x = t*mod - u in
+    [0, n*step) is a letter 1 at i = x // step, one floor division each."""
     p, q = _convergent_past(alpha, abs(b) + d * n)
     step, mod = d * (p % q), d * q
-    cut, r = mod - step, (a * q + b * p) % mod
+    u = (a * q + b * p) % mod + zero_in_i0
     letters = bytearray(b"0" * n)
-    for i in range(n):
-        if (r >= cut) if zero_in_i0 else (r > cut or r == 0):
-            letters[i] = 49  # ord("1")
-        r = (r + step) % mod
+    for x in range(-u % mod, n * step, mod):
+        letters[x // step] = 49  # ord("1")
     return letters.decode()
 
 

@@ -10,7 +10,9 @@ expansions with a0 in -3..3 and quotients up to 1000.  The brute
 oracle's incremental block scan is played against a plain rescan of every
 factor, and k-abelian signatures counted on bit masks against a Counter
 over slices, on binary and ternary words and on random slopes' factor
-languages.
+languages.  The one-pass bound report is played against one exponent per
+period, the pair coder against stepping its rotation letter by letter, and
+the Lagrange denominator by conjugation against folding every rotation.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sturmian_spectra import spectra
-from sturmian_spectra.cf import ContinuedFraction
+from sturmian_spectra.cf import ContinuedFraction, _purely_periodic_value
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
@@ -59,6 +61,7 @@ from sturmian_spectra.spectra import (
 )
 from sturmian_spectra.words import (
     SturmianSpec,
+    _code_pair,
     _crossings,
     _factor_words,
     _factors_of_length,
@@ -66,7 +69,14 @@ from sturmian_spectra.words import (
     sturmian_prefix,
 )
 
-from reference import counter_signature, midpoint, sorted_family
+from reference import (
+    bound_check_by_period,
+    code_pair_by_letter,
+    counter_signature,
+    least_rotation_denominator,
+    midpoint,
+    sorted_family,
+)
 
 periodic_slopes = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
     lambda period: ContinuedFraction([0], period).value()
@@ -84,6 +94,7 @@ shifted_cfs = st.builds(
     st.lists(st.integers(1, 30), min_size=1, max_size=8),
 )
 SPIKE = ContinuedFraction([0, 3, 1, 1, 1, 100], [1])
+FIB = ContinuedFraction([0, 2], [1])  # q_t = 1, 2, 3, 5, 8, ..., 55, 89, ...
 AWKWARD = [
     SPIKE.value(),
     QuadReal(2, 1, 7, 5),  # 5 does not divide 7 - 2*2
@@ -462,6 +473,50 @@ def test_bound_report_where_the_first_two_denominators_are_one():
     assert _spelled(got) == _spelled(_reference_bound_check(cf, 1, [0]))
 
 
+@given(shifted_cfs, st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bound_reports_match_the_report_by_period(cf, k, data):
+    """The one-pass report against one exponent per period, field for
+    field, over random t ranges whose q_{t+1} stays at most 2000."""
+    convs = cf.convergents(40)
+    ts = [t for t in range(40) if convs[t + 1].q <= 2000]
+    t_range = data.draw(st.lists(st.sampled_from(ts), min_size=1, max_size=8))
+    got = exponent_bound_check(cf, k, t_range)
+    assert _spelled(got) == _spelled(bound_check_by_period(cf, k, t_range))
+
+
+@pytest.mark.parametrize(
+    "k, t_range", [(27, [0, 1]), (28, [0, 1]), (29, [0, 1]), (60, [0, 1]), (29, range(12))]
+)
+def test_bound_report_needs_no_term_in_k(k, t_range):
+    """The convergent past 2*q_{T+2}*(q_{T+1} + 1) has no term in k: at
+    T = 1 it is q = 55, past 2k-2 and q_1 + 2k-2 for k = 27, past 2k-2
+    alone for k = 28, and at most 2k-2 for k >= 29, where two level cuts
+    share a rank.  No t with q_t <= 2k-2 is checked all the same, and the
+    report is the one made on a convergent past 2k-2 as well."""
+    got = exponent_bound_check(FIB, k, t_range)
+    assert _spelled(got) == _spelled(bound_check_by_period(FIB, k, t_range))
+    assert all(FIB.convergents(t)[-1].q > 2 * k - 2 for t in got.t_checked)
+    if max(t_range) == 1:
+        assert _convergent_past(FIB.value(), 2 * 5 * (3 + 1)) == (21, 55)
+        assert _spelled(got) == _spelled(_reference_bound_check(FIB, k, t_range))
+    else:
+        assert got.t_checked == [9, 10, 11]  # q_8 = 55 <= 56 = 2k-2 < q_9 = 89
+
+
+@pytest.mark.parametrize("what", ["bound report", "limsup"])
+def test_a_too_small_convergent_is_an_invariant_failure(monkeypatch, what):
+    """Each floor of the rank kernel checks its convergent: one a hundred
+    times too small raises AssertionError (exit 4), never a wrong report."""
+    real = spectra._convergent_past
+    monkeypatch.setattr(spectra, "_convergent_past", lambda alpha, n: real(alpha, n // 100))
+    with pytest.raises(AssertionError, match="too small for floor"):
+        if what == "limsup":
+            theta_limsup_estimate(FIB, 2, 8)
+        else:
+            exponent_bound_check(FIB, 2, range(1, 9))
+
+
 @given(shifted_cfs, st.integers(1, 8))
 @settings(max_examples=100, deadline=None)
 def test_theta_matches_the_quadreal_longest_interval(cf, k):
@@ -587,3 +642,32 @@ def test_values_and_lagrange_constants_match_the_quadreal_folds(a0, pre, period)
     assert _spelled(cf.value()) == _spelled(_reference_value(cf))
     if not cf.is_rational:
         assert _spelled(cf.lagrange_constant()) == _spelled(_reference_lagrange(cf))
+
+
+@given(st.lists(quotients, min_size=1, max_size=12), st.lists(quotients, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_lagrange_denominator_by_conjugation_matches_every_rotation(period, pre):
+    """The least c of the fold, each rotation conjugated into the next,
+    is the least c of the rotations each folded afresh."""
+    cf = ContinuedFraction([0, *pre], period)
+    disc = _purely_periodic_value(cf.period)[1]
+    want = QuadReal(0, 1, disc, least_rotation_denominator(cf.period))
+    assert _spelled(cf.lagrange_constant()) == _spelled(want)
+
+
+# intercepts (a + b*alpha)/d in any position, slopes with any integer part
+code_pairs = st.tuples(
+    st.integers(-10**6, 10**6), st.integers(-500, 500), st.integers(1, 60)
+)
+
+
+@given(shifted_cfs, code_pairs, st.integers(0, 400), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_pair_coder_by_wrap_positions_matches_the_letter_loop(cf, pair, n, zero_in_i0):
+    """The coder that places each letter 1 by one floor division against
+    the rotation stepped one letter at a time, for alpha and 1 - alpha."""
+    a, b, d = pair
+    alpha = cf.value()
+    for x in (alpha, 1 - alpha):
+        got = _code_pair(x, a, b, d, n, zero_in_i0)
+        assert got == code_pair_by_letter(x, a, b, d, n, zero_in_i0)
