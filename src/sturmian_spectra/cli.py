@@ -4,9 +4,14 @@ Every command prints deterministic output: no timestamps, no hash seeds,
 no float round-trips.  Numeric results carry the exact component form and
 a 40-digit correctly rounded decimal, in text and JSON alike.
 
-Exit codes: 0 success, 2 usage or parse error, 3 resource cap hit or
-memory exhausted, 4 internal invariant violation (oracle disagreement or a
-failed geometric invariant; should never fire).
+Exit codes: 0 success, 1 stdout closed by its reader before the output
+ended (the rest is dropped, with no message), 2 usage or parse error,
+3 resource cap hit or memory exhausted, 4 internal invariant violation
+(oracle disagreement or a failed geometric invariant; should never fire).
+Every refusal (2, 3 or 4) comes before the first byte of stdout.
+
+`classes` writes its words as the crossing walk reaches them, one at a
+time, so its memory stays O(m) however long the output.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -21,7 +27,7 @@ from typing import Sequence
 
 from .cf import CFSyntaxError, ContinuedFraction, Convergent, _folds
 from .geometry import LEFT_CLOSED, RIGHT_CLOSED, ikm_intervals
-from .kabelian import classify_by_intervals
+from .kabelian import _class_walk
 from .quadreal import QuadReal
 from .spectra import (
     ResourceCapExceeded,
@@ -34,6 +40,7 @@ from .spectra import (
 from .spectra import _digit_cap, _digit_limit
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
@@ -200,40 +207,58 @@ def _interval_doc(fam, index: int) -> dict:
     return {"index": index, **fam.intervals[index].to_json()}
 
 
+def _write_classes(walk, open_class, between: str, close_class) -> None:
+    """Write each word of the class walk as it comes: open_class(i) before
+    the first word of class i, `between` between two words of one class and
+    close_class(i) after its last word, so no word outlives its write."""
+    write = sys.stdout.write
+    i = -1
+    for opens, letters in walk:
+        if opens:
+            if i >= 0:
+                write(close_class(i))
+            i += 1
+            write(open_class(i))
+        else:
+            write(between)
+        write(letters.decode())
+    write(close_class(i))
+
+
 def _cmd_classes(args: argparse.Namespace) -> int:
     cf = ContinuedFraction.parse(args.cf_text)
     alpha = _irrational_value(cf)
-    classes = classify_by_intervals(alpha, args.k, args.m)
+    # every refusal (budget, coarse family) is raised here, before any output
     fam = ikm_intervals(alpha, args.k, args.m)
+    walk = _class_walk(alpha, args.k, args.m)
+    write = sys.stdout.write
     if args.output == "json":
-        doc = {
-            "cf": cf.render(),
-            "k": args.k,
-            "m": args.m,
-            "classes": [
-                {
-                    "words": list(c.members),
-                    "interval": _interval_doc(fam, c.interval_index),
-                }
-                for c in classes
-            ],
-        }
+        # the words are ASCII 0s and 1s, which JSON needs no escape for, so
+        # they are written as they are; json.dumps serialises everything else
+        cf_json = json.dumps(cf.render())
+        write(f'{{"cf": {cf_json}, "k": {args.k}, "m": {args.m}, "classes": [')
+        _write_classes(
+            walk,
+            lambda i: ', {"words": ["' if i else '{"words": ["',
+            '", "',
+            lambda i: f'"], "interval": {json.dumps(_interval_doc(fam, i))}}}',
+        )
+        write("]")
         if args.emit_circle:
-            doc["cuts"] = [cut.to_json() for cut in fam.cuts]
-        print(json.dumps(doc))
+            write(f', "cuts": {json.dumps([cut.to_json() for cut in fam.cuts])}')
+        write("}\n")
     else:
-        print(f"cf: {cf.render()}  k={args.k}  m={args.m}  classes={len(classes)}")
-        for c in classes:
-            iv = fam.intervals[c.interval_index]
-            words = " ".join(c.members)
-            print(
-                f"class {c.interval_index}: {{{words}}}  "
-                f"start={iv.start.decimal(12)} length={iv.length.decimal(12)}"
-            )
+        write(f"cf: {cf.render()}  k={args.k}  m={args.m}  classes={len(fam)}\n")
+
+        def close_class(i: int) -> str:
+            iv = fam.intervals[i]
+            return f"}}  start={iv.start.decimal(12)} length={iv.length.decimal(12)}\n"
+
+        _write_classes(walk, lambda i: f"class {i}: {{", " ", close_class)
         if args.emit_circle:
-            print("cuts:")
+            write("cuts:\n")
             for i, cut in enumerate(fam.cuts):
-                print(f"  {i}: {_show(cut)}")
+                write(f"  {i}: {_show(cut)}\n")
     return EXIT_OK
 
 
@@ -378,7 +403,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         return _error(EXIT_USAGE, "usage_error", str(exc))
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe must show here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left buffered to devnull, so
+        # the flush at shutdown finds no pipe to complain about
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
     except CFSyntaxError as exc:
         return _error(EXIT_USAGE, "parse_error", str(exc))
     except ResourceCapExceeded as exc:

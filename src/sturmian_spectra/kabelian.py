@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices
 from .quadreal import QuadReal, dist_to_int
-from .words import SturmianSpec, _crossings, _factor_words, sigma_factors_of_length
+from .words import SturmianSpec, _factor_words, _language_walk, sigma_factors_of_length
 
 __all__ = [
     "KAbelianSignature",
@@ -174,14 +174,22 @@ def classify_by_intervals(
     one per coarse interval of ikm_intervals(alpha, k, m).  `convention` is
     accepted and changes nothing: no point is coded here.
     """
-    coarse = set(_coarse_indices(k, m))
-    words = _factor_words(alpha, m)  # checks the budget before anything is sorted
     members: list[list[str]] = []
-    for j, word in zip(_crossings(alpha, m)[1], words):
-        if j in coarse:  # a coarse cut opens the next class; j == 0 comes first
+    for opens, letters in _class_walk(alpha, k, m):
+        if opens:
             members.append([])
-        members[-1].append(word)
+        members[-1].append(letters.decode())
     return [FactorClass(k, m, tuple(ws), i) for i, ws in enumerate(members)]
+
+
+def _class_walk(alpha: QuadReal, k: int, m: int) -> Iterator[tuple[bool, bytearray]]:
+    """(opens, letters) for each length-m factor in circle order, off the
+    words module's crossing walk: `letters` is the walk's one buffer, and
+    `opens` says that the factor's cut is a coarse cut, so that it opens the
+    next class (cut 0, which comes first, always does).  The budget and the
+    coarse indices are checked when this is called, before any word."""
+    coarse = set(_coarse_indices(k, m))
+    return ((j in coarse, letters) for j, letters in _language_walk(alpha, m))
 
 
 def prefix_suffix_sufficient(alpha: QuadReal, k: int) -> bool:

@@ -89,16 +89,18 @@ class ExponentRecord:
     witness: str | None = None
 
 
-def _kab_exponents(k: int, periods: Iterable[int], p: int, q: int) -> list[int]:
-    """A_k(m) = G // S + (G != S) on ranks for each m in `periods` (the floor
-    corollary in the geometry module docstring), for a convergent p/q past
-    (G // S + 2)*m at every m, which each floor checks.  The head cuts j < k
-    are ranked once: for m >= 2k the tail cuts m-k+1..m are the head shifted
-    by -(m-k+1)*p mod q, and for m < 2k the coarse family is all m+1 cuts."""
+def _kab_exponents(
+    k: int, periods: Iterable[int], p: int, q: int
+) -> tuple[list[int], list[int]]:
+    """A_k(m) by _kab_exponent for each m in `periods`, and the rank S of
+    ||m*alpha|| it took, for a convergent p/q past (G // S + 2)*m at every m,
+    which each floor checks.  The head cuts j < k are ranked once: for
+    m >= 2k the tail cuts m-k+1..m are the head shifted by -(m-k+1)*p mod q,
+    and for m < 2k the coarse family is all m+1 cuts."""
     if k < 1:
         raise ValueError("order k must be >= 1")
     head = [-j * p % q for j in range(k)]
-    out = []
+    exponents, steps = [], []
     for m in periods:
         if m < 2 * k:
             ranks = sorted([-j * p % q for j in _checked_coarse_indices(k, m)])
@@ -106,10 +108,17 @@ def _kab_exponents(k: int, periods: Iterable[int], p: int, q: int) -> list[int]:
             shift = -(m - k + 1) * p % q
             ranks = sorted(head + [(h + shift) % q for h in head])
         ranks.append(q)  # q closes the circle
-        g = max(map(sub, ranks[1:], ranks))
         s = _dist_rank(m, p, q)
-        out.append(_covered_floor(g, s, m, m, q) + (g != s))
-    return out
+        exponents.append(_kab_exponent(max(map(sub, ranks[1:], ranks)), s, m, q))
+        steps.append(s)
+    return exponents, steps
+
+
+def _kab_exponent(g: int, s: int, m: int, q: int) -> int:
+    """A_k(m) = G // S + (G != S) from the rank G of the longest coarse
+    length and the rank S of ||m*alpha|| (the floor corollary in the
+    geometry module docstring), the floor checked by _covered_floor."""
+    return _covered_floor(g, s, m, m, q) + (g != s)
 
 
 def _covered_floor(g: int, s: int, m: int, b: int, q: int) -> int:
@@ -143,11 +152,13 @@ def max_kab_exponent(
     q, bound = 0, 2 * m
     while q <= bound:  # from past 2m, refine until the floor corollary covers G // S
         p, q = _convergent_past(alpha, bound)
-        gaps, s = _rank_gaps(indices, p, q), _dist_rank(m, p, q)
-        bound = (max(gaps) // s + 2) * m
-    g = max(gaps)
-    exponent = g // s + (g != s)
-    (c, j), longest = (x[gaps.index(g)] for x in _orbit_cuts(indices, p, q))
+        cuts, lengths = _orbit_cuts(indices, p, q)
+        gaps, s = [a * q + b * p for a, b in lengths], _dist_rank(m, p, q)
+        g = max(gaps)
+        bound = (g // s + 2) * m
+    exponent = _kab_exponent(g, s, m, q)
+    i = gaps.index(g)
+    (c, j), longest = cuts[i], lengths[i]
     f, r = divmod(m * p, q)  # ||m*alpha|| is {m*alpha} when s == r, else 1 - {m*alpha}
     step, sign = ((-f, m), -1) if s == r else ((1 + f, -m), 1)
     x = word = None
@@ -343,9 +354,8 @@ def exponent_bound_check(
     last = checked[-1]
     reach = convs[last + 1].q  # the periods m < reach, and each q_t <= reach
     # q_0 = q_1 = 1 when a_1 = 1, so q_t can be reach itself
-    exponents = _kab_exponents(k, range(1, max(reach, convs[last].q + 1)), p, q)
-    for m in range(1, reach):  # A(m) is exponents[m - 1]
-        s = _dist_rank(m, p, q)
+    exponents, steps = _kab_exponents(k, range(1, max(reach, convs[last].q + 1)), p, q)
+    for m, s in enumerate(steps[: reach - 1], 1):  # A(m) is exponents[m - 1]
         if s < shortest:
             diff = exponents[m - 1] - _covered_floor(longest, s, m, 2 * k - 2, q)
             if not -1 <= diff <= 2:
@@ -412,7 +422,7 @@ def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEs
     convs = cf.convergents(t_max + 1)
     # the floor at m = q_t is below 1/||q_t*alpha|| < q_t + q_{t+1} <= 2*q_{t_max+1}
     p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-1].q + 1))
-    exponents = _kab_exponents(k, [c.q for c in convs[1:-1]], p, q)
+    exponents = _kab_exponents(k, [c.q for c in convs[1:-1]], p, q)[0]
     terms = [(c.t, Fraction(a, c.q)) for c, a in zip(convs[1:-1], exponents)]
     window_start = max(1, t_max - LIMSUP_WINDOW + 1)
     estimate = max(v for t, v in terms if t >= window_start)

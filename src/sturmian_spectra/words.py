@@ -147,15 +147,21 @@ def _crossing_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, bytearray]]:
         yield j, letters
 
 
-def _factor_words(alpha: QuadReal, n: int) -> Iterator[str]:
-    """The n+1 length-n factors in circle order, decoded off the crossing
-    walk; refused, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
+def _language_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, bytearray]]:
+    """_crossing_walk(alpha, n) for a walk that visits every factor: refused
+    when called, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
     if n < 1:
         raise ValueError("factor length must be >= 1")
     if (n + 1) * n > LANGUAGE_SYMBOL_CAP:
         msg = f"the length-{n} language has more than {LANGUAGE_SYMBOL_CAP} symbols"
         raise ResourceCapExceeded((n + 1) * n, LANGUAGE_SYMBOL_CAP, msg)
-    return (letters.decode() for _, letters in _crossing_walk(alpha, n))
+    return _crossing_walk(alpha, n)
+
+
+def _factor_words(alpha: QuadReal, n: int) -> Iterator[str]:
+    """The n+1 length-n factors in circle order, decoded off the crossing
+    walk; refused, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
+    return (letters.decode() for _, letters in _language_walk(alpha, n))
 
 
 def factors_of_length(

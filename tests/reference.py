@@ -2,9 +2,12 @@
 families by exact sorting and subtraction on QuadReal points, ignoring the
 integer circle order; k-abelian signatures by counting string slices,
 ignoring the bit masks; the pair coder one letter at a time; bound reports
-with one exponent per period; and the least Lagrange denominator by
-folding every rotation of the cycle afresh."""
+with one exponent per period; the least Lagrange denominator by
+folding every rotation of the cycle afresh; and the output of `classes`
+built whole before it is written."""
 
+import io
+import json
 from collections import Counter
 from functools import cache
 
@@ -16,8 +19,9 @@ from sturmian_spectra.geometry import (
     _convergent_past,
     _dist_rank,
     _rank_gaps,
+    ikm_intervals,
 )
-from sturmian_spectra.kabelian import KAbelianSignature
+from sturmian_spectra.kabelian import KAbelianSignature, classify_by_intervals
 from sturmian_spectra.spectra import BoundReport, _covered_floor
 
 
@@ -107,3 +111,47 @@ def least_rotation_denominator(cycle):
     """The least c of the fold (a, b, c, d) over the rotations of the
     cycle, each rotation folded afresh."""
     return min(_moebius(cycle[j:] + cycle[:j])[2] for j in range(len(cycle)))
+
+
+def classes_output(cf, k, m, output, emit_circle):
+    """The stdout of `classes` for the irrational cf, built whole: the
+    classes as a list, then json.dumps of the whole document, or one print
+    per class with its words joined."""
+    alpha = cf.value()
+    classes = classify_by_intervals(alpha, k, m)
+    fam = ikm_intervals(alpha, k, m)
+    out = io.StringIO()
+    if output == "json":
+        doc = {
+            "cf": cf.render(),
+            "k": k,
+            "m": m,
+            "classes": [
+                {
+                    "words": list(c.members),
+                    "interval": {
+                        "index": c.interval_index,
+                        **fam.intervals[c.interval_index].to_json(),
+                    },
+                }
+                for c in classes
+            ],
+        }
+        if emit_circle:
+            doc["cuts"] = [cut.to_json() for cut in fam.cuts]
+        print(json.dumps(doc), file=out)
+    else:
+        print(f"cf: {cf.render()}  k={k}  m={m}  classes={len(classes)}", file=out)
+        for c in classes:
+            iv = fam.intervals[c.interval_index]
+            words = " ".join(c.members)
+            print(
+                f"class {c.interval_index}: {{{words}}}  "
+                f"start={iv.start.decimal(12)} length={iv.length.decimal(12)}",
+                file=out,
+            )
+        if emit_circle:
+            print("cuts:", file=out)
+            for i, cut in enumerate(fam.cuts):
+                print(f"  {i}: {cut} = {cut.decimal()}", file=out)
+    return out.getvalue()

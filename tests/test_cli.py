@@ -12,6 +12,7 @@ from sturmian_spectra.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
+    EXIT_STDOUT_CLOSED,
     EXIT_USAGE,
     main,
 )
@@ -510,6 +511,76 @@ def test_long_factor_language_classes_finish_quickly():
     assert done.returncode == EXIT_OK
     classes = json.loads(done.stdout)["classes"]
     assert sum(len(c["words"]) for c in classes) == 3001
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "cf, m, code",
+    [("[0; 3]", "5", EXIT_USAGE), (FIB, "0", EXIT_USAGE), (FIB, "10000", EXIT_RESOURCE)],
+    ids=["rational-slope", "m-0", "m-10000"],
+)
+def test_classes_refuse_before_the_first_byte(capsys, cf, m, code, fmt):
+    """A rational slope, m = 0 and m = 10000, the first length past the
+    symbol budget, are refused with nothing on stdout: every check runs
+    before the words are written."""
+    got, out, err = _run(capsys, "classes", cf, "-k", "2", "-m", m, "--format", fmt)
+    assert (got, out) == (code, "")
+    assert "error" in json.loads(err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classes", "[0; (1)]", "-k", "2", "-m", "3000"], ["cf", "[0; (1)]", "--t-max", "3000"]],
+    ids=["classes", "cf"],
+)
+def test_a_closed_stdout_is_exit_1_without_a_traceback(argv):
+    """A reader that takes 20 bytes and closes the pipe, as `| head -c 20`
+    does, ends the command with exit 1 and nothing on stderr."""
+    proc = subprocess.Popen([sys.executable, "-m", "sturmian_spectra", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=10) == EXIT_STDOUT_CLOSED
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert b"Traceback" not in err
+    assert err == b""
+
+
+# The child reports its own peak.  RUSAGE_CHILDREN would give the largest
+# of all earlier children, and on Linux even the child's ru_maxrss counts
+# the peak of the process that spawned it (the test runner), so there the
+# child reads VmHWM, the peak of its own image.  Elsewhere it falls back to
+# ru_maxrss, in bytes on macOS and in KB on other systems.
+_PEAK_RSS = """
+import resource, sys
+from sturmian_spectra.cli import main
+code = main(sys.argv[1:])
+try:
+    with open("/proc/self/status") as status:
+        kb = [int(line.split()[1]) for line in status if line.startswith("VmHWM:")]
+    peak = kb[0] * 1024
+except (OSError, IndexError):
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak *= 1 if sys.platform == "darwin" else 1024
+print(code, peak, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_classes_stream_in_linear_memory(fmt):
+    """m = 9999, just inside the symbol budget: 10^8 letters written under
+    50 MB of peak RSS.  Building the whole output first took over 300 MB."""
+    cmd = [sys.executable, "-c", _PEAK_RSS, "classes", "[0; (1)]", "-k", "1",
+           "-m", "9999", "--format", fmt]
+    done = subprocess.run(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=30)
+    code, peak = map(int, done.stderr.split())
+    assert code == EXIT_OK
+    assert peak < 50 * 2**20
 
 
 def test_console_script_round_trip():

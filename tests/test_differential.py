@@ -16,6 +16,8 @@ the Lagrange denominator by conjugation against folding every rotation.
 """
 
 import dataclasses
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
 from unittest import mock
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sturmian_spectra import spectra
+from sturmian_spectra import cli, spectra
 from sturmian_spectra.cf import ContinuedFraction, _purely_periodic_value
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
@@ -71,6 +73,7 @@ from sturmian_spectra.words import (
 
 from reference import (
     bound_check_by_period,
+    classes_output,
     code_pair_by_letter,
     counter_signature,
     least_rotation_denominator,
@@ -81,11 +84,12 @@ from reference import (
 periodic_slopes = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
     lambda period: ContinuedFraction([0], period).value()
 )
-preperiodic_slopes = st.builds(
-    lambda pre, period: ContinuedFraction([0, *pre], period).value(),
+preperiodic_cfs = st.builds(
+    lambda pre, period: ContinuedFraction([0, *pre], period),
     st.lists(st.integers(1, 30), max_size=2),
     st.lists(st.integers(1, 30), min_size=1, max_size=8),
 )
+preperiodic_slopes = preperiodic_cfs.map(ContinuedFraction.value)
 # any integer part: the exponent formulas take slopes outside (0, 1)
 shifted_cfs = st.builds(
     lambda a0, pre, period: ContinuedFraction([a0, *pre], period),
@@ -240,6 +244,30 @@ def test_interval_classes_match_signature_classes(alpha, k, m):
             for word in c.members:
                 inner = factors[word]
                 assert outer.start <= inner.start and inner.end <= outer.end
+
+
+def _cli(argv):
+    """Exit code, stdout and stderr of one in-process cli.main call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(preperiodic_cfs, st.integers(1, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_streamed_classes_match_the_whole_document(cf, k, data):
+    """`classes`, written word by word off the class walk, prints byte for
+    byte the document built whole, at random m and at the edges where the
+    coarse family is all level cuts (m < 2k) or not."""
+    edges = [m for m in (1, k - 1, 2 * k - 1, 2 * k) if m >= 1]
+    m = data.draw(st.one_of(st.integers(1, 300), st.sampled_from(edges)), label="m")
+    output = data.draw(st.sampled_from(["text", "json"]), label="format")
+    emit_circle = data.draw(st.booleans(), label="emit_circle")
+    convention = data.draw(st.sampled_from(["left", "right"]), label="convention")
+    argv = ["classes", cf.render(), "-k", str(k), "-m", str(m), "--format", output,
+            "--convention", convention] + ["--emit-circle"] * emit_circle
+    assert _cli(argv) == (0, classes_output(cf, k, m, output, emit_circle), "")
 
 
 # -- k-abelian signatures on bit masks, against Counter over slices ------------
