@@ -536,16 +536,15 @@ def test_classes_refuse_before_the_first_byte(capsys, cf, m, code, fmt):
 def test_a_closed_stdout_is_exit_1_without_a_traceback(argv):
     """A reader that takes 20 bytes and closes the pipe, as `| head -c 20`
     does, ends the command with exit 1 and nothing on stderr."""
-    proc = subprocess.Popen([sys.executable, "-m", "sturmian_spectra", *argv],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        assert len(proc.stdout.read(20)) == 20
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=10) == EXIT_STDOUT_CLOSED
-    finally:
-        proc.kill()
-        proc.stderr.close()
+    with subprocess.Popen([sys.executable, "-m", "sturmian_spectra", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            assert len(proc.stdout.read(20)) == 20
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=10) == EXIT_STDOUT_CLOSED
+        finally:
+            proc.kill()  # a no-op once it has exited
     assert b"Traceback" not in err
     assert err == b""
 
