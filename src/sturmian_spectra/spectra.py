@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -63,6 +64,7 @@ ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
 # whole, so a bound is needed all the same
 DIGIT_BUDGET = 4300
 LIMSUP_WINDOW = 5  # trailing convergent indices theta_limsup_estimate maxes over
+SPECTRUM_POOL_CAP = 10**5  # slopes in one sample_spectrum count: about 5 s at k = 2
 
 
 def _oracle_cap(cap: int | None) -> int:
@@ -320,20 +322,38 @@ def exponent_bound_check(
     For k = 1 the stronger A(m) < A(q_t) for m < q_t is recorded as well,
     informationally (it does not affect `ok`).
 
-    All is decided on ranks over one convergent, and one call of the rank
-    kernel _kab_exponents decides every period any checked t visits: m below
-    the largest q_{t+1}, and each q_t.  For T = max(t_range) each period m
-    taken is at most q_{T+1}, so ||m*alpha|| >= ||q_{T+1}*alpha|| >
-    1/(2*q_{T+2}) and a floor of a length <= 1 by it is below 2*q_{T+2}: a
-    convergent past 2*q_{T+2}*(q_{T+1} + 1) meets the lemma and the floor
-    corollary of the geometry module docstring for every coarse length,
-    whose |B| is at most m.  Level lengths have |B| <= 2k-2 and need no
-    term in k.  When q_t <= 2k-2, cuts 0 and q_t are both level cuts, so
-    the rank gap between them, _dist_rank(q_t), is at least the shortest
-    rank gap on any convergent, and t is rightly left unchecked.  So a
-    checked t has 2k-2 < q_t <= q_{T+2}, and every pair compared with a
-    level length has |B| <= q_{T+1} + 2k-2 < q_{T+1} + q_{T+2}, which the
-    convergent is past.
+    All is decided on ranks over one convergent.  For T = max(t_range)
+    each period m taken is at most q_{T+1}, so ||m*alpha|| >=
+    ||q_{T+1}*alpha|| > 1/(2*q_{T+2}) and a floor of a length <= 1 by it is
+    below 2*q_{T+2}: a convergent past 2*q_{T+2}*(q_{T+1} + 1) meets the
+    lemma and the floor corollary of the geometry module docstring for
+    every coarse length, whose |B| is at most m.  Level lengths have |B| <=
+    2k-2 and need no term in k.  When q_t <= 2k-2, cuts 0 and q_t are both
+    level cuts, so the rank gap between them, _dist_rank(q_t), is at least
+    the shortest rank gap on any convergent, and t is rightly left
+    unchecked.  So a checked t has 2k-2 < q_t <= q_{T+2}, and every pair
+    compared with a level length has |B| <= q_{T+1} + 2k-2 < q_{T+1} +
+    q_{T+2}, which the convergent is past.
+
+    Only the periods that can reach a list are ranked: one call of the
+    rank kernel _kab_exponents decides each checked q_t, and a second the
+    periods m below the last checked q_{t+1} that a head bound cannot rule
+    out.  For m >= k-1 the coarse cuts contain the head cuts j < k (they
+    are all of 0..m when m < 2k, and the head and its shift otherwise), so
+    the longest coarse gap G is at most the longest head gap H, ranked once
+    per report, and A(m) = G // S + (G != S) <= H // S + 1.  The slack
+    lists record A(m) only when A(m) >= A(q_t) + 2 for a checked t with
+    m < q_{t+1}.  The least of these A(q_t) + 2 is m's threshold; it
+    changes only at an end q_{t+1}, so it is taken once per segment
+    between ends.  A period is skipped when m >= k-1, S >= shortest (so it
+    has no window check), H // S + 1 is below its threshold, and
+    q > m + (H // S + 1)*m.  As G // S <= H // S, the last makes its own
+    floor check, q > m + (G // S + 1)*m, pass: it always holds on the
+    convergent taken here, and keeps a convergent too small failing as
+    when every period was ranked.  For k = 1 the level family has the one
+    cut 0, so shortest = q > S and no period is skipped: the monotone list
+    needs no threshold.  So every list, and every raise, is the one made
+    by ranking each period.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -351,28 +371,38 @@ def exponent_bound_check(
     report = BoundReport(k, checked, [], [], [], [])
     if not checked:
         return report
-    last = checked[-1]
-    reach = convs[last + 1].q  # the periods m < reach, and each q_t <= reach
-    # q_0 = q_1 = 1 when a_1 = 1, so q_t can be reach itself
-    exponents, steps = _kab_exponents(k, range(1, max(reach, convs[last].q + 1)), p, q)
-    for m, s in enumerate(steps[: reach - 1], 1):  # A(m) is exponents[m - 1]
+    q_ts = [convs[t].q for t in checked]
+    a_q = dict(zip(q_ts, _kab_exponents(k, q_ts, p, q)[0]))
+    # the periods below each end q_{t+1} (they ascend) and their threshold:
+    # the least A(q_t) + 2 over this end and the ends past it
+    ends = [convs[t + 1].q for t in checked]
+    thresholds = list(itertools.accumulate([a_q[q_t] + 2 for q_t in reversed(q_ts)], min))
+    head = max(_rank_gaps(range(k), p, q))
+    ranked, start = [], 1
+    for end, threshold in zip(ends, reversed(thresholds)):
+        for m in range(start, end):
+            s = _dist_rank(m, p, q)
+            most = head // s + 1  # A(m) <= most once m >= k-1
+            if m < k - 1 or s < shortest or most >= threshold or q <= (most + 1) * m:
+                ranked.append(m)
+        start = end
+    exponents, steps = _kab_exponents(k, ranked, p, q)
+    for m, a_m, s in zip(ranked, exponents, steps):
         if s < shortest:
-            diff = exponents[m - 1] - _covered_floor(longest, s, m, 2 * k - 2, q)
+            diff = a_m - _covered_floor(longest, s, m, 2 * k - 2, q)
             if not -1 <= diff <= 2:
                 report.approx_window_violations.append(m)
-    for t in checked:
-        q_t = convs[t].q
-        a_qt = exponents[q_t - 1]
-        bound = a_qt + 2
-        below = exponents[: convs[t + 1].q - 1]  # A(m) for 1 <= m < q_{t+1}
-        for m, a_m in enumerate(below, 1):
-            if a_m > bound:
+    pairs = list(zip(ranked, exponents))
+    for t, q_t in zip(checked, q_ts):
+        a_qt = a_q[q_t]
+        for m, a_m in pairs[: bisect_left(ranked, convs[t + 1].q)]:
+            if a_m > a_qt + 2:
                 report.convergent_slack_violations.append((t, m))
-            elif a_m == bound:
+            elif a_m == a_qt + 2:
                 report.improved_slack_exceedances.append((t, m))
         if k == 1:
             report.k1_monotone_violations += [
-                (t, m) for m, a_m in enumerate(below[: q_t - 1], 1) if a_m >= a_qt
+                (t, m) for m, a_m in pairs[: bisect_left(ranked, q_t)] if a_m >= a_qt
             ]
     return report
 
@@ -464,13 +494,19 @@ def sample_spectrum(
     The pool is either a count fed to preperiod_pool or an explicit
     iterable of preperiod digit tuples; duplicates after canonicalization
     are skipped, so a count yields that many distinct slopes (the base
-    itself first).  Points are returned in enumeration order.
+    itself first).  Points are returned in enumeration order.  A count
+    above SPECTRUM_POOL_CAP raises ResourceCapExceeded before any slope is
+    built.
     """
     if base.is_rational:
         raise ValueError("base slope must be irrational")
     if isinstance(pool, int):
         if pool < 0:
             raise ValueError("pool size must be >= 0")
+        if pool > SPECTRUM_POOL_CAP:
+            raise ResourceCapExceeded(
+                pool, SPECTRUM_POOL_CAP, f"a pool of {pool} slopes, cap is {SPECTRUM_POOL_CAP}"
+            )
         cfs = _distinct_variants(base, max(pool, 1))
     else:
         cfs = [_variant(base, tuple(p)) for p in pool] or [base]

@@ -16,7 +16,7 @@ from sturmian_spectra.cli import (
     EXIT_USAGE,
     main,
 )
-from sturmian_spectra.spectra import DIGIT_BUDGET
+from sturmian_spectra.spectra import DIGIT_BUDGET, SPECTRUM_POOL_CAP
 
 FIB = "[0; 2, (1)]"
 
@@ -245,6 +245,18 @@ def test_spectrum_csv_shape(capsys):
     assert lines[0] == "cf,k,theta_decimal"
     assert len(lines) == 6
     assert lines[1].startswith("[0; (1)],2,0.85410196624968454461")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_spectrum_pool_past_its_cap_is_a_resource_cap(capsys, fmt):
+    """--pool 10^9 would take hours of theta_k: refused with exit 3 and
+    empty stdout before any slope is built."""
+    code, out, err = _run(capsys, "spectrum", "-k", "2", "--base", "[0; (1)]",
+                          "--pool", "1000000000", "--format", fmt)
+    assert (code, out) == (EXIT_RESOURCE, "")
+    payload = json.loads(err)["error"]
+    assert payload["type"] == "resource_cap"
+    assert (payload["needed"], payload["cap"]) == (10**9, SPECTRUM_POOL_CAP)
 
 
 def test_linfty_json_schema(capsys):

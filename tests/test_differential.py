@@ -10,13 +10,16 @@ expansions with a0 in -3..3 and quotients up to 1000.  The brute
 oracle's incremental block scan is played against a plain rescan of every
 factor, and k-abelian signatures counted on bit masks against a Counter
 over slices, on binary and ternary words and on random slopes' factor
-languages.  The one-pass bound report is played against one exponent per
-period, the pair coder against stepping its rotation letter by letter, and
-the Lagrange denominator by conjugation against folding every rotation.
+languages.  The bound report, which ranks only the periods that can
+reach a list, is played against one exponent per period, the pair coder
+against stepping its rotation letter by letter, and the Lagrange
+denominator by conjugation against folding every rotation.
 """
 
 import dataclasses
 import io
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
@@ -71,6 +74,7 @@ from sturmian_spectra.words import (
     sturmian_prefix,
 )
 
+import reference
 from reference import (
     bound_check_by_period,
     classes_output,
@@ -96,6 +100,14 @@ shifted_cfs = st.builds(
     st.integers(-2, 2),
     st.lists(st.integers(1, 30), max_size=2),
     st.lists(st.integers(1, 30), min_size=1, max_size=8),
+)
+# one large quotient, like SPIKE's 100, after a short preperiod
+spiked_cfs = st.builds(
+    lambda a0, pre, big, period: ContinuedFraction([a0, *pre, big], period),
+    st.integers(-2, 2),
+    st.lists(st.integers(1, 30), max_size=3),
+    st.integers(50, 1000),
+    st.lists(st.integers(1, 30), min_size=1, max_size=4),
 )
 SPIKE = ContinuedFraction([0, 3, 1, 1, 1, 100], [1])
 FIB = ContinuedFraction([0, 2], [1])  # q_t = 1, 2, 3, 5, 8, ..., 55, 89, ...
@@ -501,15 +513,77 @@ def test_bound_report_where_the_first_two_denominators_are_one():
     assert _spelled(got) == _spelled(_reference_bound_check(cf, 1, [0]))
 
 
-@given(shifted_cfs, st.integers(1, 5), st.data())
-@settings(max_examples=60, deadline=None)
+@given(shifted_cfs | spiked_cfs, st.integers(1, 8), st.data())
+@settings(max_examples=100, deadline=None)
 def test_bound_reports_match_the_report_by_period(cf, k, data):
-    """The one-pass report against one exponent per period, field for
-    field, over random t ranges whose q_{t+1} stays at most 2000."""
+    """The report that skips periods on the head bound against one
+    exponent per period, field for field, over random t ranges whose
+    q_{t+1} stays at most 2000, also on slopes with a quotient in the
+    hundreds."""
     convs = cf.convergents(40)
     ts = [t for t in range(40) if convs[t + 1].q <= 2000]
     t_range = data.draw(st.lists(st.sampled_from(ts), min_size=1, max_size=8))
     got = exponent_bound_check(cf, k, t_range)
+    assert _spelled(got) == _spelled(bound_check_by_period(cf, k, t_range))
+
+
+def test_bound_report_ranks_only_periods_that_can_reach_a_list(monkeypatch):
+    """On the Fibonacci slope at k = 2 over t = 1..11 the rank kernel sees
+    the ten checked q_t, then 176 of the 376 periods below q_12 = 377: the
+    rest have a head bound below their threshold."""
+    calls = []
+    real = spectra._kab_exponents
+
+    def counted(k, periods, p, q):
+        periods = list(periods)
+        calls.append(len(periods))
+        return real(k, periods, p, q)
+
+    monkeypatch.setattr(spectra, "_kab_exponents", counted)
+    report = exponent_bound_check(FIB, 2, range(1, 12))
+    assert report.t_checked == list(range(2, 12))
+    assert FIB.convergents(12)[-1].q == 377
+    assert calls == [10, 176]
+
+
+def test_bound_report_ranks_the_periods_below_the_head():
+    """[0; 5, (2)] at k = 3 has A(1) = 5 = A(q_1) + 2, an exceedance at
+    m = 1, while H // S + 1 = 4 for the longest head gap H: below m = k-1
+    the coarse cuts 0..m miss head cuts, so the head bound does not hold
+    and the period is ranked."""
+    cf = ContinuedFraction([0, 5], [2])
+    got = exponent_bound_check(cf, 3, range(1, 8))
+    assert got.improved_slack_exceedances == [(1, 1)]
+    assert _spelled(got) == _spelled(bound_check_by_period(cf, 3, range(1, 8)))
+    p, q = _convergent_past(cf.value(), 10**6)
+    assert max(_rank_gaps(range(3), p, q)) // _dist_rank(1, p, q) + 1 == 4
+
+
+def test_the_skip_rests_on_the_head_bound_alone(monkeypatch):
+    """The skip holds for any exponents within the head bound: with A(m)
+    raised to H // S + 1 at every period the skip may take (m >= k-1, S at
+    least the shortest level gap), both reports still agree.
+    [0; (1, 10, 1, 13)] at k = 8 over t = 2..4 has such a period, m = 48,
+    whose bound equals its threshold, so the raised report records it."""
+    def at_the_bound(k, m, p, q, a):
+        s = _dist_rank(m, p, q)
+        if m < k - 1 or s < min(_rank_gaps(range(2 * k - 1), p, q)):
+            return a
+        return max(_rank_gaps(range(k), p, q)) // s + 1
+
+    real_kernel, real_one = spectra._kab_exponents, reference.kab_exponent
+
+    def raised_kernel(k, periods, p, q):
+        periods = list(periods)
+        exponents, steps = real_kernel(k, periods, p, q)
+        return [at_the_bound(k, m, p, q, a) for m, a in zip(periods, exponents)], steps
+
+    monkeypatch.setattr(spectra, "_kab_exponents", raised_kernel)
+    monkeypatch.setattr(reference, "kab_exponent",
+                        lambda k, m, p, q: at_the_bound(k, m, p, q, real_one(k, m, p, q)))
+    cf, k, t_range = ContinuedFraction([0], [1, 10, 1, 13]), 8, [2, 3, 4]
+    got = exponent_bound_check(cf, k, t_range)
+    assert (4, 48) in got.improved_slack_exceedances
     assert _spelled(got) == _spelled(bound_check_by_period(cf, k, t_range))
 
 
@@ -543,6 +617,38 @@ def test_a_too_small_convergent_is_an_invariant_failure(monkeypatch, what):
             theta_limsup_estimate(FIB, 2, 8)
         else:
             exponent_bound_check(FIB, 2, range(1, 9))
+
+
+_TOO_SMALL_UNDER_O = """
+from sturmian_spectra import spectra
+from sturmian_spectra.cf import ContinuedFraction
+real = spectra._convergent_past
+spectra._convergent_past = lambda alpha, n: real(alpha, n // 100)
+fib = ContinuedFraction([0, 2], [1])
+print(__debug__)
+for call in (lambda: spectra.exponent_bound_check(fib, 2, range(1, 9)),
+             lambda: spectra.theta_limsup_estimate(fib, 2, 8)):
+    try:
+        call()
+        print("no raise")
+    except AssertionError as exc:
+        print("AssertionError", exc)
+"""
+
+
+def test_a_too_small_convergent_fails_under_python_o():
+    """The floor checks are raises, not asserts: under -O, which strips
+    every assert (this suite's own too), a convergent a hundred times too
+    small still raises AssertionError in both the bound report and the
+    limsup estimate."""
+    done = subprocess.run([sys.executable, "-O", "-c", _TOO_SMALL_UNDER_O],
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "False"
+    assert len(lines) == 3
+    assert all(line.startswith("AssertionError convergent ") for line in lines[1:])
+    assert all("too small for floor" in line for line in lines[1:])
 
 
 @given(shifted_cfs, st.integers(1, 8))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmian_spectra import spectra
 from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import level_intervals
 from sturmian_spectra.kabelian import kab_equivalent
@@ -353,6 +354,17 @@ def test_spectrum_accepts_an_explicit_pool():
     points = sample_spectrum(2, GOLDEN_TAIL, [(), (1, 1), (2, 1)])
     assert len(points) == 3
     assert points[0].cf == GOLDEN_TAIL
+
+
+def test_spectrum_pool_past_its_cap_is_refused_before_any_slope(monkeypatch):
+    """A count at SPECTRUM_POOL_CAP is sampled; one past it raises
+    ResourceCapExceeded before any variant of the base is built."""
+    monkeypatch.setattr(spectra, "SPECTRUM_POOL_CAP", 3)
+    assert len(sample_spectrum(2, GOLDEN_TAIL, 3)) == 3
+    monkeypatch.setattr(spectra, "_distinct_variants", lambda *_: pytest.fail("built variants"))
+    with pytest.raises(ResourceCapExceeded) as info:
+        sample_spectrum(2, GOLDEN_TAIL, 4)
+    assert (info.value.needed, info.value.cap) == (4, 3)
 
 
 def test_spectrum_points_sit_in_the_expected_band():
