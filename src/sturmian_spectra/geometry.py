@@ -223,8 +223,8 @@ def _value(alpha: QuadReal, a: int, b: int, d: int = 1) -> QuadReal:
 
 
 def _rank_gaps(indices: Iterable[int], p: int, q: int) -> list[int]:
-    """The ranks of the lengths of _orbit_cuts(indices, p, q), in its order:
-    the gaps between the sorted cut ranks, q closing the circle."""
+    """The ranks of the lengths of _orbit_cuts in the circle order of
+    `indices`: the gaps between the sorted cut ranks, q closing the circle."""
     ranks = sorted([-j * p % q for j in indices]) + [q]
     return [b - a for a, b in zip(ranks, ranks[1:])]
 
@@ -235,23 +235,30 @@ def _dist_rank(m: int, p: int, q: int) -> int:
     return min(r, q - r)
 
 
+def _circle_order(indices: Iterable[int], p: int, q: int) -> list[int]:
+    """The distinct j of `indices`, for a convergent p/q of alpha past every
+    one, sorted on their cut ranks -j*p mod q: the circle order of the cuts
+    {-j*alpha} (see the module docstring)."""
+    return sorted(indices, key=lambda j: -j * p % q)
+
+
 def _orbit_cuts(
-    indices: Iterable[int], p: int, q: int
+    order: Iterable[int], p: int, q: int
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The cuts (c_j, j), standing for c_j - j*alpha, for the distinct j in
-    `indices` in circle order, and the pairs (A, B) of the lengths from each
-    cut to the next.  p/q is a convergent of alpha past every index, and the
-    indices include 0 (see the module docstring)."""
-    cuts = [(-(-j * p // q), j) for j in sorted(indices, key=lambda j: -j * p % q)]
+    """The cuts (c_j, j), standing for c_j - j*alpha, for the j of `order`,
+    which are in circle order and begin with 0, and the pairs (A, B) of the
+    lengths from each cut to the next.  p/q is a convergent of alpha past
+    every index (see the module docstring)."""
+    cuts = [(-(-j * p // q), j) for j in order]
     ends = cuts[1:] + [(1, 0)]  # the last interval wraps to 1 - 0*alpha
     return cuts, [(cb - ca, a - b) for (ca, a), (cb, b) in zip(cuts, ends)]
 
 
-def _orbit_family(alpha: QuadReal, indices: Iterable[int], n: int) -> IntervalFamily:
-    """The circle cut at {-j*alpha} for the distinct j in `indices`, which
-    lie in 0..n and include 0: the pairs of _orbit_cuts, whose values are
-    built on read."""
-    cuts, lengths = _orbit_cuts(indices, *_convergent_past(alpha, n))
+def _orbit_family(alpha: QuadReal, order: Iterable[int], p: int, q: int) -> IntervalFamily:
+    """The circle cut at {-j*alpha} for the j of `order`, in circle order
+    under the convergent p/q past every one: the pairs of _orbit_cuts, whose
+    values are built on read."""
+    cuts, lengths = _orbit_cuts(order, p, q)
     return IntervalFamily(Interval._of_pairs(alpha, cuts, lengths))
 
 
@@ -262,7 +269,8 @@ def level_intervals(alpha: QuadReal, n: int) -> IntervalFamily:
     starts with the i-th length-n factor, so this family *is* the language
     of length n in geometric form.
     """
-    return _orbit_family(alpha, range(n + 1), n)
+    p, q = _convergent_past(alpha, n)
+    return _orbit_family(alpha, _circle_order(range(n + 1), p, q), p, q)
 
 
 def _coarse_indices(k: int, m: int) -> Sequence[int]:
@@ -294,4 +302,5 @@ def ikm_intervals(alpha: QuadReal, k: int, m: int) -> IntervalFamily:
     preimages of those points under m-(k-1) more rotation steps (when
     m >= k-1).  Size is min(2k, m+1).
     """
-    return _orbit_family(alpha, _checked_coarse_indices(k, m), m)
+    p, q = _convergent_past(alpha, m)
+    return _orbit_family(alpha, _circle_order(_checked_coarse_indices(k, m), p, q), p, q)

@@ -4,8 +4,7 @@ Two words of equal length are k-abelian equivalent when every nonempty
 word of length at most k occurs in both the same number of times.  For
 words of length at least k-1 this is the same as sharing the length-(k-1)
 prefix and suffix and having equal counts of length-k blocks, which is
-what the signature below records; the raw all-lengths count check is kept
-alongside for cross-validation.
+what the signature below records (Karhumaki, Saarela & Zamboni 2013).
 
 The length-k blocks are counted on integer bit masks, not on string
 slices.  Each letter c of a length-m word u gets the mask whose bit m-1-i
@@ -21,6 +20,15 @@ the sorted count tuple, with no sort.  A word costs one AND of m-bit
 integers per tree node, and a Sturmian factor has at most j+1 distinct
 blocks of length j, so that is O(k^2) of them in place of m-k+1 slices.
 
+A binary word needs no string at all.  Read as the integer of its letters
+(`ones`, letter i at bit m-1-i), its prefix and suffix of length k-1 are
+its top and bottom k-1 bits, and a tree node's block is the integer 2*b + c
+of its parent's block b and its letter c, so _binary_key is all integers.
+The brute oracle keeps every m-block as that integer along the crossing
+walk, and classify_brute keys each nonempty binary word on it.  A binary
+key never equals a string key, and a binary word is never equivalent to a
+word with another letter, so one partition may mix both kinds of word.
+
 For factors of a rotation coding the classes have a geometric shape: two
 length-m factors are equivalent at order k exactly when their level-m
 intervals land in the same interval of the coarse family cut at the first
@@ -32,7 +40,6 @@ classify_brute ignores it, so the two can be played against each other.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -44,7 +51,6 @@ __all__ = [
     "KAbelianSignature",
     "signature",
     "kab_equivalent",
-    "kab_equivalent_counts",
     "FactorClass",
     "classify_brute",
     "classify_by_intervals",
@@ -74,15 +80,11 @@ def _block_counts(u: str, k: int) -> tuple[tuple[str, int], ...]:
     """Sorted (block, count) pairs of the length-k blocks of u, k <= len(u),
     counted on bit masks (see the module docstring)."""
     m = len(u)
-    if not u.strip("01"):  # int() would also take "_", "0b", a sign or spaces
-        ones = int(u, 2)
-        masks = (("0", ones ^ ((1 << m) - 1)), ("1", ones))
-    else:
-        letters = sorted(set(u))
-        masks = [
-            (c, int(u.translate({ord(x): "1" if x == c else "0" for x in letters}), 2))
-            for c in letters
-        ]
+    letters = sorted(set(u))
+    masks = [
+        (c, int(u.translate({ord(x): "1" if x == c else "0" for x in letters}), 2))
+        for c in letters
+    ]
     nodes = [("", (1 << (m - k + 1)) - 1)]
     for shift in range(k - 1, -1, -1):
         nodes = [
@@ -96,9 +98,30 @@ def _block_counts(u: str, k: int) -> tuple[tuple[str, int], ...]:
     return tuple([(block, node.bit_count()) for block, node in nodes])
 
 
-def _signature_key(u: str, k: int) -> tuple[str, str, tuple[tuple[str, int], ...]]:
+def _binary_key(ones: int, m: int, k: int) -> int | tuple[int, int, tuple[tuple[int, int], ...]]:
+    """The signature key at order k >= 1 of the length-m binary word whose
+    letters are the bits of `ones`, all integers (see the module docstring):
+    the word itself when m < k, else (prefix, suffix, counts) with each
+    length-k block counted under its own integer, in increasing order."""
+    if m < k:
+        return ones
+    nodes = [(0, (1 << (m - k + 1)) - 1)]
+    for shift in range(k - 1, -1, -1):
+        o, children = ones >> shift, []
+        for b, node in nodes:
+            one = node & o
+            if zero := node ^ one:  # the window starts whose letter is 0
+                children.append((2 * b, zero))
+            if one:
+                children.append((2 * b + 1, one))
+        nodes = children
+    counts = tuple([(b, node.bit_count()) for b, node in nodes])
+    return ones >> (m - k + 1), ones & ((1 << (k - 1)) - 1), counts
+
+
+def _string_key(u: str, k: int) -> tuple[str, str, tuple[tuple[str, int], ...]]:
     """(prefix, suffix, counts) of u at order k: the signature of u among
-    words of its length, as a plain tuple to group and hash on."""
+    words of its length, blocks spelled as strings."""
     if k < 1:
         raise ValueError("order k must be >= 1")
     m = len(u)
@@ -107,8 +130,17 @@ def _signature_key(u: str, k: int) -> tuple[str, str, tuple[tuple[str, int], ...
     return u[:edge], u[m - edge :] if edge else "", counts
 
 
+def _signature_key(u: str, k: int) -> int | tuple:
+    """A key of u at order k to group and hash on: equal keys for words of
+    one length exactly when they are equivalent.  A nonempty binary word
+    takes _binary_key, any other word _string_key."""
+    if u and k >= 1 and not u.strip("01"):  # int() would also take "_", "0b", a sign or spaces
+        return _binary_key(int(u, 2), len(u), k)
+    return _string_key(u, k)
+
+
 def signature(u: str, k: int) -> KAbelianSignature:
-    return KAbelianSignature(k, len(u), *_signature_key(u, k))
+    return KAbelianSignature(k, len(u), *_string_key(u, k))
 
 
 def kab_equivalent(u: str, v: str, k: int) -> bool:
@@ -116,20 +148,6 @@ def kab_equivalent(u: str, v: str, k: int) -> bool:
     if len(u) != len(v):
         raise ValueError("k-abelian equivalence compares equal-length words")
     return signature(u, k) == signature(v, k)
-
-
-def kab_equivalent_counts(u: str, v: str, k: int) -> bool:
-    """The raw definition: equal counts of every factor of length <= k."""
-    if len(u) != len(v):
-        raise ValueError("k-abelian equivalence compares equal-length words")
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    for ell in range(1, k + 1):
-        cu = Counter(u[i : i + ell] for i in range(len(u) - ell + 1))
-        cv = Counter(v[i : i + ell] for i in range(len(v) - ell + 1))
-        if cu != cv:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

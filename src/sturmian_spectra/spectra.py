@@ -20,6 +20,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import sub
 from typing import Iterable, Iterator
 
@@ -28,15 +29,16 @@ from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
     _checked_coarse_indices,
+    _circle_order,
     _convergent_past,
     _dist_rank,
     _orbit_cuts,
     _rank_gaps,
     _value,
 )
-from .kabelian import _signature_key
+from .kabelian import _binary_key
 from .quadreal import QuadReal
-from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, _code_pair, _crossing_walk
+from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, _code_pair, _crossings
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -69,6 +71,8 @@ SPECTRUM_POOL_CAP = 10**5  # slopes in one sample_spectrum count: about 5 s at k
 
 def _oracle_cap(cap: int | None) -> int:
     if cap is not None:
+        if cap < 0:
+            raise ValueError(f"cap must be >= 0, got {cap}")
         return cap
     env = os.environ.get(ORACLE_CAP_ENV)
     try:
@@ -154,7 +158,7 @@ def max_kab_exponent(
     q, bound = 0, 2 * m
     while q <= bound:  # from past 2m, refine until the floor corollary covers G // S
         p, q = _convergent_past(alpha, bound)
-        cuts, lengths = _orbit_cuts(indices, p, q)
+        cuts, lengths = _orbit_cuts(_circle_order(indices, p, q), p, q)
         gaps, s = [a * q + b * p for a, b in lengths], _dist_rank(m, p, q)
         g = max(gaps)
         bound = (g // s + 2) * m
@@ -171,41 +175,57 @@ def max_kab_exponent(
         # longest), inside [0, 1), as (n-1)*step < longest once n > 1 (longest =
         # N*step would have B-part N*m, N >= 2, and coarse lengths have |B| <= m)
         x = _value(alpha, a, b, 2)
-        word = _code_pair(alpha, a, b, 2, exponent * m, convention.zero_in_I0)
+        n = exponent * m  # the witness's own convergent, past |b| + 2n
+        word = _code_pair(
+            *_convergent_past(alpha, abs(b) + 2 * n), a, b, 2, n, convention.zero_in_I0
+        )
     return ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step), x, word)
 
 
 class _BlockClasses(dict):
     """m-block -> class id under `key`, filled in on first sight of a block:
-    `key` runs once per distinct block, and there are at most m+1 of those."""
+    a block is the integer of its letters (letter i of the block at bit
+    m-1-i), `key` runs once per distinct block, and there are at most m+1
+    of those."""
 
     def __init__(self, key):
         super().__init__()
         self.key = key
         self.ids = {}
 
-    def __missing__(self, block: str) -> int:
+    def __missing__(self, block: int) -> int:
         cid = self[block] = self.ids.setdefault(self.key(block), len(self.ids))
         return cid
 
 
 def _best_initial_run(alpha: QuadReal, n: int, m: int, classes: _BlockClasses) -> int:
     """Max over the length-n factors (n >= m) of the leading whole m-blocks
-    equivalent to the first, along the words module's crossing walk: cut j
-    re-ids only the blocks of letters j-1 and j, and the run is repaired,
-    since the blocks below it that did not change still match block 0."""
-    blocks = n // m
-    walk = _crossing_walk(alpha, n)
-    _, letters = next(walk)
-    ids = [classes[letters[s : s + m].decode()] for s in range(0, blocks * m, m)]
+    equivalent to the first, along the words module's crossing order.
+
+    Each whole block is kept as the integer of its letters.  Cut j sets
+    letter j-1, bit m-1-(j-1)%m of block (j-1)//m, and clears letter j, in
+    the same block or at bit m-1 of the next one; only the blocks that
+    changed are looked up again, and the run is repaired, since the blocks
+    below it that did not change still match block 0."""
+    first, order, _, _ = _crossings(alpha, n)
+    blocks, top = n // m, 1 << (m - 1)
+    ints = [int(first[s : s + m], 2) for s in range(0, blocks * m, m)]
+    ids = [classes[v] for v in ints]
     best = run = next((b for b in range(1, blocks) if ids[b] != ids[0]), blocks)
-    for j, _ in walk:
-        lo, hi = (j - 1) // m, j // m
+    for j in order[1:]:
+        lo, r = divmod(j - 1, m)
         if lo >= blocks:
             continue  # both letters lie past the last whole block
-        ids[lo] = classes[letters[lo * m : lo * m + m].decode()]
-        if hi != lo and j < n and hi < blocks:
-            ids[hi] = classes[letters[hi * m : hi * m + m].decode()]
+        if r + 1 < m:  # letter j is in block lo too
+            hi = lo
+            ints[lo] = (ints[lo] | top >> r) & ~(top >> (r + 1))
+        else:  # letter j is bit m-1 of block hi, if that block is whole
+            hi = lo + 1
+            ints[lo] |= 1
+            if hi < blocks:
+                ints[hi] &= ~top
+                ids[hi] = classes[ints[hi]]
+        ids[lo] = classes[ints[lo]]
         if lo == 0:
             run = 1
         elif lo < run and ids[lo] != ids[0]:
@@ -252,11 +272,16 @@ def brute_kab_exponent(alpha: QuadReal, k: int, m: int, cap: int | None = None) 
     and compares their signatures, computed once per distinct block.  The
     factors, and so the result, do not depend on an endpoint convention,
     so none is taken.
-    Raises ResourceCapExceeded (a declared failure, never a wrong answer)
-    if the needed factor length passes the cap, env-overridable via
+    Raises ValueError unless k >= 1, m >= 1 and cap >= 0, and
+    ResourceCapExceeded (a declared failure, never a wrong answer) if the
+    needed factor length passes the cap, env-overridable via
     STURMIAN_SPECTRA_CAP.
     """
-    return _longest_block_run(alpha, m, lambda b: _signature_key(b, k), _oracle_cap(cap))
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    if m < 1:
+        raise ValueError("period must be >= 1")
+    return _longest_block_run(alpha, m, partial(_binary_key, m=m, k=k), _oracle_cap(cap))
 
 
 def max_integer_power_exponent(cf: ContinuedFraction, m: int) -> int:
@@ -414,7 +439,7 @@ def theta_k(cf: ContinuedFraction, k: int) -> QuadReal:
         raise ValueError("order k must be >= 1")
     alpha = cf.value()
     p, q = _convergent_past(alpha, 4 * k - 4)
-    lengths = _orbit_cuts(range(2 * k - 1), p, q)[1]
+    lengths = _orbit_cuts(_circle_order(range(2 * k - 1), p, q), p, q)[1]
     longest = max(lengths, key=lambda ab: ab[0] * q + ab[1] * p)  # the greatest rank
     return _value(alpha, *longest) * cf.lagrange_constant()
 

@@ -27,11 +27,12 @@ geometry orders those cuts by the same lemma.  The first interval starts
 at cut 0, so its word is the coding of intercept 0 (K = 0, D = 1, with
 the order's p and q), and crossing the cut {-j*alpha} only turns letter
 j-1 into 1 and letter j into 0.  So a language is kept as its first word
-and crossing order, O(n), and one bytearray walked through the crossings
-holds each factor in turn: no sampling, no sign tests, and no QuadReal.
-Decoding every factor takes (n+1)*n symbols, refused past
-LANGUAGE_SYMBOL_CAP; the brute oracle decodes only the blocks a crossing
-touches.
+and crossing order, O(n), sorted once with one convergent that also codes
+the first word and cuts the level family, and one bytearray walked through
+the crossings holds each factor in turn: no sampling, no sign tests, and
+no QuadReal.  Decoding every factor takes (n+1)*n symbols, refused past
+LANGUAGE_SYMBOL_CAP; the brute oracle decodes none, as it keeps each
+m-block as the integer of its letters and flips two bits per crossing.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ from .geometry import (
     EndpointConvention,
     Interval,
     LEFT_CLOSED,
+    _circle_order,
     _convergent_past,
-    level_intervals,
+    _orbit_family,
 )
 from .quadreal import QuadReal, _common_radicand
 
@@ -92,18 +94,18 @@ class SturmianSpec:
         object.__setattr__(self, "intercept", self.intercept.frac())
 
 
-def _code_pair(alpha: QuadReal, a: int, b: int, d: int, n: int, zero_in_i0: bool) -> str:
+def _code_pair(p: int, q: int, a: int, b: int, d: int, n: int, zero_in_i0: bool) -> str:
     """The first n letters from the intercept (a + b*alpha)/d, d > 0, read
     off the rotation r -> r + d*(p mod q) on Z/(d*q) from r = a*q + b*p for
-    the first convergent p/q past |b| + d*n (see the module docstring);
-    p mod q makes a slope outside (0, 1) the rotation by its fractional part.
+    the first convergent p/q of alpha past |b| + d*n (see the module
+    docstring), which the caller expands; p mod q makes a slope outside
+    (0, 1) the rotation by its fractional part.
 
     Letter i is 1 exactly when the rotation wraps on its step from
     r + i*step past a multiple t*mod: one in (r + i*step, r + (i+1)*step]
     left-closed, in [r + i*step, r + (i+1)*step) right-closed.  So with
     u = r + 1 left-closed and u = r right-closed, each x = t*mod - u in
     [0, n*step) is a letter 1 at i = x // step, one floor division each."""
-    p, q = _convergent_past(alpha, abs(b) + d * n)
     step, mod = d * (p % q), d * q
     u = (a * q + b * p) % mod + zero_in_i0
     letters = bytearray(b"0" * n)
@@ -121,23 +123,25 @@ def sturmian_prefix(spec: SturmianSpec, n: int) -> str:
     a, b, d = x.p * alpha.q - x.q * alpha.p, x.q * alpha.r, x.r * alpha.q
     if d < 0:
         a, b, d = -a, -b, -d
-    return _code_pair(alpha, a, b, d, n, spec.convention.zero_in_I0)
+    p, q = _convergent_past(alpha, abs(b) + d * n)
+    return _code_pair(p, q, a, b, d, n, spec.convention.zero_in_I0)
 
 
 @lru_cache(maxsize=8)
-def _crossings(alpha: QuadReal, n: int) -> tuple[str, list[int]]:
-    """The length-n language in O(n): its first word (intercept 0's coding)
-    and the cuts 0..n in circle order, 0 first, sorted on -j*p mod q as in
-    geometry.  The endpoint convention changes neither, so it is no key."""
+def _crossings(alpha: QuadReal, n: int) -> tuple[str, list[int], int, int]:
+    """The length-n language in O(n): its first word (intercept 0's coding),
+    the cuts 0..n in circle order, 0 first, and the first convergent p/q
+    past n that orders them, as in geometry.  The coder and the level family
+    share this one order and convergent.  The endpoint convention changes
+    none of them, so it is no key."""
     p, q = _convergent_past(alpha, n)
-    order = sorted(range(n + 1), key=lambda j: -j * p % q)
-    return _code_pair(alpha, 0, 0, 1, n, True), order
+    return _code_pair(p, q, 0, 0, 1, n, True), _circle_order(range(n + 1), p, q), p, q
 
 
 def _crossing_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, bytearray]]:
     """(j, letters) for each cut j in circle order: one bytearray, changed in
     place, holds the factor whose level-n interval starts at cut j."""
-    first, order = _crossings(alpha, n)
+    first, order, _, _ = _crossings(alpha, n)
     letters = bytearray(first, "ascii")
     yield 0, letters
     for j in order[1:]:
@@ -181,7 +185,8 @@ def factors_of_length(
 @lru_cache(maxsize=8)
 def _factors_of_length(alpha: QuadReal, n: int) -> tuple[tuple[str, Interval], ...]:
     words = _factor_words(alpha, n)  # checks the budget before anything is built
-    return tuple(zip(words, level_intervals(alpha, n).intervals))
+    _, order, p, q = _crossings(alpha, n)
+    return tuple(zip(words, _orbit_family(alpha, order, p, q).intervals))
 
 
 # the hit rate stays readable off the public name (bench/tracer.py reads it)

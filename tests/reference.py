@@ -1,10 +1,10 @@
 """Generic references, independent of the package's fast paths: interval
 families by exact sorting and subtraction on QuadReal points, ignoring the
-integer circle order; k-abelian signatures by counting string slices,
-ignoring the bit masks; the pair coder one letter at a time; bound reports
-with one exponent per period; the least Lagrange denominator by
-folding every rotation of the cycle afresh; and the output of `classes`
-built whole before it is written."""
+integer circle order; k-abelian equivalence by its raw definition, and
+signatures by counting string slices, ignoring the bit masks; the pair
+coder one letter at a time; bound reports with one exponent per period;
+the least Lagrange denominator by folding every rotation of the cycle
+afresh; and the output of `classes` built whole before it is written."""
 
 import io
 import json
@@ -39,6 +39,21 @@ def sorted_family(points):
 def midpoint(interval):
     """The circle point halfway along the interval."""
     return (interval.start + interval.length / 2).frac()
+
+
+def kab_equivalent_counts(u, v, k):
+    """The raw definition of k-abelian equivalence: equal counts of every
+    factor of length <= k."""
+    if len(u) != len(v):
+        raise ValueError("k-abelian equivalence compares equal-length words")
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    for ell in range(1, k + 1):
+        cu = Counter(u[i : i + ell] for i in range(len(u) - ell + 1))
+        cv = Counter(v[i : i + ell] for i in range(len(v) - ell + 1))
+        if cu != cv:
+            return False
+    return True
 
 
 def counter_signature(u, k):

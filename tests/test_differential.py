@@ -10,7 +10,8 @@ expansions with a0 in -3..3 and quotients up to 1000.  The brute
 oracle's incremental block scan is played against a plain rescan of every
 factor, and k-abelian signatures counted on bit masks against a Counter
 over slices, on binary and ternary words and on random slopes' factor
-languages.  The bound report, which ranks only the periods that can
+languages; the all-integer key of binary words also against the raw
+definition.  The bound report, which ranks only the periods that can
 reach a list, is played against one exponent per period, the pair coder
 against stepping its rotation letter by letter, and the Lagrange
 denominator by conjugation against folding every rotation.
@@ -44,7 +45,7 @@ from sturmian_spectra.geometry import (
     level_intervals,
 )
 from sturmian_spectra.kabelian import (
-    _signature_key,
+    _binary_key,
     classify_brute,
     classify_by_intervals,
     signature,
@@ -80,6 +81,7 @@ from reference import (
     classes_output,
     code_pair_by_letter,
     counter_signature,
+    kab_equivalent_counts,
     least_rotation_denominator,
     midpoint,
     sorted_family,
@@ -317,6 +319,59 @@ def test_brute_classes_are_the_counter_signature_classes(alpha, k, m):
     assert [c.members for c in classify_brute(words, k)] == want
 
 
+def test_brute_classes_mix_binary_and_ternary_words():
+    """Binary words take the integer key and ternary ones the string key;
+    the two kinds never share a class, and each groups as the Counter
+    signature does."""
+    words = ["0102", "0110", "1001", "0120", "2010", "0011", "1010", "0101", "2001"]
+    assert [c.members for c in classify_brute(words, 1)] == [
+        ("0011", "0101", "0110", "1001", "1010"),
+        ("0102", "0120", "2001", "2010"),
+    ]
+    for k in range(1, 7):
+        groups = {}
+        for w in words:
+            groups.setdefault(counter_signature(w, k), []).append(w)
+        want = sorted(tuple(sorted(g)) for g in groups.values())
+        assert [c.members for c in classify_brute(words, k)] == want
+
+
+@st.composite
+def binary_languages(draw):
+    """(k, m, words): words of one length m up to 200 at order k in 1..8,
+    m < k and m == k included: all 0s, all 1s, random words, and last a
+    k-switched pair x w y w z w t, x w z w y w t with |w| = k-1, which are
+    equivalent at order k (Karhumaki, Saarela & Zamboni 2013)."""
+    k = draw(st.integers(1, 8))
+    m = draw(st.one_of(st.integers(1, 9), st.integers(1, 200)))
+    randoms = draw(st.lists(st.text("01", min_size=m, max_size=m), max_size=4))
+    words = ["0" * m, "1" * m, *randoms]
+    if 3 * (k - 1) <= m:
+        w = draw(st.text("01", min_size=k - 1, max_size=k - 1))
+        rest = draw(st.text("01", min_size=m - 3 * (k - 1), max_size=m - 3 * (k - 1)))
+        a, b, c = sorted(draw(st.lists(st.integers(0, len(rest)), min_size=3, max_size=3)))
+        x, y, z, t = rest[:a], rest[a:b], rest[b:c], rest[c:]
+        words += [x + w + y + w + z + w + t, x + w + z + w + y + w + t]
+    return k, m, words
+
+
+@given(binary_languages())
+@settings(max_examples=300, deadline=None)
+def test_binary_key_partitions_like_the_counter_signature(case):
+    """The all-integer key of a binary word groups words of one length as
+    the Counter signature does, and two words share a key exactly when the
+    raw definition calls them equivalent."""
+    k, m, words = case
+    keys = [_binary_key(int(w, 2), m, k) for w in words]
+    signatures = [counter_signature(w, k) for w in words]
+    assert len(set(keys)) == len(set(signatures)) == len(set(zip(keys, signatures)))
+    for i, u in enumerate(words):
+        for j in range(i + 1, len(words)):
+            assert (keys[i] == keys[j]) == kab_equivalent_counts(u, words[j], k)
+    if 3 * (k - 1) <= m:
+        assert keys[-2] == keys[-1]
+
+
 @given(periodic_slopes, st.integers(1, 4), st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
 def test_exponent_formula_matches_the_oracle(alpha, k, m):
@@ -329,11 +384,12 @@ def test_exponent_formula_matches_the_oracle(alpha, k, m):
 
 
 def _initial_run(word, m, classes):
-    """Number of leading m-blocks of `word` all equivalent to the first."""
-    first = classes[word[:m]]
+    """Number of leading m-blocks of `word` all equivalent to the first,
+    each block sliced afresh and keyed on the integer of its letters."""
+    first = classes[int(word[:m], 2)]
     n = 1
     pos = m
-    while pos + m <= len(word) and classes[word[pos : pos + m]] == first:
+    while pos + m <= len(word) and classes[int(word[pos : pos + m], 2)] == first:
         n += 1
         pos += m
     return n
@@ -345,15 +401,17 @@ def _rescanned_run(alpha, n, m, classes):
     return max(_initial_run(w, m, classes) for w in _factor_words(alpha, n))
 
 
-# the oracle's keys: signature keys at k = 1..4, and the identity of
-# max_integer_power_exponent.  Both tell apart blocks with different letter
-# counts, so a crossing always moves block j-1 out of block 0's class; the
-# first-letter key lets block j-1 keep its class while block j leaves it.
-block_keys = st.one_of(
-    st.integers(1, 4).map(lambda k: partial(_signature_key, k=k)),
-    st.just(lambda b: b),
-    st.just(lambda b: b[0]),
-)
+def block_keys(m):
+    """The oracle's keys on integer m-blocks: binary signature keys at
+    k = 1..4, and the identity of max_integer_power_exponent.  Both tell
+    apart blocks with different letter counts, so a crossing always moves
+    block j-1 out of block 0's class; the first-letter key lets block j-1
+    keep its class while block j leaves it."""
+    return st.one_of(
+        st.integers(1, 4).map(lambda k: partial(_binary_key, m=m, k=k)),
+        st.just(lambda v: v),
+        st.just(lambda v: v >> (m - 1)),
+    )
 
 
 def _ladder_outcome(alpha, m, key, cap):
@@ -369,7 +427,7 @@ def test_incremental_block_scan_matches_the_rescan(alpha, m, data):
     """The crossing walk's repaired runs against a rescan of every factor,
     on one language of length 2m..300 (m need not divide it), and along the
     whole ladder at a small cap, cap refusals included."""
-    key = data.draw(block_keys)
+    key = data.draw(block_keys(m))
     n = data.draw(st.integers(2 * m, 300))
     got = _best_initial_run(alpha, n, m, _BlockClasses(key))
     assert got == _rescanned_run(alpha, n, m, _BlockClasses(key))
@@ -386,9 +444,12 @@ def test_block_scan_ends_the_run_where_block_j_leaves(m):
     block, not stay long (at m = 2, n = 8 the stale run would read 4, not
     3)."""
     alpha = ContinuedFraction([0], [1]).value()
+    def first_letter(v):
+        return v >> (m - 1)
+
     for n in range(2 * m, 120):
-        got = _best_initial_run(alpha, n, m, _BlockClasses(lambda b: b[0]))
-        assert got == _rescanned_run(alpha, n, m, _BlockClasses(lambda b: b[0]))
+        got = _best_initial_run(alpha, n, m, _BlockClasses(first_letter))
+        assert got == _rescanned_run(alpha, n, m, _BlockClasses(first_letter))
 
 
 # -- exponent formulas on integer pairs, against their QuadReal versions --------
@@ -803,5 +864,5 @@ def test_pair_coder_by_wrap_positions_matches_the_letter_loop(cf, pair, n, zero_
     a, b, d = pair
     alpha = cf.value()
     for x in (alpha, 1 - alpha):
-        got = _code_pair(x, a, b, d, n, zero_in_i0)
+        got = _code_pair(*_convergent_past(x, abs(b) + d * n), a, b, d, n, zero_in_i0)
         assert got == code_pair_by_letter(x, a, b, d, n, zero_in_i0)

@@ -8,13 +8,14 @@ from sturmian_spectra.kabelian import (
     classify_brute,
     classify_by_intervals,
     kab_equivalent,
-    kab_equivalent_counts,
     prefix_suffix_sufficient,
     signature,
     verify_ternary_property,
 )
 from sturmian_spectra.quadreal import QuadReal
 from sturmian_spectra.words import SturmianSpec, factors_of_length
+
+from reference import kab_equivalent_counts
 
 FIB_SLOPE = QuadReal(3, -1, 5, 2)
 SILVER_SLOPE = QuadReal(-1, 1, 2, 1)

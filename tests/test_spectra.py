@@ -119,6 +119,21 @@ def test_brute_force_respects_its_cap():
     assert brute_kab_exponent(FIB_SLOPE, 1, 5) == 11
 
 
+@pytest.mark.parametrize(
+    "k, m, cap, match",
+    [
+        (2, 0, None, "period"),  # was a ZeroDivisionError
+        (2, -3, None, "period"),  # was the wrong answer -22
+        (0, 5000, None, "order"),  # was a cap refusal at the default cap
+        (2, 5, -1, "cap"),  # was a cap refusal, as a negative environment cap is not
+    ],
+)
+def test_brute_force_rejects_bad_arguments_as_usage_errors(monkeypatch, k, m, cap, match):
+    monkeypatch.delenv("STURMIAN_SPECTRA_CAP", raising=False)
+    with pytest.raises(ValueError, match=match):
+        brute_kab_exponent(FIB_SLOPE, k, m, cap=cap)
+
+
 def test_cap_can_come_from_the_environment(monkeypatch):
     monkeypatch.setenv("STURMIAN_SPECTRA_CAP", "40")
     with pytest.raises(ResourceCapExceeded):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sturmian_spectra import geometry, words
 from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
@@ -110,6 +111,21 @@ def test_languages_past_the_symbol_budget_are_refused_before_sorting():
     assert LANGUAGE_SYMBOL_CAP == 10**8
     _factor_words(FIB_SLOPE, 9999)
     assert _crossings.cache_info().misses == misses
+
+
+def test_a_fresh_language_expands_and_sorts_once(monkeypatch):
+    """The first word, the crossing order and the level family of a fresh
+    language share one convergent and one circle-order sort, and the
+    family equals the public level_intervals."""
+    calls = []
+    for mod in (words, geometry):
+        for name in ("_convergent_past", "_circle_order"):
+            real = getattr(mod, name)
+            monkeypatch.setattr(mod, name, lambda *a, _f=real, _n=name: calls.append(_n) or _f(*a))
+    alpha = ContinuedFraction([0, 7], [2, 9]).value()
+    factors = factors_of_length(alpha, 321)
+    assert calls == ["_convergent_past", "_circle_order"]
+    assert tuple(iv for _, iv in factors) == level_intervals(alpha, 321).intervals
 
 
 def test_factor_cache_ignores_the_convention_spelling():
