@@ -13,8 +13,9 @@ and its last step `_moebius`), and each value builds a single
 from __future__ import annotations
 
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
 
 from .quadreal import QuadReal
 
@@ -29,10 +30,8 @@ class CFSyntaxError(ValueError):
     """Malformed continued fraction text."""
 
 
-class Convergent(NamedTuple):
-    t: int
-    p: int
-    q: int
+class Convergent(namedtuple("Convergent", "t p q")):
+    __slots__ = ()
 
     @property
     def fraction(self) -> Fraction:

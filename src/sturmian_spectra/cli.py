@@ -21,9 +21,9 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
-from typing import Sequence
 
 from .cf import CFSyntaxError, ContinuedFraction, Convergent, _folds
 from .geometry import LEFT_CLOSED, RIGHT_CLOSED, ikm_intervals

@@ -50,9 +50,9 @@ floor(L/s) + [L != s] is thus G // S + (G != S) once q > (G // S + 2)*m.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Sequence
 
 from .quadreal import QuadReal
 

@@ -40,8 +40,8 @@ classify_brute ignores it, so the two can be played against each other.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices
 from .quadreal import QuadReal, dist_to_int

@@ -18,11 +18,11 @@ import itertools
 import os
 import sys
 from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import sub
-from typing import Iterable, Iterator
 
 from .cf import ContinuedFraction, _folds
 from .geometry import (
@@ -67,6 +67,7 @@ ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
 DIGIT_BUDGET = 4300
 LIMSUP_WINDOW = 5  # trailing convergent indices theta_limsup_estimate maxes over
 SPECTRUM_POOL_CAP = 10**5  # slopes in one sample_spectrum count: about 5 s at k = 2
+BOUND_PERIOD_CAP = 10**6  # periods one exponent_bound_check ranks: 3.5 s, 200 MB at k = 2
 
 
 def _oracle_cap(cap: int | None) -> int:
@@ -322,6 +323,58 @@ class BoundReport:
         )
 
 
+def _first_time(p: int, q: int, lo: int, hi: int) -> int:
+    """The least n >= 1 with lo <= n*p mod q <= hi, for p prime to q and
+    0 < lo <= hi < q, in O(log q) steps of Euclid's algorithm on (p, q).
+
+    If a multiple of p lies in [lo, hi], n = ceil(lo/p).  Otherwise hi - lo
+    < p, so each j >= 1 has at most one n with n*p - j*q in [lo, hi], and
+    one exactly when j*q mod p lies in [p - hi % p, p - lo % p]; the least
+    such j, found the same way on (q mod p, p), gives the least n."""
+    frames = []
+    while (n := -(-lo // p)) * p > hi:
+        frames.append((p, q, lo))
+        p, q, lo, hi = q % p, p, p - hi % p, p - lo % p
+    for p, q, lo in reversed(frames):
+        n = -(-(q * n + lo) // p)
+    return n
+
+
+def _return_times(p: int, q: int, delta: int, lo: int, end: int, room: int) -> list[int]:
+    """The m in [lo, end) whose ||m*alpha|| has rank at most `delta`, in
+    ascending order and no more than room + 1 of them, for a convergent p/q
+    past end.
+
+    With the residues y = (m*p + delta) mod q these are the m with y in
+    [0, L), L = 2*delta + 1: the return times of the rotation by p to an
+    interval.  For L < q, let a be the least n >= 1 with n*p mod q in
+    [1, L-1], b the least with it in [q-L+1, q-1], A = a*p mod q and B = q -
+    b*p mod q.  From a return at y the next one is y + A after a steps when
+    y + A < L, else y - B after b steps when y >= B, else y + A - B after
+    a + b steps (the three-gap theorem)."""
+    size = 2 * delta + 1
+    if size >= q:
+        return list(range(lo, min(end, lo + room + 1)))
+    p %= q
+    c = (lo * p + delta) % q
+    m = lo if c < size else lo + _first_time(p, q, q - c, q - c + size - 1)
+    if m >= end:  # as always when L = 1: then only multiples of q return
+        return []
+    y = (m * p + delta) % q
+    a, b = _first_time(p, q, 1, size - 1), _first_time(p, q, q - size + 1, q - 1)
+    step_a, step_b = a * p % q, q - b * p % q
+    times = []
+    while m < end and len(times) <= room:
+        times.append(m)
+        if y + step_a < size:
+            m, y = m + a, y + step_a
+        elif y >= step_b:
+            m, y = m + b, y - step_b
+        else:
+            m, y = m + a + b, y + step_a - step_b
+    return times
+
+
 def exponent_bound_check(
     cf: ContinuedFraction, k: int, t_range: Iterable[int]
 ) -> BoundReport:
@@ -345,7 +398,16 @@ def exponent_bound_check(
     scanning of the word itself).
 
     For k = 1 the stronger A(m) < A(q_t) for m < q_t is recorded as well,
-    informationally (it does not affect `ok`).
+    informationally (it does not affect `ok`).  At k = 1 only that list can
+    fill: both slack lists and the window list are always empty.  The
+    coarse cuts of period m are 0 and m, whose rank gaps are S and q - S
+    for the rank S of ||m*alpha||, so A_1(m) = q // S, or 1 when q = 2S; as
+    S <= q/2, A_1 does not grow with S.  The level family is the one cut 0,
+    so shortest = longest = q and the window difference is 0, or -1 when
+    q = 2S.  For m < q_{t+1}, best approximation, applied to the convergent
+    p/q described below (its convergents up to q_{t+1} are alpha's), gives
+    S >= the rank of ||q_t*alpha||, so A_1(m) <= A_1(q_t).  The report does
+    not use this to skip periods: at k = 1 it ranks them all.
 
     All is decided on ranks over one convergent.  For T = max(t_range)
     each period m taken is at most q_{T+1}, so ||m*alpha|| >=
@@ -370,15 +432,30 @@ def exponent_bound_check(
     lists record A(m) only when A(m) >= A(q_t) + 2 for a checked t with
     m < q_{t+1}.  The least of these A(q_t) + 2 is m's threshold; it
     changes only at an end q_{t+1}, so it is taken once per segment
-    between ends.  A period is skipped when m >= k-1, S >= shortest (so it
-    has no window check), H // S + 1 is below its threshold, and
-    q > m + (H // S + 1)*m.  As G // S <= H // S, the last makes its own
-    floor check, q > m + (G // S + 1)*m, pass: it always holds on the
-    convergent taken here, and keeps a convergent too small failing as
-    when every period was ranked.  For k = 1 the level family has the one
-    cut 0, so shortest = q > S and no period is skipped: the monotone list
-    needs no threshold.  So every list, and every raise, is the one made
-    by ranking each period.
+    between ends, and it is at least 3, as every A is at least 1.  So a
+    period m >= k-1 can reach a list only when S < shortest (its window
+    check) or H // S + 1 >= threshold, that is, exactly when S <= delta =
+    max(shortest - 1, H // (threshold - 1)).  The periods below k-1 are
+    all ranked.
+
+    A skipped period has H // S + 2 <= threshold, G <= H and m < end, so
+    q > threshold*end makes its own floor check, q > m + (G // S + 1)*m,
+    pass.  That check is made once per segment: it always holds on the
+    convergent taken here, and where it fails the whole segment is ranked,
+    so a convergent too small fails as when every period was ranked.
+
+    The m with S <= delta are those with m*p mod q in [0, delta] or
+    [q - delta, q): the return times of the rotation by p/q to an
+    interval, which take at most three values, a, b and a + b, by Slater's
+    three-gap theorem (Slater 1967, "Gaps and steps for the sequence
+    n*theta mod 1"; it is the dual of Sos' three-distance theorem, see
+    Alessandri & Berthe 1998).  _return_times walks them at O(1) per
+    ranked period and O(log q) per segment, not over every period below
+    q_{t+1}.  For k = 1 the level family has the one cut 0, so shortest =
+    q, the interval is the whole circle and every period is ranked.  So
+    every list, and every raise, is the one made by ranking each period.
+    A report with more than BOUND_PERIOD_CAP periods to rank raises
+    ResourceCapExceeded before any of them is ranked.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -405,11 +482,18 @@ def exponent_bound_check(
     head = max(_rank_gaps(range(k), p, q))
     ranked, start = [], 1
     for end, threshold in zip(ends, reversed(thresholds)):
-        for m in range(start, end):
-            s = _dist_rank(m, p, q)
-            most = head // s + 1  # A(m) <= most once m >= k-1
-            if m < k - 1 or s < shortest or most >= threshold or q <= (most + 1) * m:
-                ranked.append(m)
+        # every period below k-1; from k-1 on, those with S <= delta, or
+        # all of them where a skip's floor check could fail
+        delta = q if q <= threshold * end else max(shortest - 1, head // (threshold - 1))
+        below = min(max(start, k - 1), end)
+        for lo, hi, bound in ((start, below, q), (below, end, delta)):
+            ranked += _return_times(p, q, bound, lo, hi, BOUND_PERIOD_CAP - len(ranked))
+        if len(ranked) > BOUND_PERIOD_CAP:
+            raise ResourceCapExceeded(
+                len(ranked),
+                BOUND_PERIOD_CAP,
+                f"a bound report would rank more than {BOUND_PERIOD_CAP} periods",
+            )
         start = end
     exponents, steps = _kab_exponents(k, ranked, p, q)
     for m, a_m, s in zip(ranked, exponents, steps):
@@ -437,11 +521,16 @@ def theta_k(cf: ContinuedFraction, k: int) -> QuadReal:
     the Lagrange constant of the slope."""
     if k < 1:
         raise ValueError("order k must be >= 1")
+    return _theta(cf, k, cf.lagrange_constant())
+
+
+def _theta(cf: ContinuedFraction, k: int, constant: QuadReal) -> QuadReal:
+    """theta_k(cf, k) for k >= 1, given the Lagrange constant of cf."""
     alpha = cf.value()
     p, q = _convergent_past(alpha, 4 * k - 4)
     lengths = _orbit_cuts(_circle_order(range(2 * k - 1), p, q), p, q)[1]
     longest = max(lengths, key=lambda ab: ab[0] * q + ab[1] * p)  # the greatest rank
-    return _value(alpha, *longest) * cf.lagrange_constant()
+    return _value(alpha, *longest) * constant
 
 
 @dataclass(frozen=True)
@@ -535,7 +624,12 @@ def sample_spectrum(
         cfs = _distinct_variants(base, max(pool, 1))
     else:
         cfs = [_variant(base, tuple(p)) for p in pool] or [base]
-    return [SpectrumPoint(cf, k, theta_k(cf, k)) for cf in cfs]
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    # every variant's period is base's, perhaps rotated, and so is its
+    # Lagrange constant (see ContinuedFraction.lagrange_constant)
+    constant = base.lagrange_constant()
+    return [SpectrumPoint(cf, k, _theta(cf, k, constant)) for cf in cfs]
 
 
 def _variant(base: ContinuedFraction, digits: tuple[int, ...]) -> ContinuedFraction:

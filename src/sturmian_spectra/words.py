@@ -37,9 +37,9 @@ m-block as the integer of its letters and flips two bits per crossing.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .geometry import (
     EndpointConvention,

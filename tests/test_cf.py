@@ -80,6 +80,16 @@ def test_convergent_denominators_frozen():
     assert [c.q for c in SILVER.convergents(4)] == [1, 2, 5, 12, 29]
 
 
+def test_a_convergent_is_a_plain_triple():
+    """Convergent keeps its fields, repr and tuple equality, and a slot-less
+    instance: no per-convergent dict."""
+    conv = FIB.convergents(3)[-1]
+    assert conv._fields == ("t", "p", "q")
+    assert repr(conv) == "Convergent(t=3, p=2, q=5)"
+    assert conv == (3, 2, 5) and conv.fraction == Fraction(2, 5)
+    assert not hasattr(conv, "__dict__")
+
+
 def test_convergents_match_direct_evaluation():
     for cf in [FIB, SILVER, SPIKE, ALT]:
         for conv in cf.convergents(9):

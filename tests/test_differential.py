@@ -12,22 +12,26 @@ factor, and k-abelian signatures counted on bit masks against a Counter
 over slices, on binary and ternary words and on random slopes' factor
 languages; the all-integer key of binary words also against the raw
 definition.  The bound report, which ranks only the periods that can
-reach a list, is played against one exponent per period, the pair coder
+reach a list, is played against one exponent per period, and its
+three-gap walk against testing every period of a window; the pair coder
 against stepping its rotation letter by letter, and the Lagrange
-denominator by conjugation against folding every rotation.
+denominator by conjugation against folding every rotation, and spectrum
+points, which share one Lagrange constant, against theta_k.
 """
 
 import dataclasses
 import io
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import partial
+from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmian_spectra import cli, spectra
@@ -58,10 +62,13 @@ from sturmian_spectra.spectra import (
     ResourceCapExceeded,
     _best_initial_run,
     _BlockClasses,
+    _kab_exponents,
     _longest_block_run,
+    _return_times,
     brute_kab_exponent,
     exponent_bound_check,
     max_kab_exponent,
+    sample_spectrum,
     theta_k,
     theta_limsup_estimate,
 )
@@ -620,6 +627,103 @@ def test_bound_report_ranks_the_periods_below_the_head():
     assert max(_rank_gaps(range(3), p, q)) // _dist_rank(1, p, q) + 1 == 4
 
 
+@given(shifted_cfs | spiked_cfs, st.data())
+@settings(max_examples=100, deadline=None)
+def test_order_one_reports_can_fill_only_the_monotone_list(cf, data):
+    """The k = 1 argument of the exponent_bound_check docstring: A_1(m) is
+    q // S, or 1 when q = 2S, and below q_{t+1} no S is less than the rank
+    of ||q_t*alpha||, so both slack lists and the window list stay empty,
+    over random t ranges whose q_{t+1} stays at most 5000."""
+    convs = cf.convergents(40)
+    ts = [t for t in range(40) if convs[t + 1].q <= 5000]
+    t_range = data.draw(st.lists(st.sampled_from(ts), min_size=1, max_size=8))
+    report = exponent_bound_check(cf, 1, t_range)
+    assert report.convergent_slack_violations == []
+    assert report.improved_slack_exceedances == []
+    assert report.approx_window_violations == []
+    end, after = convs[max(t_range) + 1].q, convs[max(t_range) + 2].q
+    p, q = _convergent_past(cf.value(), 2 * after * (end + 1))
+    periods = range(1, end)
+    for m, a_m, s in zip(periods, *_kab_exponents(1, periods, p, q)):
+        assert a_m == (1 if q == 2 * s else q // s)
+
+
+@st.composite
+def return_walks(draw):
+    """(p, q, delta, lo, end, room): q up to 10^4 or within 10^6 of 10^30,
+    p prime to q in any residue class, delta from 0 to past q/2 (where
+    2*delta + 1 >= q), and a window [lo, end) of at most 3000 periods
+    below q."""
+    q = draw(st.integers(2, 10**4) | st.integers(10**30 - 10**6, 10**30 + 10**6))
+    p = draw(st.integers(-2 * q, 3 * q))
+    assume(gcd(p, q) == 1)
+    delta = draw(st.integers(0, 40) | st.integers(0, q // 2) | st.just(q // 2))
+    lo = draw(st.integers(1, q - 1))
+    end = draw(st.integers(lo, min(q, lo + 3000)))
+    return p, q, delta, lo, end, draw(st.integers(0, 3000))
+
+
+@given(return_walks())
+@example((5, 13, 0, 1, 13, 100))  # delta = 0: no period
+@example((5, 13, 6, 2, 13, 100))  # 2*delta + 1 = q: every period
+@example((3, 10**30 + 1, 10**27, 10**29, 10**29 + 3000, 3000))
+@example((144, 233, 20, 100, 233, 3))  # stopped by its room
+@settings(max_examples=300, deadline=None)
+def test_return_time_walk_matches_the_plain_filter(case):
+    """The three-gap walk of _return_times against testing the rank of
+    ||m*alpha|| at every period of the window."""
+    p, q, delta, lo, end, room = case
+    want = [m for m in range(lo, end) if _dist_rank(m, p, q) <= delta]
+    assert _return_times(p, q, delta, lo, end, room) == want[: room + 1]
+
+
+def test_bound_report_work_follows_the_ranked_periods(monkeypatch):
+    """[0; 3, (1, 300, 2)] at k = 8 over t = 1..7 ranks its five checked
+    q_t and 5423 of the 3 262 542 periods below q_8: ||m*alpha|| is ranked
+    once per t and once per ranked period, and never for a period that is
+    skipped."""
+    cf = ContinuedFraction.parse("[0; 3, (1, 300, 2)]")
+    counts, calls = Counter(), []
+    real_rank, real_kernel = spectra._dist_rank, spectra._kab_exponents
+
+    def counted_rank(m, p, q):
+        counts["rank"] += 1
+        return real_rank(m, p, q)
+
+    def counted_kernel(k, periods, p, q):
+        periods = list(periods)
+        calls.append(len(periods))
+        return real_kernel(k, periods, p, q)
+
+    monkeypatch.setattr(spectra, "_dist_rank", counted_rank)
+    monkeypatch.setattr(spectra, "_kab_exponents", counted_kernel)
+    report = exponent_bound_check(cf, 8, range(1, 8))
+    assert report.ok and report.t_checked == [3, 4, 5, 6, 7]
+    assert cf.convergents(8)[-1].q == 3262543
+    assert calls == [5, 5423]
+    assert counts["rank"] == 7 + 5 + 5423
+
+
+def test_a_too_small_convergent_ranks_its_whole_segment(monkeypatch):
+    """Where q <= threshold * end a skipped period's floor check could
+    fail, so the whole segment is ranked.  SPIKE at k = 2, t = 4 on its
+    convergent 2431/8911: q_4 = 11 passes its own floor check, and the
+    kernel is handed all 1106 periods below q_5 = 1107, one of which
+    raises AssertionError."""
+    handed = []
+    real = spectra._kab_exponents
+
+    def kernel(k, periods, p, q):
+        handed.append(list(periods))
+        return real(k, handed[-1], p, q)
+
+    monkeypatch.setattr(spectra, "_convergent_past", lambda alpha, n: (2431, 8911))
+    monkeypatch.setattr(spectra, "_kab_exponents", kernel)
+    with pytest.raises(AssertionError, match="too small for floor"):
+        exponent_bound_check(SPIKE, 2, [4])
+    assert handed == [[11], list(range(1, 1107))]
+
+
 def test_the_skip_rests_on_the_head_bound_alone(monkeypatch):
     """The skip holds for any exponents within the head bound: with A(m)
     raised to H // S + 1 at every period the skip may take (m >= k-1, S at
@@ -848,6 +952,25 @@ def test_lagrange_denominator_by_conjugation_matches_every_rotation(period, pre)
     disc = _purely_periodic_value(cf.period)[1]
     want = QuadReal(0, 1, disc, least_rotation_denominator(cf.period))
     assert _spelled(cf.lagrange_constant()) == _spelled(want)
+
+
+@given(
+    st.integers(-2, 2),
+    st.lists(st.integers(1, 30), min_size=1, max_size=6),
+    st.integers(1, 6),
+    st.lists(st.tuples(st.lists(st.integers(1, 30), max_size=2), st.booleans()), max_size=4),
+)
+@example(0, [1, 2], 2, [([2], True)])  # [0; 2, 2, (1, 2)] is [0; 2, (2, 1)]
+@settings(max_examples=100, deadline=None)
+def test_spectrum_points_are_theta_k_of_their_slopes(a0, period, k, picks):
+    """sample_spectrum takes one Lagrange constant for all its variants;
+    each point is still spelled as theta_k of its own slope, also where a
+    last digit equal to the period's last quotient rotates the variant's
+    canonical period."""
+    base = ContinuedFraction([a0], period)
+    pool = [(*digits, base.period[-1]) if rotate else tuple(digits) for digits, rotate in picks]
+    for point in sample_spectrum(k, base, pool) + sample_spectrum(k, base, 6):
+        assert _spelled(point.theta) == _spelled(theta_k(point.cf, k))
 
 
 # intercepts (a + b*alpha)/d in any position, slopes with any integer part

@@ -1,5 +1,9 @@
 """The package namespace: one spelling per public name."""
 
+import os
+import subprocess
+import sys
+
 import sturmian_spectra
 from sturmian_spectra import cf, geometry, kabelian, quadreal, spectra, words
 
@@ -15,3 +19,18 @@ def test_public_names_are_exactly_the_submodules_exports():
         assert len(mod.__all__) == len(set(mod.__all__))
         for name in mod.__all__:
             assert getattr(sturmian_spectra, name) is getattr(mod, name)
+
+
+def test_the_command_line_loads_no_typing():
+    """Annotations come from collections.abc, so importing the command line
+    in a fresh `python -S` loads no `typing` module."""
+    src = os.path.dirname(os.path.dirname(sturmian_spectra.__file__))
+    code = "import sturmian_spectra.cli, sys; assert 'typing' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr

@@ -274,6 +274,38 @@ def test_exponent_bounds_hold_along_the_convergents():
     assert report.t_checked == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
+def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch):
+    """FIB at k = 2 over t = 1..11 ranks 176 periods: a cap of 176 lets the
+    report through, and one of 175 raises ResourceCapExceeded when only the
+    checked q_t have been ranked.  At the real cap, [0; 3, (1, 300, 2)] is
+    refused at k = 8 to t = 8 and at k = 2 to t = 7, which would rank
+    1 629 018 and 1 632 625 periods."""
+    calls = []
+    real = spectra._kab_exponents
+
+    def counted(k, periods, p, q):
+        periods = list(periods)
+        calls.append(len(periods))
+        return real(k, periods, p, q)
+
+    monkeypatch.setattr(spectra, "_kab_exponents", counted)
+    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 176)
+    assert exponent_bound_check(FIB, 2, range(1, 12)).ok
+    assert calls == [10, 176]
+    calls.clear()
+    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 175)
+    with pytest.raises(ResourceCapExceeded) as info:
+        exponent_bound_check(FIB, 2, range(1, 12))
+    assert (info.value.needed, info.value.cap) == (176, 175)
+    assert calls == [10]
+    monkeypatch.undo()
+    cf = ContinuedFraction.parse("[0; 3, (1, 300, 2)]")
+    for k, t_max in [(8, 8), (2, 7)]:
+        with pytest.raises(ResourceCapExceeded) as info:
+            exponent_bound_check(cf, k, range(1, t_max + 1))
+        assert (info.value.needed, info.value.cap) == (10**6 + 1, 10**6)
+
+
 def test_order_one_exponents_grow_along_convergents():
     report = exponent_bound_check(FIB, 1, range(1, 9))
     assert report.ok
@@ -380,6 +412,23 @@ def test_spectrum_pool_past_its_cap_is_refused_before_any_slope(monkeypatch):
     with pytest.raises(ResourceCapExceeded) as info:
         sample_spectrum(2, GOLDEN_TAIL, 4)
     assert (info.value.needed, info.value.cap) == (4, 3)
+
+
+def test_spectrum_takes_the_lagrange_constant_once(monkeypatch):
+    """A pool of 4 on [0; (1, 2)] calls lagrange_constant once, although
+    one variant, [0; 2, (2, 1)], has its period rotated."""
+    calls = []
+    real = ContinuedFraction.lagrange_constant
+
+    def counted(cf):
+        calls.append(cf)
+        return real(cf)
+
+    monkeypatch.setattr(ContinuedFraction, "lagrange_constant", counted)
+    base = ContinuedFraction([0], [1, 2])
+    points = sample_spectrum(2, base, 4)
+    assert len(calls) == 1
+    assert [p.cf.period for p in points] == [(1, 2), (1, 2), (2, 1), (1, 2)]
 
 
 def test_spectrum_points_sit_in_the_expected_band():
