@@ -3,31 +3,38 @@
 Two words of equal length are k-abelian equivalent when every nonempty
 word of length at most k occurs in both the same number of times.  For
 words of length at least k-1 this is the same as sharing the length-(k-1)
-prefix and suffix and having equal counts of length-k blocks, which is
-what the signature below records (Karhumaki, Saarela & Zamboni 2013).
+prefix and suffix and having equal counts of length-k blocks (Karhumaki,
+Saarela & Zamboni 2013).  The suffix follows from the other two: for a
+word of length m >= k, a (k-1)-factor u occurs
+    sum_a c(ua) + [u is the suffix] = sum_a c(au) + [u is the prefix]
+times, c counting length-k blocks, so the key below is the prefix and the
+counts alone.
 
-The length-k blocks are counted on integer bit masks, not on string
-slices.  Each letter c of a length-m word u gets the mask whose bit m-1-i
-is set where u[i] == c (for a word over {0,1} that is int(u, 2) and its
-complement).  Bit b of the mask shifted right by k-1-j then says whether
-letter j of the window starting at m-k-b is c.  Starting from all m-k+1
-window starts, ANDing in one shifted letter mask per offset j = 0..k-1
-splits the windows by their blocks, a tree whose nonzero leaves are the
-blocks that occur, each leaf's popcount its number of occurrences.  The
-letters are tried in sorted order at every depth and all blocks have
-length k, so the leaves come out in lexicographic order of their blocks:
-the sorted count tuple, with no sort.  A word costs one AND of m-bit
-integers per tree node, and a Sturmian factor has at most j+1 distinct
-blocks of length j, so that is O(k^2) of them in place of m-k+1 slices.
+Words are keyed as integers of digits.  The words keyed in one call (one
+word list, one pair, one length) share a digit map: a letter's digit is
+its index among all their letters, sorted, with 0 and 1 always counted,
+and each digit takes `width` bits, the fewest that hold them all.  Binary
+text is its own digit string at width 1, so int() reads it as it is; any
+other text goes through one str.translate.  In a length-m word letter i
+fills the width bits from bit width*(m-1-i) up.  Number the length-k
+windows b = 0..m-k from the right: window b starts at letter m-k-b, and
+its block fills the width*k bits from bit width*b up.  The prefix is the
+word shifted right by width*(m-k+1).
 
-A binary word needs no string at all.  Read as the integer of its letters
-(`ones`, letter i at bit m-1-i), its prefix and suffix of length k-1 are
-its top and bottom k-1 bits, and a tree node's block is the integer 2*b + c
-of its parent's block b and its letter c, so _binary_key is all integers.
-The brute oracle keeps every m-block as that integer along the crossing
-walk, and classify_brute keys each nonempty binary word on it.  A binary
-key never equals a string key, and a binary word is never equivalent to a
-word with another letter, so one partition may mix both kinds of word.
+The length-k blocks are counted on one counting tree.  Its root is the
+window-start mask, with one bit at each window start: bits 0, width,
+2*width, ..., width*(m-k), the repunit of m-k+1 digits in base 2^width.
+Bit width*b + s of the word is bit s of window b's block, so ANDing the
+mask with the word shifted right by s, for s = width*k-1 down to 0,
+splits the windows by the bits of their blocks: a node is a block's
+leading bits and the set of windows whose blocks start with them.  The
+nonzero leaves are the blocks that occur, each under the integer of its
+digits and counted by its popcount, and they come out in increasing
+order, that is in lexicographic order of the blocks, with no sort.  A
+word costs one AND of (width*m)-bit integers per node, and a Sturmian
+factor has at most j+1 distinct blocks of length j, so that is O(k^2) of
+them for a binary word.  The brute oracle keys every m-block on the
+integer of its letters along the crossing walk, with no string at all.
 
 For factors of a rotation coding the classes have a geometric shape: two
 length-m factors are equivalent at order k exactly when their level-m
@@ -40,11 +47,11 @@ classify_brute ignores it, so the two can be played against each other.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices
-from .quadreal import QuadReal, dist_to_int
+from .quadreal import QuadReal
 from .words import SturmianSpec, _factor_words, _language_walk, sigma_factors_of_length
 
 __all__ = [
@@ -54,7 +61,6 @@ __all__ = [
     "FactorClass",
     "classify_brute",
     "classify_by_intervals",
-    "prefix_suffix_sufficient",
     "TernaryReport",
     "verify_ternary_property",
 ]
@@ -76,78 +82,65 @@ class KAbelianSignature:
     counts: tuple[tuple[str, int], ...]
 
 
-def _block_counts(u: str, k: int) -> tuple[tuple[str, int], ...]:
-    """Sorted (block, count) pairs of the length-k blocks of u, k <= len(u),
-    counted on bit masks (see the module docstring)."""
-    m = len(u)
-    letters = sorted(set(u))
-    masks = [
-        (c, int(u.translate({ord(x): "1" if x == c else "0" for x in letters}), 2))
-        for c in letters
-    ]
-    nodes = [("", (1 << (m - k + 1)) - 1)]
-    for shift in range(k - 1, -1, -1):
-        nodes = [
-            (block + c, child)
-            for block, node in nodes
-            for c, mask in masks
-            if (child := node & (mask >> shift))
-        ]
-    # from a list: tuple() of a generator grows and shrinks its result, and
-    # the freed sizes raised the oracle sweep's peak RSS by about 0.5 MB
-    return tuple([(block, node.bit_count()) for block, node in nodes])
+def _digits(words: Sequence[str]) -> tuple[str, int, list[int]]:
+    """(letters, width, digits) of words keyed in one call: their sorted
+    alphabet with 0 and 1 in it, the bits per letter, and each word as the
+    integer of its letters' indices in that alphabet (see the module
+    docstring)."""
+    text = "".join(words)
+    if not text.strip("01"):  # int() alone would also take "_", "0b", a sign or spaces
+        return "01", 1, [int(w or "0", 2) for w in words]
+    letters = "".join(sorted(set(text).union("01")))
+    width = (len(letters) - 1).bit_length()
+    table = {ord(c): format(i, f"0{width}b") for i, c in enumerate(letters)}
+    return letters, width, [int(w.translate(table), 2) for w in words]
 
 
-def _binary_key(ones: int, m: int, k: int) -> int | tuple[int, int, tuple[tuple[int, int], ...]]:
-    """The signature key at order k >= 1 of the length-m binary word whose
-    letters are the bits of `ones`, all integers (see the module docstring):
-    the word itself when m < k, else (prefix, suffix, counts) with each
-    length-k block counted under its own integer, in increasing order."""
+def _key(word: int, m: int, k: int, width: int = 1) -> int | tuple[int, tuple]:
+    """The key at order k >= 1 of the length-m word whose digits, `width`
+    bits each, are `word` (see the module docstring): the word itself when
+    m < k, else (prefix, counts), each length-k block counted under the
+    integer of its digits, in increasing order."""
     if m < k:
-        return ones
-    nodes = [(0, (1 << (m - k + 1)) - 1)]
-    for shift in range(k - 1, -1, -1):
-        o, children = ones >> shift, []
+        return word
+    nodes = [(0, ((1 << width * (m - k + 1)) - 1) // ((1 << width) - 1))]
+    for shift in range(width * k - 1, -1, -1):
+        o, children = word >> shift, []
         for b, node in nodes:
             one = node & o
-            if zero := node ^ one:  # the window starts whose letter is 0
+            if zero := node ^ one:  # the windows whose bit here is 0
                 children.append((2 * b, zero))
             if one:
                 children.append((2 * b + 1, one))
         nodes = children
-    counts = tuple([(b, node.bit_count()) for b, node in nodes])
-    return ones >> (m - k + 1), ones & ((1 << (k - 1)) - 1), counts
-
-
-def _string_key(u: str, k: int) -> tuple[str, str, tuple[tuple[str, int], ...]]:
-    """(prefix, suffix, counts) of u at order k: the signature of u among
-    words of its length, blocks spelled as strings."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    m = len(u)
-    edge = min(m, k - 1)
-    counts = _block_counts(u, k) if m >= k else ()
-    return u[:edge], u[m - edge :] if edge else "", counts
-
-
-def _signature_key(u: str, k: int) -> int | tuple:
-    """A key of u at order k to group and hash on: equal keys for words of
-    one length exactly when they are equivalent.  A nonempty binary word
-    takes _binary_key, any other word _string_key."""
-    if u and k >= 1 and not u.strip("01"):  # int() would also take "_", "0b", a sign or spaces
-        return _binary_key(int(u, 2), len(u), k)
-    return _string_key(u, k)
+    # from a list: tuple() of a generator grows and shrinks its result, and
+    # the freed sizes raised the oracle sweep's peak RSS by about 0.5 MB
+    return word >> width * (m - k + 1), tuple([(b, node.bit_count()) for b, node in nodes])
 
 
 def signature(u: str, k: int) -> KAbelianSignature:
-    return KAbelianSignature(k, len(u), *_string_key(u, k))
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    m, edge = len(u), min(len(u), k - 1)
+    counts = ()
+    if m >= k:
+        letters, width, (word,) = _digits([u])
+        digit = (1 << width) - 1
+        counts = tuple(
+            ("".join(letters[b >> width * j & digit] for j in range(k - 1, -1, -1)), n)
+            for b, n in _key(word, m, k, width)[1]
+        )
+    return KAbelianSignature(k, m, u[:edge], u[m - edge :], counts)
 
 
 def kab_equivalent(u: str, v: str, k: int) -> bool:
     """Equivalence at order k; words must have equal length."""
+    if k < 1:
+        raise ValueError("order k must be >= 1")
     if len(u) != len(v):
         raise ValueError("k-abelian equivalence compares equal-length words")
-    return signature(u, k) == signature(v, k)
+    _, width, (a, b) = _digits([u, v])
+    return _key(a, len(u), k, width) == _key(b, len(u), k, width)
 
 
 @dataclass(frozen=True)
@@ -164,18 +157,17 @@ def classify_brute(words: Iterable[str], k: int) -> list[FactorClass]:
     Classes are ordered by their lexicographically smallest member and
     members are sorted, so the output is deterministic for set inputs.
     """
-    groups: dict[tuple, list[str]] = {}
-    length = None
-    for w in words:
-        if length is None:
-            length = len(w)
-        elif len(w) != length:
-            raise ValueError("all words must share one length")
-        groups.setdefault(_signature_key(w, k), []).append(w)
-    classes = [
-        FactorClass(k, length if length is not None else 0, tuple(sorted(g)))
-        for g in groups.values()
-    ]
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    words = list(words)
+    length = len(words[0]) if words else 0
+    if any(len(w) != length for w in words):
+        raise ValueError("all words must share one length")
+    _, width, digits = _digits(words)
+    groups: dict[int | tuple, list[str]] = {}
+    for w, d in zip(words, digits):
+        groups.setdefault(_key(d, length, k, width), []).append(w)
+    classes = [FactorClass(k, length, tuple(sorted(g))) for g in groups.values()]
     classes.sort(key=lambda c: c.members[0])
     return classes
 
@@ -210,14 +202,6 @@ def _class_walk(alpha: QuadReal, k: int, m: int) -> Iterator[tuple[bool, bytearr
     return ((j in coarse, letters) for j, letters in _language_walk(alpha, m))
 
 
-def prefix_suffix_sufficient(alpha: QuadReal, k: int) -> bool:
-    """Whether shared prefix+suffix of length k-1 alone decides equivalence
-    of equal-length factors, which happens iff 2(k-1)*dist(alpha) > 1."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    return 2 * (k - 1) * dist_to_int(alpha) > 1
-
-
 @dataclass
 class TernaryReport:
     k: int
@@ -245,11 +229,14 @@ def verify_ternary_property(spec: SturmianSpec, k: int, max_len: int) -> Ternary
     report = TernaryReport(k, max_len, 0)
     for ell in range(1, max_len + 1):
         words = sigma_factors_of_length(spec.alpha, ell)
+        _, width, digits = _digits(words)
+        keys = [_key(d, ell, k, width) for d in digits]
         edge = min(ell, k - 1)
         for i, u in enumerate(words):
-            for v in words[i + 1 :]:
+            for j in range(i + 1, len(words)):
+                v = words[j]
                 report.pairs_checked += 1
-                same_ends = u[:edge] == v[:edge] and u[len(u) - edge :] == v[len(v) - edge :]
-                if kab_equivalent(u, v, k) != same_ends:
+                same_ends = u[:edge] == v[:edge] and u[ell - edge :] == v[ell - edge :]
+                if (keys[i] == keys[j]) != same_ends:
                     report.counterexamples.append((u, v))
     return report

@@ -36,7 +36,7 @@ from .geometry import (
     _rank_gaps,
     _value,
 )
-from .kabelian import _binary_key
+from .kabelian import _key
 from .quadreal import QuadReal
 from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, _code_pair, _crossings
 
@@ -282,7 +282,7 @@ def brute_kab_exponent(alpha: QuadReal, k: int, m: int, cap: int | None = None) 
         raise ValueError("order k must be >= 1")
     if m < 1:
         raise ValueError("period must be >= 1")
-    return _longest_block_run(alpha, m, partial(_binary_key, m=m, k=k), _oracle_cap(cap))
+    return _longest_block_run(alpha, m, partial(_key, m=m, k=k), _oracle_cap(cap))
 
 
 def max_integer_power_exponent(cf: ContinuedFraction, m: int) -> int:

@@ -1,10 +1,12 @@
 """Generic references, independent of the package's fast paths: interval
 families by exact sorting and subtraction on QuadReal points, ignoring the
 integer circle order; k-abelian equivalence by its raw definition, and
-signatures by counting string slices, ignoring the bit masks; the pair
-coder one letter at a time; bound reports with one exponent per period;
-the least Lagrange denominator by folding every rotation of the cycle
-afresh; and the output of `classes` built whole before it is written."""
+signatures by counting string slices, ignoring the bit masks; whether
+shared ends alone decide equivalence, from the slope's distance to an
+integer; the pair coder one letter at a time; bound reports with one
+exponent per period; the least Lagrange denominator by folding every
+rotation of the cycle afresh; and the output of `classes` built whole
+before it is written."""
 
 import io
 import json
@@ -22,6 +24,7 @@ from sturmian_spectra.geometry import (
     ikm_intervals,
 )
 from sturmian_spectra.kabelian import KAbelianSignature, classify_by_intervals
+from sturmian_spectra.quadreal import dist_to_int
 from sturmian_spectra.spectra import BoundReport, _covered_floor
 
 
@@ -65,6 +68,14 @@ def counter_signature(u, k):
     if m >= k:
         counts = tuple(sorted(Counter(u[i : i + k] for i in range(m - k + 1)).items()))
     return KAbelianSignature(k, m, u[:edge], u[m - edge :] if edge else "", counts)
+
+
+def prefix_suffix_sufficient(alpha, k):
+    """Whether shared prefix+suffix of length k-1 alone decides equivalence
+    of equal-length factors, which happens iff 2(k-1)*dist(alpha) > 1."""
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    return 2 * (k - 1) * dist_to_int(alpha) > 1
 
 
 def code_pair_by_letter(alpha, a, b, d, n, zero_in_i0):

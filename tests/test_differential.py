@@ -49,7 +49,7 @@ from sturmian_spectra.geometry import (
     level_intervals,
 )
 from sturmian_spectra.kabelian import (
-    _binary_key,
+    _key,
     classify_brute,
     classify_by_intervals,
     signature,
@@ -327,7 +327,7 @@ def test_brute_classes_are_the_counter_signature_classes(alpha, k, m):
 
 
 def test_brute_classes_mix_binary_and_ternary_words():
-    """Binary words take the integer key and ternary ones the string key;
+    """Binary and ternary words keyed in one call share one digit map;
     the two kinds never share a class, and each groups as the Counter
     signature does."""
     words = ["0102", "0110", "1001", "0120", "2010", "0011", "1010", "0101", "2001"]
@@ -369,7 +369,7 @@ def test_binary_key_partitions_like_the_counter_signature(case):
     the Counter signature does, and two words share a key exactly when the
     raw definition calls them equivalent."""
     k, m, words = case
-    keys = [_binary_key(int(w, 2), m, k) for w in words]
+    keys = [_key(int(w, 2), m, k) for w in words]
     signatures = [counter_signature(w, k) for w in words]
     assert len(set(keys)) == len(set(signatures)) == len(set(zip(keys, signatures)))
     for i, u in enumerate(words):
@@ -415,7 +415,7 @@ def block_keys(m):
     block j-1 out of block 0's class; the first-letter key lets block j-1
     keep its class while block j leaves it."""
     return st.one_of(
-        st.integers(1, 4).map(lambda k: partial(_binary_key, m=m, k=k)),
+        st.integers(1, 4).map(lambda k: partial(_key, m=m, k=k)),
         st.just(lambda v: v),
         st.just(lambda v: v >> (m - 1)),
     )

@@ -8,14 +8,13 @@ from sturmian_spectra.kabelian import (
     classify_brute,
     classify_by_intervals,
     kab_equivalent,
-    prefix_suffix_sufficient,
     signature,
     verify_ternary_property,
 )
 from sturmian_spectra.quadreal import QuadReal
 from sturmian_spectra.words import SturmianSpec, factors_of_length
 
-from reference import kab_equivalent_counts
+from reference import kab_equivalent_counts, prefix_suffix_sufficient
 
 FIB_SLOPE = QuadReal(3, -1, 5, 2)
 SILVER_SLOPE = QuadReal(-1, 1, 2, 1)
@@ -117,11 +116,15 @@ def test_ternary_image_classes_are_decided_by_their_ends():
         assert report.ok
         assert report.counterexamples == []
         assert report.pairs_checked > 100
+    report = verify_ternary_property(FIB_WORD, 3, 80)
+    assert report.pairs_checked == 91880 and report.counterexamples == []
 
 
 def test_ternary_check_validation():
     with pytest.raises(ValueError):
         verify_ternary_property(FIB_WORD, 1, 5)
+    with pytest.raises(ValueError):  # the order is refused before any word is read
+        classify_brute([], 0)
     steep = SturmianSpec(QuadReal(-1, 1, 5, 2), QuadReal(0))  # slope 0.618...
     with pytest.raises(ValueError):
         verify_ternary_property(steep, 2, 5)
