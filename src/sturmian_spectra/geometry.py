@@ -51,9 +51,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from math import isqrt
 
+from ._record import Record
 from .quadreal import QuadReal
 
 __all__ = [
@@ -67,8 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EndpointConvention:
+class EndpointConvention(Record):
     """Which endpoint of each interval is included.
 
     zero_in_I0=True means intervals are [x, y) and the coding assigns the
@@ -76,7 +75,8 @@ class EndpointConvention:
     0 identified with 1.
     """
 
-    zero_in_I0: bool = True
+    __slots__ = {"zero_in_I0": "bool"}
+    _defaults = (True,)
 
 
 LEFT_CLOSED = EndpointConvention(zero_in_I0=True)
@@ -149,14 +149,13 @@ class Interval:
         return {"start": self.start.to_json(), "length": self.length.to_json()}
 
 
-@dataclass(frozen=True)
-class IntervalFamily:
+class IntervalFamily(Record):
     """The circle cut at a finite set of exact points, as its intervals in
     circle order: interval i runs from its cut to the next one
     counterclockwise (the last one wraps through 1 = 0), and the first cut
     is the least.  The package's families come from _orbit_family."""
 
-    intervals: tuple[Interval, ...]
+    __slots__ = {"intervals": "tuple[Interval, ...]"}
 
     def __len__(self):
         return len(self.intervals)

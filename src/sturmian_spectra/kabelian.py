@@ -48,8 +48,8 @@ classify_brute ignores it, so the two can be played against each other.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 
+from ._record import Record
 from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices
 from .quadreal import QuadReal
 from .words import SturmianSpec, _factor_words, _language_walk, sigma_factors_of_length
@@ -66,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KAbelianSignature:
+class KAbelianSignature(Record):
     """Prefix, suffix and length-k block counts deciding equivalence.
 
     For words shorter than k-1 the prefix and suffix degenerate to the
@@ -75,11 +74,13 @@ class KAbelianSignature:
     equality, which is the right notion there.
     """
 
-    k: int
-    length: int
-    prefix: str
-    suffix: str
-    counts: tuple[tuple[str, int], ...]
+    __slots__ = {
+        "k": "int",
+        "length": "int",
+        "prefix": "str",
+        "suffix": "str",
+        "counts": "tuple[tuple[str, int], ...]",
+    }
 
 
 def _digits(words: Sequence[str]) -> tuple[str, int, list[int]]:
@@ -143,12 +144,14 @@ def kab_equivalent(u: str, v: str, k: int) -> bool:
     return _key(a, len(u), k, width) == _key(b, len(u), k, width)
 
 
-@dataclass(frozen=True)
-class FactorClass:
-    k: int
-    length: int
-    members: tuple[str, ...]
-    interval_index: int | None = None
+class FactorClass(Record):
+    __slots__ = {
+        "k": "int",
+        "length": "int",
+        "members": "tuple[str, ...]",
+        "interval_index": "int | None",
+    }
+    _defaults = (None,)
 
 
 def classify_brute(words: Iterable[str], k: int) -> list[FactorClass]:
@@ -202,12 +205,26 @@ def _class_walk(alpha: QuadReal, k: int, m: int) -> Iterator[tuple[bool, bytearr
     return ((j in coarse, letters) for j, letters in _language_walk(alpha, m))
 
 
-@dataclass
-class TernaryReport:
-    k: int
-    max_len: int
-    pairs_checked: int
-    counterexamples: list[tuple[str, str]] = field(default_factory=list)
+class TernaryReport(Record, frozen=False):
+    """A mutable report; it starts with a fresh empty list of counterexamples
+    unless given one."""
+
+    __slots__ = {
+        "k": "int",
+        "max_len": "int",
+        "pairs_checked": "int",
+        "counterexamples": "list[tuple[str, str]]",
+    }
+
+    def __init__(
+        self,
+        k: int,
+        max_len: int,
+        pairs_checked: int,
+        counterexamples: list[tuple[str, str]] | None = None,
+    ):
+        found = [] if counterexamples is None else counterexamples
+        super().__init__(k, max_len, pairs_checked, found)
 
     @property
     def ok(self) -> bool:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt, ldexp
 
 __all__ = ["QuadReal", "MixedRadicandError", "sqrt", "dist_to_int"]
@@ -33,9 +34,18 @@ class MixedRadicandError(ValueError):
 
 
 _TRIAL_LIMIT = 1000
-_SMALL_PRIMES = tuple(
-    p for p in range(2, _TRIAL_LIMIT) if all(p % f for f in range(2, isqrt(p) + 1))
-)
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n >= 2, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for p in range(2, isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(compress(range(n), sieve))
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
 
 
 @lru_cache(maxsize=1024)

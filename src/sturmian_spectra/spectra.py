@@ -19,11 +19,11 @@ import os
 import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import sub
 
+from ._record import Record
 from .cf import ContinuedFraction, _folds
 from .geometry import (
     EndpointConvention,
@@ -85,15 +85,17 @@ def _oracle_cap(cap: int | None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ExponentRecord:
-    k: int
-    m: int
-    exponent: int
-    max_interval_length: QuadReal
-    step: QuadReal
-    witness_intercept: QuadReal | None = None
-    witness: str | None = None
+class ExponentRecord(Record):
+    __slots__ = {
+        "k": "int",
+        "m": "int",
+        "exponent": "int",
+        "max_interval_length": "QuadReal",
+        "step": "QuadReal",
+        "witness_intercept": "QuadReal | None",
+        "witness": "str | None",
+    }
+    _defaults = (None, None)
 
 
 def _kab_exponents(
@@ -306,15 +308,16 @@ def max_integer_power_exponent(cf: ContinuedFraction, m: int) -> int:
     return _longest_block_run(cf.value(), m, lambda b: b, _oracle_cap(None))
 
 
-@dataclass
-class BoundReport:
-    k: int
-    t_checked: list[int]
-    convergent_slack_violations: list[tuple[int, int]]
-    approx_window_violations: list[int]
-    k1_monotone_violations: list[tuple[int, int]]
-    # informational: where the conjectured tighter +1 slack would fail
-    improved_slack_exceedances: list[tuple[int, int]]
+class BoundReport(Record, frozen=False):
+    __slots__ = {
+        "k": "int",
+        "t_checked": "list[int]",
+        "convergent_slack_violations": "list[tuple[int, int]]",
+        "approx_window_violations": "list[int]",
+        "k1_monotone_violations": "list[tuple[int, int]]",
+        # informational: where the conjectured tighter +1 slack would fail
+        "improved_slack_exceedances": "list[tuple[int, int]]",
+    }
 
     @property
     def ok(self) -> bool:
@@ -340,10 +343,9 @@ def _first_time(p: int, q: int, lo: int, hi: int) -> int:
     return n
 
 
-def _return_times(p: int, q: int, delta: int, lo: int, end: int, room: int) -> list[int]:
+def _return_times(p: int, q: int, delta: int, lo: int, end: int) -> list[int]:
     """The m in [lo, end) whose ||m*alpha|| has rank at most `delta`, in
-    ascending order and no more than room + 1 of them, for a convergent p/q
-    past end.
+    ascending order, for a convergent p/q past end.
 
     With the residues y = (m*p + delta) mod q these are the m with y in
     [0, L), L = 2*delta + 1: the return times of the rotation by p to an
@@ -354,7 +356,7 @@ def _return_times(p: int, q: int, delta: int, lo: int, end: int, room: int) -> l
     a + b steps (the three-gap theorem)."""
     size = 2 * delta + 1
     if size >= q:
-        return list(range(lo, min(end, lo + room + 1)))
+        return list(range(lo, end))
     p %= q
     c = (lo * p + delta) % q
     m = lo if c < size else lo + _first_time(p, q, q - c, q - c + size - 1)
@@ -364,7 +366,7 @@ def _return_times(p: int, q: int, delta: int, lo: int, end: int, room: int) -> l
     a, b = _first_time(p, q, 1, size - 1), _first_time(p, q, q - size + 1, q - 1)
     step_a, step_b = a * p % q, q - b * p % q
     times = []
-    while m < end and len(times) <= room:
+    while m < end:
         times.append(m)
         if y + step_a < size:
             m, y = m + a, y + step_a
@@ -373,6 +375,34 @@ def _return_times(p: int, q: int, delta: int, lo: int, end: int, room: int) -> l
         else:
             m, y = m + a + b, y + step_a - step_b
     return times
+
+
+def _return_count(p: int, q: int, delta: int, lo: int, end: int) -> int:
+    """len(_return_times(p, q, delta, lo, end)) in O(log q): with x = m*p +
+    delta, residue x mod q is below L = 2*delta + 1 <= q exactly when
+    floor(x/q) - floor((x - L)/q) is 1, else it is 0, so the count is the
+    difference of two floor sums over the window."""
+    n, size = max(end - lo, 0), 2 * delta + 1
+    if size >= q:
+        return n
+    x = lo * p + delta
+    return _floor_sum(n, q, p, x) - _floor_sum(n, q, p, x - size)
+
+
+def _floor_sum(n: int, q: int, a: int, b: int) -> int:
+    """The sum of floor((a*i + b)/q) over 0 <= i < n, for q >= 1, reduced
+    as in Euclid's algorithm: the whole parts of a/q and b/q are summed
+    directly, and with 0 <= a, b < q what is left counts the lattice points
+    under the line, which, read along the other axis, is the same sum with
+    (a*n + b) // q terms and a and q swapped."""
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // q) + n * (b // q)
+        a, b = a % q, b % q
+        top = a * n + b
+        if top < q:
+            return total
+        n, b, a, q = top // q, top % q, q, a
 
 
 def exponent_bound_check(
@@ -455,7 +485,9 @@ def exponent_bound_check(
     q, the interval is the whole circle and every period is ranked.  So
     every list, and every raise, is the one made by ranking each period.
     A report with more than BOUND_PERIOD_CAP periods to rank raises
-    ResourceCapExceeded before any of them is ranked.
+    ResourceCapExceeded before any of them is listed or ranked: when the
+    periods below the last end pass the cap, _return_count counts each
+    segment's return times with two floor sums, in O(log q), first.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -480,21 +512,26 @@ def exponent_bound_check(
     ends = [convs[t + 1].q for t in checked]
     thresholds = list(itertools.accumulate([a_q[q_t] + 2 for q_t in reversed(q_ts)], min))
     head = max(_rank_gaps(range(k), p, q))
-    ranked, start = [], 1
+    windows, start = [], 1  # (lo, end, delta): the periods to rank, ascending
     for end, threshold in zip(ends, reversed(thresholds)):
         # every period below k-1; from k-1 on, those with S <= delta, or
         # all of them where a skip's floor check could fail
         delta = q if q <= threshold * end else max(shortest - 1, head // (threshold - 1))
         below = min(max(start, k - 1), end)
-        for lo, hi, bound in ((start, below, q), (below, end, delta)):
-            ranked += _return_times(p, q, bound, lo, hi, BOUND_PERIOD_CAP - len(ranked))
-        if len(ranked) > BOUND_PERIOD_CAP:
-            raise ResourceCapExceeded(
-                len(ranked),
-                BOUND_PERIOD_CAP,
-                f"a bound report would rank more than {BOUND_PERIOD_CAP} periods",
-            )
+        windows += [(start, below, q), (below, end, delta)]
         start = end
+    # the periods below the last end bound the count; past the cap, count
+    if ends[-1] - 1 > BOUND_PERIOD_CAP and (
+        sum(_return_count(p, q, d, lo, hi) for lo, hi, d in windows) > BOUND_PERIOD_CAP
+    ):
+        raise ResourceCapExceeded(
+            BOUND_PERIOD_CAP + 1,
+            BOUND_PERIOD_CAP,
+            f"a bound report would rank more than {BOUND_PERIOD_CAP} periods",
+        )
+    ranked = []
+    for lo, hi, d in windows:
+        ranked += _return_times(p, q, d, lo, hi)
     exponents, steps = _kab_exponents(k, ranked, p, q)
     for m, a_m, s in zip(ranked, exponents, steps):
         if s < shortest:
@@ -533,14 +570,15 @@ def _theta(cf: ContinuedFraction, k: int, constant: QuadReal) -> QuadReal:
     return _value(alpha, *longest) * constant
 
 
-@dataclass(frozen=True)
-class LimsupEstimate:
-    k: int
-    t_max: int
-    window_start: int
-    estimate: Fraction
-    slack: Fraction
-    terms: tuple[tuple[int, Fraction], ...]
+class LimsupEstimate(Record):
+    __slots__ = {
+        "k": "int",
+        "t_max": "int",
+        "window_start": "int",
+        "estimate": "Fraction",
+        "slack": "Fraction",
+        "terms": "tuple[tuple[int, Fraction], ...]",
+    }
 
 
 def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEstimate:
@@ -574,11 +612,8 @@ def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEs
     return LimsupEstimate(k, t_max, window_start, estimate, slack, tuple(terms))
 
 
-@dataclass(frozen=True)
-class SpectrumPoint:
-    cf: ContinuedFraction
-    k: int
-    theta: QuadReal
+class SpectrumPoint(Record):
+    __slots__ = {"cf": "ContinuedFraction", "k": "int", "theta": "QuadReal"}
 
 
 def _preperiods() -> Iterator[tuple[int, ...]]:
@@ -647,26 +682,28 @@ def _distinct_variants(base: ContinuedFraction, count: int) -> list[ContinuedFra
             return list(seen)
 
 
-@dataclass(frozen=True)
-class LinftyStage:
-    t: int
-    k: int
-    q: int
-    r: int
-    s: int
-    a_next: int
-    ratio: Fraction
-    error: Fraction
-    bound: Fraction
+class LinftyStage(Record):
+    __slots__ = {
+        "t": "int",
+        "k": "int",
+        "q": "int",
+        "r": "int",
+        "s": "int",
+        "a_next": "int",
+        "ratio": "Fraction",
+        "error": "Fraction",
+        "bound": "Fraction",
+    }
 
 
-@dataclass(frozen=True)
-class LinftyReport:
-    target: Fraction
-    stages: tuple[LinftyStage, ...]
-    quotients: tuple[int, ...]
-    prefix: ContinuedFraction
-    padding_ok: bool
+class LinftyReport(Record):
+    __slots__ = {
+        "target": "Fraction",
+        "stages": "tuple[LinftyStage, ...]",
+        "quotients": "tuple[int, ...]",
+        "prefix": "ContinuedFraction",
+        "padding_ok": "bool",
+    }
 
 
 def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyReport:

@@ -38,9 +38,9 @@ m-block as the integer of its letters and flips two bits per crossing.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .geometry import (
     EndpointConvention,
     Interval,
@@ -58,7 +58,6 @@ __all__ = [
     "occurrences",
     "sigma_image",
     "sigma_factors_of_length",
-    "is_balanced_pair",
 ]
 
 
@@ -78,20 +77,20 @@ class ResourceCapExceeded(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class SturmianSpec:
-    """Slope, intercept and endpoint convention for one rotation coding."""
+class SturmianSpec(Record):
+    """Slope, intercept and endpoint convention for one rotation coding;
+    the intercept is kept reduced mod 1."""
 
-    alpha: QuadReal
-    intercept: QuadReal
-    convention: EndpointConvention = LEFT_CLOSED
+    __slots__ = {"alpha": "QuadReal", "intercept": "QuadReal", "convention": "EndpointConvention"}
 
-    def __post_init__(self):
-        if self.alpha.q == 0:
+    def __init__(
+        self, alpha: QuadReal, intercept: QuadReal, convention: EndpointConvention = LEFT_CLOSED
+    ):
+        if alpha.q == 0:
             raise ValueError("slope must be irrational")
-        if self.alpha <= 0 or self.alpha >= 1:
+        if alpha <= 0 or alpha >= 1:
             raise ValueError("slope must lie in (0, 1)")
-        object.__setattr__(self, "intercept", self.intercept.frac())
+        super().__init__(alpha, intercept.frac(), convention)
 
 
 def _code_pair(p: int, q: int, a: int, b: int, d: int, n: int, zero_in_i0: bool) -> str:
@@ -229,12 +228,3 @@ def sigma_factors_of_length(alpha: QuadReal, n: int) -> tuple[str, ...]:
     images = map(sigma_image, _factor_words(alpha, n + 1))
     windows = {img[i : i + n] for img in images for i in range(len(img) - n + 1)}
     return tuple(sorted(windows))
-
-
-def is_balanced_pair(u: str, v: str) -> bool:
-    """Equal length and the counts of '0' differ by at most one."""
-    if len(u) != len(v):
-        raise ValueError("balance is defined for equal-length words")
-    if (set(u) | set(v)) - {"0", "1"}:
-        raise ValueError("balance check expects binary words")
-    return abs(u.count("0") - v.count("0")) <= 1

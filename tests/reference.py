@@ -5,8 +5,8 @@ signatures by counting string slices, ignoring the bit masks; whether
 shared ends alone decide equivalence, from the slope's distance to an
 integer; the pair coder one letter at a time; bound reports with one
 exponent per period; the least Lagrange denominator by folding every
-rotation of the cycle afresh; and the output of `classes` built whole
-before it is written."""
+rotation of the cycle afresh; the output of `classes` built whole before
+it is written; and the balance of two binary words by counting."""
 
 import io
 import json
@@ -68,6 +68,15 @@ def counter_signature(u, k):
     if m >= k:
         counts = tuple(sorted(Counter(u[i : i + k] for i in range(m - k + 1)).items()))
     return KAbelianSignature(k, m, u[:edge], u[m - edge :] if edge else "", counts)
+
+
+def is_balanced_pair(u, v):
+    """Equal length and the counts of '0' differ by at most one."""
+    if len(u) != len(v):
+        raise ValueError("balance is defined for equal-length words")
+    if (set(u) | set(v)) - {"0", "1"}:
+        raise ValueError("balance check expects binary words")
+    return abs(u.count("0") - v.count("0")) <= 1
 
 
 def prefix_suffix_sufficient(alpha, k):

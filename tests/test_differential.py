@@ -13,13 +13,13 @@ over slices, on binary and ternary words and on random slopes' factor
 languages; the all-integer key of binary words also against the raw
 definition.  The bound report, which ranks only the periods that can
 reach a list, is played against one exponent per period, and its
-three-gap walk against testing every period of a window; the pair coder
-against stepping its rotation letter by letter, and the Lagrange
-denominator by conjugation against folding every rotation, and spectrum
-points, which share one Lagrange constant, against theta_k.
+three-gap walk and floor-sum count against testing every period of a
+window; the pair coder against stepping its rotation letter by letter,
+and the Lagrange denominator by conjugation against folding every
+rotation, and spectrum points, which share one Lagrange constant,
+against theta_k.
 """
 
-import dataclasses
 import io
 import subprocess
 import sys
@@ -35,6 +35,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sturmian_spectra import cli, spectra
+from sturmian_spectra._record import Record
 from sturmian_spectra.cf import ContinuedFraction, _purely_periodic_value
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
@@ -64,6 +65,7 @@ from sturmian_spectra.spectra import (
     _BlockClasses,
     _kab_exponents,
     _longest_block_run,
+    _return_count,
     _return_times,
     brute_kab_exponent,
     exponent_bound_check,
@@ -521,8 +523,8 @@ def _spelled(x):
     """A result with every QuadReal in it replaced by its spelling."""
     if isinstance(x, QuadReal):
         return ("QuadReal", x.p, x.q, x.d, x.r)
-    if dataclasses.is_dataclass(x):
-        return (type(x).__name__, *(_spelled(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    if isinstance(x, Record):
+        return (type(x).__name__, *(_spelled(getattr(x, name)) for name in type(x).__slots__))
     if isinstance(x, (list, tuple)):
         return tuple(map(_spelled, x))
     return x
@@ -650,8 +652,8 @@ def test_order_one_reports_can_fill_only_the_monotone_list(cf, data):
 
 @st.composite
 def return_walks(draw):
-    """(p, q, delta, lo, end, room): q up to 10^4 or within 10^6 of 10^30,
-    p prime to q in any residue class, delta from 0 to past q/2 (where
+    """(p, q, delta, lo, end): q up to 10^4 or within 10^6 of 10^30, p
+    prime to q in any residue class, delta from 0 to past q/2 (where
     2*delta + 1 >= q), and a window [lo, end) of at most 3000 periods
     below q."""
     q = draw(st.integers(2, 10**4) | st.integers(10**30 - 10**6, 10**30 + 10**6))
@@ -660,21 +662,24 @@ def return_walks(draw):
     delta = draw(st.integers(0, 40) | st.integers(0, q // 2) | st.just(q // 2))
     lo = draw(st.integers(1, q - 1))
     end = draw(st.integers(lo, min(q, lo + 3000)))
-    return p, q, delta, lo, end, draw(st.integers(0, 3000))
+    return p, q, delta, lo, end
 
 
 @given(return_walks())
-@example((5, 13, 0, 1, 13, 100))  # delta = 0: no period
-@example((5, 13, 6, 2, 13, 100))  # 2*delta + 1 = q: every period
-@example((3, 10**30 + 1, 10**27, 10**29, 10**29 + 3000, 3000))
-@example((144, 233, 20, 100, 233, 3))  # stopped by its room
+@example((5, 13, 0, 1, 13))  # delta = 0: no period
+@example((5, 13, 6, 2, 13))  # 2*delta + 1 = q: every period
+@example((3, 10**30 + 1, 10**27, 10**29, 10**29 + 3000))
+@example((144, 233, 20, 100, 233))
+@example((-7, 10, 0, 3, 3))  # an empty window
 @settings(max_examples=300, deadline=None)
 def test_return_time_walk_matches_the_plain_filter(case):
-    """The three-gap walk of _return_times against testing the rank of
-    ||m*alpha|| at every period of the window."""
-    p, q, delta, lo, end, room = case
+    """The three-gap walk of _return_times, and the floor-sum count of
+    _return_count, against testing the rank of ||m*alpha|| at every period
+    of the window."""
+    p, q, delta, lo, end = case
     want = [m for m in range(lo, end) if _dist_rank(m, p, q) <= delta]
-    assert _return_times(p, q, delta, lo, end, room) == want[: room + 1]
+    assert _return_times(p, q, delta, lo, end) == want
+    assert _return_count(p, q, delta, lo, end) == len(want)
 
 
 def test_bound_report_work_follows_the_ranked_periods(monkeypatch):

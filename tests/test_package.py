@@ -1,11 +1,16 @@
 """The package namespace: one spelling per public name."""
 
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 import sturmian_spectra
 from sturmian_spectra import cf, geometry, kabelian, quadreal, spectra, words
+from sturmian_spectra._record import Record
 
 SUBMODULES = (cf, geometry, kabelian, quadreal, spectra, words)
 
@@ -22,10 +27,16 @@ def test_public_names_are_exactly_the_submodules_exports():
 
 
 def test_the_command_line_loads_no_typing():
-    """Annotations come from collections.abc, so importing the command line
-    in a fresh `python -S` loads no `typing` module."""
+    """Annotations come from collections.abc and the records are not
+    dataclasses, so importing the command line in a fresh `python -S` loads
+    neither `typing` nor `dataclasses` and the modules it pulls in."""
     src = os.path.dirname(os.path.dirname(sturmian_spectra.__file__))
-    code = "import sturmian_spectra.cli, sys; assert 'typing' not in sys.modules"
+    unused = ("typing", "dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = (
+        "import sturmian_spectra.cli, sys; "
+        f"loaded = [m for m in {unused!r} if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
     done = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src},
@@ -34,3 +45,73 @@ def test_the_command_line_loads_no_typing():
         timeout=30,
     )
     assert done.returncode == 0, done.stderr
+
+
+RECORDS = {
+    geometry.EndpointConvention: ("zero_in_I0",),
+    geometry.IntervalFamily: ("intervals",),
+    words.SturmianSpec: ("alpha", "intercept", "convention"),
+    kabelian.KAbelianSignature: ("k", "length", "prefix", "suffix", "counts"),
+    kabelian.FactorClass: ("k", "length", "members", "interval_index"),
+    kabelian.TernaryReport: ("k", "max_len", "pairs_checked", "counterexamples"),
+    spectra.ExponentRecord: (
+        "k", "m", "exponent", "max_interval_length", "step", "witness_intercept", "witness"
+    ),
+    spectra.BoundReport: (
+        "k",
+        "t_checked",
+        "convergent_slack_violations",
+        "approx_window_violations",
+        "k1_monotone_violations",
+        "improved_slack_exceedances",
+    ),
+    spectra.LimsupEstimate: ("k", "t_max", "window_start", "estimate", "slack", "terms"),
+    spectra.SpectrumPoint: ("cf", "k", "theta"),
+    spectra.LinftyStage: ("t", "k", "q", "r", "s", "a_next", "ratio", "error", "bound"),
+    spectra.LinftyReport: ("target", "stages", "quotients", "prefix", "padding_ok"),
+}
+
+
+def test_records_are_slotted_values():
+    """Every record's slots are its fields in order (the bench digest reads
+    them), and records compare by class and fields, print as
+    Name(field=value, ...), and refuse assignment and hash by their fields,
+    except the two reports, which are mutable and unhashable."""
+    public = [getattr(sturmian_spectra, name) for name in sturmian_spectra.__all__]
+    assert {x for x in public if isinstance(x, type) and issubclass(x, Record)} == set(RECORDS)
+    for cls, fields in RECORDS.items():
+        assert tuple(cls.__slots__) == fields
+    one = kabelian.FactorClass(2, 3, ("010", "101"), 1)
+    assert one == kabelian.FactorClass(k=2, length=3, members=("010", "101"), interval_index=1)
+    assert one != kabelian.FactorClass(2, 3, ("010", "101"))
+    assert kabelian.FactorClass(2, 3, ()).interval_index is None
+    assert one != spectra.SpectrumPoint(2, 3, ("010", "101"))  # same values, other class
+    assert hash(one) == hash((2, 3, ("010", "101"), 1))
+    assert len({one, kabelian.FactorClass(2, 3, ("010", "101"), 1)}) == 1
+    assert repr(one) == "FactorClass(k=2, length=3, members=('010', '101'), interval_index=1)"
+    assert not hasattr(one, "__dict__")
+    assert pickle.loads(pickle.dumps(one)) == one
+    with pytest.raises(AttributeError):
+        one.k = 5
+    with pytest.raises(AttributeError):
+        del one.members
+    with pytest.raises(TypeError):
+        kabelian.FactorClass(2, 3)
+    assert geometry.EndpointConvention() == geometry.LEFT_CLOSED
+    assert geometry.EndpointConvention(zero_in_I0=False) == geometry.RIGHT_CLOSED
+    values = (1, 2, 3, 1, 0, 1, Fraction(1), Fraction(0), Fraction(1, 2))
+    assert hash(spectra.LinftyStage(*values)) == hash(values)
+
+    report, other = kabelian.TernaryReport(3, 5, 0), kabelian.TernaryReport(3, 5, 0)
+    assert report.counterexamples == [] and report.counterexamples is not other.counterexamples
+    report.pairs_checked += 1
+    report.counterexamples.append(("0", "1"))
+    assert report == kabelian.TernaryReport(3, 5, 1, [("0", "1")]) and not report.ok
+    assert other.counterexamples == []
+    bound = spectra.BoundReport(2, [1], [], [], [], [])
+    bound.t_checked = [1, 2]
+    assert bound == spectra.BoundReport(2, [1, 2], [], [], [], [])
+    assert repr(bound).startswith("BoundReport(k=2, t_checked=[1, 2], ")
+    for mutable in (report, bound):
+        with pytest.raises(TypeError):
+            hash(mutable)

@@ -306,6 +306,30 @@ def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch)
         assert (info.value.needed, info.value.cap) == (10**6 + 1, 10**6)
 
 
+def test_an_over_cap_bound_report_is_refused_before_listing_a_period(monkeypatch):
+    """[0; 3, (1, 300, 2)] at k = 8 has more periods below its last end
+    than the cap allows, both to t = 8 and to t = 7, so each report counts
+    its periods to rank by floor sums first: to t = 8 they pass the cap and
+    the report is refused with no period listed, and to t = 7 they are
+    5423, which are then listed."""
+    calls = []
+    real = spectra._return_times
+
+    def listed(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectra, "_return_times", listed)
+    cf = ContinuedFraction.parse("[0; 3, (1, 300, 2)]")
+    with pytest.raises(ResourceCapExceeded) as info:
+        exponent_bound_check(cf, 8, range(1, 9))
+    assert (info.value.needed, info.value.cap) == (10**6 + 1, 10**6)
+    assert calls == []
+    assert cf.convergents(8)[-1].q - 1 > spectra.BOUND_PERIOD_CAP
+    assert exponent_bound_check(cf, 8, range(1, 8)).ok
+    assert sum(len(real(*args)) for args in calls) == 5423
+
+
 def test_order_one_exponents_grow_along_convergents():
     report = exponent_bound_check(FIB, 1, range(1, 9))
     assert report.ok

@@ -23,12 +23,13 @@ from sturmian_spectra.words import (
     _crossings,
     _factor_words,
     factors_of_length,
-    is_balanced_pair,
     occurrences,
     sigma_factors_of_length,
     sigma_image,
     sturmian_prefix,
 )
+
+from reference import is_balanced_pair
 
 FIB_SLOPE = QuadReal(3, -1, 5, 2)
 SILVER_SLOPE = QuadReal(-1, 1, 2, 1)
