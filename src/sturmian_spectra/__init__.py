@@ -12,8 +12,7 @@ and rational rotations), and a QuadReal is built to report a value:
   k-abelian equivalence (`geometry`);
 * the words themselves: prefixes, complete factor sets, occurrences, and
   a ternary morphic companion word (`words`);
-* k-abelian equivalence, signatures and factor classification
-  (`kabelian`);
+* k-abelian equivalence and factor classification (`kabelian`);
 * maximal k-abelian power exponents, critical exponents, spectra
   sampling, and a stagewise slope construction hitting rational targets
   (`spectra`);

@@ -30,12 +30,7 @@ class CFSyntaxError(ValueError):
     """Malformed continued fraction text."""
 
 
-class Convergent(namedtuple("Convergent", "t p q")):
-    __slots__ = ()
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.p, self.q)
+Convergent = namedtuple("Convergent", "t p q")
 
 
 _CF_OUTER = re.compile(r"\[(-?\d+)(?:;(.+))?\]")
@@ -82,6 +77,11 @@ class ContinuedFraction:
 
     def __setattr__(self, name, value):
         raise AttributeError("ContinuedFraction is immutable")
+
+    def __reduce__(self):
+        # rebuilt by the constructor: the default restore of the slots
+        # would go through __setattr__, which refuses
+        return type(self), (self.preperiod, self.period)
 
     # -- basics ----------------------------------------------------------
 

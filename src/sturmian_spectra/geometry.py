@@ -126,11 +126,6 @@ class Interval:
             length = self._length = _value(self._alpha, *length)
         return length
 
-    @property
-    def end(self) -> QuadReal:
-        """Endpoint start + length; may exceed 1 for the wrapping interval."""
-        return self.start + self.length
-
     def __iter__(self):
         return iter((self.start, self.length))
 
@@ -167,12 +162,6 @@ class IntervalFamily(Record):
     @property
     def lengths(self) -> tuple[QuadReal, ...]:
         return tuple(iv.length for iv in self.intervals)
-
-    def min_length(self) -> QuadReal:
-        return min(self.lengths)
-
-    def max_length(self) -> QuadReal:
-        return max(self.lengths)
 
     def locate(self, x: QuadReal, convention: EndpointConvention = LEFT_CLOSED) -> int:
         """Index of the interval containing the circle point x.

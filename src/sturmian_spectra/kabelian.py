@@ -55,8 +55,6 @@ from .quadreal import QuadReal
 from .words import SturmianSpec, _factor_words, _language_walk, sigma_factors_of_length
 
 __all__ = [
-    "KAbelianSignature",
-    "signature",
     "kab_equivalent",
     "FactorClass",
     "classify_brute",
@@ -66,35 +64,17 @@ __all__ = [
 ]
 
 
-class KAbelianSignature(Record):
-    """Prefix, suffix and length-k block counts deciding equivalence.
-
-    For words shorter than k-1 the prefix and suffix degenerate to the
-    word itself and the counts are empty, so signature equality is word
-    equality, which is the right notion there.
-    """
-
-    __slots__ = {
-        "k": "int",
-        "length": "int",
-        "prefix": "str",
-        "suffix": "str",
-        "counts": "tuple[tuple[str, int], ...]",
-    }
-
-
-def _digits(words: Sequence[str]) -> tuple[str, int, list[int]]:
-    """(letters, width, digits) of words keyed in one call: their sorted
-    alphabet with 0 and 1 in it, the bits per letter, and each word as the
-    integer of its letters' indices in that alphabet (see the module
-    docstring)."""
+def _digits(words: Sequence[str]) -> tuple[int, list[int]]:
+    """(width, digits) of words keyed in one call: the bits per letter, and
+    each word as the integer of its letters' indices in their sorted
+    alphabet with 0 and 1 in it (see the module docstring)."""
     text = "".join(words)
     if not text.strip("01"):  # int() alone would also take "_", "0b", a sign or spaces
-        return "01", 1, [int(w or "0", 2) for w in words]
-    letters = "".join(sorted(set(text).union("01")))
+        return 1, [int(w or "0", 2) for w in words]
+    letters = sorted(set(text).union("01"))
     width = (len(letters) - 1).bit_length()
     table = {ord(c): format(i, f"0{width}b") for i, c in enumerate(letters)}
-    return letters, width, [int(w.translate(table), 2) for w in words]
+    return width, [int(w.translate(table), 2) for w in words]
 
 
 def _key(word: int, m: int, k: int, width: int = 1) -> int | tuple[int, tuple]:
@@ -119,28 +99,13 @@ def _key(word: int, m: int, k: int, width: int = 1) -> int | tuple[int, tuple]:
     return word >> width * (m - k + 1), tuple([(b, node.bit_count()) for b, node in nodes])
 
 
-def signature(u: str, k: int) -> KAbelianSignature:
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    m, edge = len(u), min(len(u), k - 1)
-    counts = ()
-    if m >= k:
-        letters, width, (word,) = _digits([u])
-        digit = (1 << width) - 1
-        counts = tuple(
-            ("".join(letters[b >> width * j & digit] for j in range(k - 1, -1, -1)), n)
-            for b, n in _key(word, m, k, width)[1]
-        )
-    return KAbelianSignature(k, m, u[:edge], u[m - edge :], counts)
-
-
 def kab_equivalent(u: str, v: str, k: int) -> bool:
     """Equivalence at order k; words must have equal length."""
     if k < 1:
         raise ValueError("order k must be >= 1")
     if len(u) != len(v):
         raise ValueError("k-abelian equivalence compares equal-length words")
-    _, width, (a, b) = _digits([u, v])
+    width, (a, b) = _digits([u, v])
     return _key(a, len(u), k, width) == _key(b, len(u), k, width)
 
 
@@ -155,7 +120,7 @@ class FactorClass(Record):
 
 
 def classify_brute(words: Iterable[str], k: int) -> list[FactorClass]:
-    """Partition equal-length words by signature, no geometry involved.
+    """Partition equal-length words by their key, no geometry involved.
 
     Classes are ordered by their lexicographically smallest member and
     members are sorted, so the output is deterministic for set inputs.
@@ -166,7 +131,7 @@ def classify_brute(words: Iterable[str], k: int) -> list[FactorClass]:
     length = len(words[0]) if words else 0
     if any(len(w) != length for w in words):
         raise ValueError("all words must share one length")
-    _, width, digits = _digits(words)
+    width, digits = _digits(words)
     groups: dict[int | tuple, list[str]] = {}
     for w, d in zip(words, digits):
         groups.setdefault(_key(d, length, k, width), []).append(w)
@@ -246,7 +211,7 @@ def verify_ternary_property(spec: SturmianSpec, k: int, max_len: int) -> Ternary
     report = TernaryReport(k, max_len, 0)
     for ell in range(1, max_len + 1):
         words = sigma_factors_of_length(spec.alpha, ell)
-        _, width, digits = _digits(words)
+        width, digits = _digits(words)
         keys = [_key(d, ell, k, width) for d in digits]
         edge = min(ell, k - 1)
         for i, u in enumerate(words):

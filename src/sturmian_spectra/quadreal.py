@@ -156,6 +156,12 @@ class QuadReal:
     def __setattr__(self, name, value):
         raise AttributeError("QuadReal is immutable")
 
+    def __reduce__(self):
+        # rebuilt by the constructor, which keeps a normalised spelling as
+        # it is: the default restore of the slots would go through
+        # __setattr__, which refuses
+        return type(self), (self.p, self.q, self.d, self.r)
+
     # -- construction helpers ------------------------------------------------
 
     @classmethod

@@ -24,7 +24,7 @@ from functools import partial
 from operator import sub
 
 from ._record import Record
-from .cf import ContinuedFraction, _folds
+from .cf import ContinuedFraction
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
@@ -52,9 +52,7 @@ __all__ = [
     "LimsupEstimate",
     "theta_limsup_estimate",
     "SpectrumPoint",
-    "preperiod_pool",
     "sample_spectrum",
-    "max_integer_power_exponent",
     "LinftyStage",
     "LinftyReport",
     "construct_linfty_slope",
@@ -67,7 +65,7 @@ ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
 DIGIT_BUDGET = 4300
 LIMSUP_WINDOW = 5  # trailing convergent indices theta_limsup_estimate maxes over
 SPECTRUM_POOL_CAP = 10**5  # slopes in one sample_spectrum count: about 5 s at k = 2
-BOUND_PERIOD_CAP = 10**6  # periods one exponent_bound_check ranks: 3.5 s, 200 MB at k = 2
+BOUND_PERIOD_CAP = 10**6  # periods one exponent_bound_check ranks: 3.2 s, 120 MB at k = 2
 
 
 def _oracle_cap(cap: int | None) -> int:
@@ -155,7 +153,9 @@ def max_kab_exponent(
     DEFAULT_ORACLE_CAP symbols), is an intercept placed inside the longest
     interval so that all n period-m steps stay inside it, together with the
     coded word of length n*m.  A slope outside (0, 1) is the same rotation
-    as its fractional part, which codes the witness.
+    as its fractional part, which codes the witness.  With 2k > m the
+    coarse family is the whole level-m family and equivalence of length-m
+    words is equality, so k = m gives the largest literal power.
     """
     indices = _checked_coarse_indices(k, m)
     q, bound = 0, 2 * m
@@ -285,27 +285,6 @@ def brute_kab_exponent(alpha: QuadReal, k: int, m: int, cap: int | None = None) 
     if m < 1:
         raise ValueError("period must be >= 1")
     return _longest_block_run(alpha, m, partial(_key, m=m, k=k), _oracle_cap(cap))
-
-
-def max_integer_power_exponent(cf: ContinuedFraction, m: int) -> int:
-    """Largest n with a literal n-th power of period m among the factors.
-
-    At convergent denominators q_t with t > 1 this is a_{t+1} + 2; other
-    periods fall back to enumeration (they never reach 3 in practice, but
-    the fallback double-checks rather than assumes), under the oracle cap
-    STURMIAN_SPECTRA_CAP.
-    """
-    if cf.is_rational:
-        raise ValueError("slope must be irrational")
-    if m < 1:
-        raise ValueError("period must be >= 1")
-    quotients = map(cf.partial_quotient, itertools.count())
-    for t, (_, _, q, _) in enumerate(_folds(quotients)):
-        if q > m:
-            break
-        if q == m and t > 1:
-            return cf.partial_quotient(t + 1) + 2
-    return _longest_block_run(cf.value(), m, lambda b: b, _oracle_cap(None))
 
 
 class BoundReport(Record, frozen=False):
@@ -538,18 +517,16 @@ def exponent_bound_check(
             diff = a_m - _covered_floor(longest, s, m, 2 * k - 2, q)
             if not -1 <= diff <= 2:
                 report.approx_window_violations.append(m)
-    pairs = list(zip(ranked, exponents))
     for t, q_t in zip(checked, q_ts):
         a_qt = a_q[q_t]
-        for m, a_m in pairs[: bisect_left(ranked, convs[t + 1].q)]:
+        for m, a_m in zip(ranked[: bisect_left(ranked, convs[t + 1].q)], exponents):
             if a_m > a_qt + 2:
                 report.convergent_slack_violations.append((t, m))
             elif a_m == a_qt + 2:
                 report.improved_slack_exceedances.append((t, m))
         if k == 1:
-            report.k1_monotone_violations += [
-                (t, m) for m, a_m in pairs[: bisect_left(ranked, q_t)] if a_m >= a_qt
-            ]
+            below = zip(ranked[: bisect_left(ranked, q_t)], exponents)
+            report.k1_monotone_violations += [(t, m) for m, a_m in below if a_m >= a_qt]
     return report
 
 
@@ -627,12 +604,6 @@ def _preperiods() -> Iterator[tuple[int, ...]]:
             yield (shell, c2)
 
 
-def preperiod_pool(count: int) -> Iterator[tuple[int, ...]]:
-    """The first `count` preperiod digit tuples in pool order (none for a
-    count below 1): the empty tuple, then pairs in expanding square shells."""
-    return itertools.islice(_preperiods(), max(count, 0))
-
-
 def sample_spectrum(
     k: int,
     base: ContinuedFraction,
@@ -640,12 +611,12 @@ def sample_spectrum(
 ) -> list[SpectrumPoint]:
     """Exact theta_k values over slopes sharing base's periodic tail.
 
-    The pool is either a count fed to preperiod_pool or an explicit
-    iterable of preperiod digit tuples; duplicates after canonicalization
-    are skipped, so a count yields that many distinct slopes (the base
-    itself first).  Points are returned in enumeration order.  A count
-    above SPECTRUM_POOL_CAP raises ResourceCapExceeded before any slope is
-    built.
+    The pool is either a count, taking preperiods in _preperiods' order,
+    or an explicit iterable of preperiod digit tuples; duplicates after
+    canonicalization are skipped, so a count yields that many distinct
+    slopes (the base itself first).  Points are returned in enumeration
+    order.  A count above SPECTRUM_POOL_CAP raises ResourceCapExceeded
+    before any slope is built.
     """
     if base.is_rational:
         raise ValueError("base slope must be irrational")

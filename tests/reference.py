@@ -23,7 +23,7 @@ from sturmian_spectra.geometry import (
     _rank_gaps,
     ikm_intervals,
 )
-from sturmian_spectra.kabelian import KAbelianSignature, classify_by_intervals
+from sturmian_spectra.kabelian import classify_by_intervals
 from sturmian_spectra.quadreal import dist_to_int
 from sturmian_spectra.spectra import BoundReport, _covered_floor
 
@@ -60,14 +60,16 @@ def kab_equivalent_counts(u, v, k):
 
 
 def counter_signature(u, k):
-    """The signature of u at order k with its length-k blocks counted by a
-    Counter over slices, sorted by block."""
+    """The signature of u at order k, (length, prefix, suffix, counts): the
+    ends of length min(len(u), k-1) and the length-k blocks counted by a
+    Counter over slices, sorted by block.  Two words of equal length are
+    k-abelian equivalent exactly when their signatures are equal."""
     m = len(u)
     edge = min(m, k - 1)
     counts = ()
     if m >= k:
         counts = tuple(sorted(Counter(u[i : i + k] for i in range(m - k + 1)).items()))
-    return KAbelianSignature(k, m, u[:edge], u[m - edge :] if edge else "", counts)
+    return m, u[:edge], u[m - edge :] if edge else "", counts
 
 
 def is_balanced_pair(u, v):

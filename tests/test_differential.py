@@ -8,9 +8,9 @@ alpha + 1 and 1 - alpha.  Values and Lagrange constants of continued
 fractions are played against QuadReal folds over rational and periodic
 expansions with a0 in -3..3 and quotients up to 1000.  The brute
 oracle's incremental block scan is played against a plain rescan of every
-factor, and k-abelian signatures counted on bit masks against a Counter
-over slices, on binary and ternary words and on random slopes' factor
-languages; the all-integer key of binary words also against the raw
+factor, and k-abelian keys counted on bit masks against signatures
+counted by a Counter over slices, on binary and ternary words and on
+random slopes' factor languages; the all-integer key of binary words also against the raw
 definition.  The bound report, which ranks only the periods that can
 reach a list, is played against one exponent per period, and its
 three-gap walk and floor-sum count against testing every period of a
@@ -21,6 +21,7 @@ against theta_k.
 """
 
 import io
+import itertools
 import subprocess
 import sys
 from collections import Counter
@@ -53,7 +54,7 @@ from sturmian_spectra.kabelian import (
     _key,
     classify_brute,
     classify_by_intervals,
-    signature,
+    kab_equivalent,
 )
 from sturmian_spectra.quadreal import QuadReal, dist_to_int
 from sturmian_spectra.spectra import (
@@ -266,7 +267,7 @@ def test_interval_classes_match_signature_classes(alpha, k, m):
             outer = coarse[c.interval_index]
             for word in c.members:
                 inner = factors[word]
-                assert outer.start <= inner.start and inner.end <= outer.end
+                assert outer.start <= inner.start and inner.start + inner.length <= outer.start + outer.length
 
 
 def _cli(argv):
@@ -293,26 +294,47 @@ def test_streamed_classes_match_the_whole_document(cf, k, data):
     assert _cli(argv) == (0, classes_output(cf, k, m, output, emit_circle), "")
 
 
-# -- k-abelian signatures on bit masks, against Counter over slices ------------
+# -- k-abelian keys on bit masks, against Counter over slices -----------------
 
 # digits int(., 2) would also read, spaced, signed, prefixed or underscored
 MISREAD = ["0b1", "1_0", " 01", "+1", "-0", "0B1", "1\n"]
+
+
+def _partners(u):
+    """Words of u's length to pair with u: u itself, a rearrangement of its
+    letters, and random words over its letters and 0 and 1, or over 0 and 1
+    alone (which a misread digit string would be keyed as)."""
+    n = len(u)
+    return st.one_of(
+        st.just(u),
+        st.permutations(u).map("".join),
+        st.text(sorted(set(u) | {"0", "1"}), min_size=n, max_size=n),
+        st.text("01", min_size=n, max_size=n),
+    )
+
+
 signature_cases = st.one_of(
     st.text("01", max_size=30), st.text("012", max_size=30), st.sampled_from(MISREAD)
-).flatmap(lambda u: st.tuples(st.just(u), st.integers(1, len(u) + 2)))
+).flatmap(lambda u: st.tuples(st.just(u), _partners(u), st.integers(1, len(u) + 2)))
 
 
 @given(signature_cases)
 @settings(max_examples=400)
 def test_mask_signature_matches_the_counter(case):
-    u, k = case
-    assert signature(u, k) == counter_signature(u, k)
+    """Two words keyed in one call, on binary, ternary and misread text, are
+    equivalent exactly when their Counter signatures are equal."""
+    u, v, k = case
+    assert kab_equivalent(u, v, k) == (counter_signature(u, k) == counter_signature(v, k))
 
 
 @pytest.mark.parametrize("u", ["", "0", "1", "2", "0110", "2021", *MISREAD])
 def test_mask_signature_at_and_past_the_word_length(u):
+    """u against every word of its length over its letters and 0 and 1."""
+    letters = sorted(set(u) | {"0", "1"})
     for k in range(1, len(u) + 4):  # k = len(u) and k > len(u) included
-        assert signature(u, k) == counter_signature(u, k), (u, k)
+        want = counter_signature(u, k)
+        for v in map("".join, itertools.product(letters, repeat=len(u))):
+            assert kab_equivalent(u, v, k) == (counter_signature(v, k) == want), (u, v, k)
 
 
 @given(preperiodic_slopes, st.integers(1, 6), st.integers(1, 120))
@@ -392,6 +414,35 @@ def test_exponent_formula_matches_the_oracle(alpha, k, m):
     assert got == want
 
 
+# a_1 = 1, a slope above 1/2, about as often as every other first quotient
+# together
+first_quotient_cfs = st.builds(
+    lambda a1, pre, period: ContinuedFraction([0, a1, *pre], period),
+    st.one_of(st.just(1), st.integers(1, 30)),
+    st.lists(st.integers(1, 30), max_size=2),
+    st.lists(st.integers(1, 30), min_size=1, max_size=8),
+)
+
+
+@given(first_quotient_cfs, st.data())
+@settings(max_examples=150, deadline=None)
+def test_exponent_past_half_the_period_counts_literal_powers(cf, data):
+    """At an order k with 2k > m the coarse family is the whole level-m
+    family and equivalence of length-m words is equality, so the exponent
+    is the oracle's ladder under the identity key.  m <= 40 is often a
+    convergent denominator, where the largest powers are."""
+    denominators = [c.q for c in cf.convergents(12) if c.q <= 40]
+    m = data.draw(st.one_of(st.integers(1, 40), st.sampled_from(denominators)), label="m")
+    k = data.draw(st.integers(m // 2 + 1, m + 2), label="k")
+    alpha = cf.value()
+    want = max_kab_exponent(alpha, k, m, with_witness=False).exponent
+    try:
+        got = _longest_block_run(alpha, m, lambda b: b, DEFAULT_ORACLE_CAP)
+    except ResourceCapExceeded:
+        return  # a declared refusal, never a wrong answer
+    assert got == want
+
+
 def _initial_run(word, m, classes):
     """Number of leading m-blocks of `word` all equivalent to the first,
     each block sliced afresh and keyed on the integer of its letters."""
@@ -412,7 +463,7 @@ def _rescanned_run(alpha, n, m, classes):
 
 def block_keys(m):
     """The oracle's keys on integer m-blocks: binary signature keys at
-    k = 1..4, and the identity of max_integer_power_exponent.  Both tell
+    k = 1..4, and the identity, which keys literal powers.  Both tell
     apart blocks with different letter counts, so a crossing always moves
     block j-1 out of block 0's class; the first-letter key lets block j-1
     keep its class while block j leaves it."""
@@ -473,7 +524,7 @@ def _reference_exponent(alpha, k, m, convention=LEFT_CLOSED, with_witness=True):
     """max_kab_exponent on QuadReal: the longest length of a generically
     sorted coarse family, dist_to_int, and the floor of their quotient."""
     family = _coarse_reference(alpha, k, m)
-    longest, step = family.max_length(), dist_to_int(m * alpha)
+    longest, step = max(family.lengths), dist_to_int(m * alpha)
     exponent = (longest / step).floor() + (longest != step)
     if not with_witness or exponent * m > DEFAULT_ORACLE_CAP:
         return ExponentRecord(k, m, exponent, longest, step)
@@ -490,7 +541,7 @@ def _reference_bound_check(cf, k, t_range):
     """exponent_bound_check on QuadReal, with _reference_exponent."""
     alpha = cf.value()
     level = _level_reference(alpha, 2 * k - 2)
-    shortest, longest = level.min_length(), level.max_length()
+    shortest, longest = min(level.lengths), max(level.lengths)
     ts = sorted(set(t_range))
     convs = cf.convergents(max(ts) + 1)
     report = BoundReport(k, [], [], [], [], [])
@@ -824,7 +875,7 @@ def test_a_too_small_convergent_fails_under_python_o():
 @given(shifted_cfs, st.integers(1, 8))
 @settings(max_examples=100, deadline=None)
 def test_theta_matches_the_quadreal_longest_interval(cf, k):
-    want = _level_reference(cf.value(), 2 * k - 2).max_length() * cf.lagrange_constant()
+    want = max(_level_reference(cf.value(), 2 * k - 2).lengths) * cf.lagrange_constant()
     assert _spelled(theta_k(cf, k)) == _spelled(want)
 
 

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from sturmian_spectra.kabelian import (
     classify_brute,
     classify_by_intervals,
+    _key,
     kab_equivalent,
-    signature,
     verify_ternary_property,
 )
 from sturmian_spectra.quadreal import QuadReal
@@ -28,15 +28,16 @@ def _binary(n):
 word_pairs = st.integers(0, 22).flatmap(lambda n: st.tuples(_binary(n), _binary(n)))
 
 
-def test_signature_known_value():
-    sig = signature("01001", 2)
-    assert sig.prefix == "0" and sig.suffix == "1"
-    assert dict(sig.counts) == {"01": 2, "10": 1, "00": 1}
+def test_key_known_value():
+    """01001 at order 2: the prefix 0, then the blocks 00, 01 (twice) and
+    10, each under the integer of its letters, in increasing order."""
+    assert _key(0b01001, 5, 2) == (0b0, ((0b00, 1), (0b01, 2), (0b10, 1)))
 
 
-def test_signature_degenerates_below_order():
-    sig = signature("01", 4)
-    assert sig.prefix == "01" and sig.suffix == "01" and sig.counts == ()
+def test_key_degenerates_below_order():
+    """Below the order the key is the word itself, so equivalence is
+    equality."""
+    assert _key(0b01, 2, 4) == 0b01
     assert kab_equivalent("01", "01", 4)
     assert not kab_equivalent("01", "10", 4)
 

@@ -1,5 +1,6 @@
 """The package namespace: one spelling per public name."""
 
+import copy
 import os
 import pickle
 import subprocess
@@ -51,7 +52,6 @@ RECORDS = {
     geometry.EndpointConvention: ("zero_in_I0",),
     geometry.IntervalFamily: ("intervals",),
     words.SturmianSpec: ("alpha", "intercept", "convention"),
-    kabelian.KAbelianSignature: ("k", "length", "prefix", "suffix", "counts"),
     kabelian.FactorClass: ("k", "length", "members", "interval_index"),
     kabelian.TernaryReport: ("k", "max_len", "pairs_checked", "counterexamples"),
     spectra.ExponentRecord: (
@@ -115,3 +115,20 @@ def test_records_are_slotted_values():
     for mutable in (report, bound):
         with pytest.raises(TypeError):
             hash(mutable)
+
+
+def test_exact_values_and_the_records_that_hold_them_copy_and_pickle():
+    """QuadReal and ContinuedFraction are rebuilt through their constructors,
+    so they, and the records that hold them, survive copy, deepcopy and
+    pickling, each QuadReal with its spelling (p, q, d, r) kept, also one
+    whose radicand keeps the square of a prime past the trial division."""
+    fib = cf.ContinuedFraction.parse("[0; 2, (1)]")
+    record = spectra.max_kab_exponent(fib.value(), 2, 5)
+    point = spectra.sample_spectrum(2, fib, 2)[1]
+    big = quadreal.QuadReal(1, 1, 1009 * 1009 * 1013, 3)
+    for x in (record, point, fib, big):
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(twin) is type(x) and twin == x
+    for v in (big, record.step, record.witness_intercept, point.theta):
+        twin = pickle.loads(pickle.dumps(v))
+        assert (twin.p, twin.q, twin.d, twin.r) == (v.p, v.q, v.d, v.r)

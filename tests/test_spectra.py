@@ -1,5 +1,6 @@
 """Repetition exponents, their limiting constants, and slope construction."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,7 @@ from sturmian_spectra.spectra import (
     brute_kab_exponent,
     construct_linfty_slope,
     exponent_bound_check,
-    max_integer_power_exponent,
     max_kab_exponent,
-    preperiod_pool,
     sample_spectrum,
     theta_k,
     theta_limsup_estimate,
@@ -140,24 +139,38 @@ def test_cap_can_come_from_the_environment(monkeypatch):
         brute_kab_exponent(FIB_SLOPE, 1, 51)
 
 
+def _integer_power_exponent(cf, m):
+    """The largest literal power of period m: at order k = m, 2k > m, the
+    coarse family is the whole level-m family, and k-abelian equivalence of
+    length-m words is equality."""
+    return max_kab_exponent(cf.value(), m, m, with_witness=False).exponent
+
+
 def test_integer_power_known_values():
-    assert max_integer_power_exponent(FIB, 5) == 3
-    assert max_integer_power_exponent(FIB, 2) == 2
-    assert max_integer_power_exponent(SPIKE, 11) == 102
+    assert _integer_power_exponent(FIB, 5) == 3
+    assert _integer_power_exponent(FIB, 2) == 2
+    assert _integer_power_exponent(SPIKE, 11) == 102
+    # slopes above 1/2 (a_1 = 1, so q_1 = q_0): at m = q_2 the answer is
+    # a_3 + 1, not the a_{t+1} + 2 of the convergents past it
+    assert _integer_power_exponent(GOLDEN_TAIL, 2) == 2
+    assert _integer_power_exponent(ContinuedFraction.parse("[0; 1, 1, 6, (2)]"), 2) == 7
 
 
 def test_integer_power_matches_a_prefix_scan():
-    """Window scan of the actual word confirms the reported exponents."""
-    prefix = sturmian_prefix(SturmianSpec(FIB_SLOPE, FIB_SLOPE), 3000)
-    for m in range(2, 16):
-        assert max_integer_power_exponent(FIB, m) == _longest_integer_power(prefix, m)
+    """Window scan of the actual word confirms the reported exponents, on a
+    slope below 1/2 and on one above."""
+    for cf in (FIB, GOLDEN_TAIL):
+        alpha = cf.value()
+        prefix = sturmian_prefix(SturmianSpec(alpha, alpha), 3000)
+        for m in range(2, 16):
+            assert _integer_power_exponent(cf, m) == _longest_integer_power(prefix, m), (cf, m)
 
 
 def test_integer_power_small_off_the_convergents():
     denominators = {c.q for c in FIB.convergents(8)}
     for m in range(2, 21):
         if m not in denominators:
-            assert max_integer_power_exponent(FIB, m) <= 2
+            assert _integer_power_exponent(FIB, m) <= 2
 
 
 def test_theta_known_values():
@@ -402,9 +415,8 @@ def test_linfty_rejects_bad_targets():
 
 
 def test_preperiod_pool_order_frozen():
-    assert list(preperiod_pool(10)) == [
+    assert list(itertools.islice(spectra._preperiods(), 10)) == [
         (), (1, 1), (1, 2), (2, 2), (2, 1), (1, 3), (2, 3), (3, 3), (3, 1), (3, 2)]
-    assert list(preperiod_pool(0)) == list(preperiod_pool(-3)) == []
 
 
 def test_spectrum_sampling_is_deterministic():
