@@ -7,7 +7,11 @@ Whitespace is insignificant on input; rendering is canonical.
 Convergents, values, denominators and Lagrange constants come from one
 integer fold, the convergent recurrence over a quotient list (`_folds`,
 and its last step `_moebius`), and each value builds a single
-:class:`~sturmian_spectra.quadreal.QuadReal` at the end.
+:class:`~sturmian_spectra.quadreal.QuadReal` at the end.  It is the
+package's only convergent recurrence, and every slope is expanded here:
+it folds a continued fraction's own quotients (`_quotients`) or
+`_quotients_of`, the integer quotient stream of a QuadReal, and
+`_convergent_past` reads the first convergent past a level off either.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import chain, cycle
+from math import isqrt
 
 from .quadreal import QuadReal
 
@@ -98,6 +104,10 @@ class ContinuedFraction:
         if not self.period:
             raise IndexError(f"rational expansion has no term a_{t}")
         return self.period[(t - len(self.preperiod)) % len(self.period)]
+
+    def _quotients(self) -> Iterator[int]:
+        """a_0, a_1, ...: the preperiod, then the period without end."""
+        return chain(self.preperiod, cycle(self.period))
 
     def __eq__(self, other):
         if not isinstance(other, ContinuedFraction):
@@ -219,6 +229,40 @@ def _folds(quotients: Iterable[int]) -> Iterator[tuple[int, int, int, int]]:
     for x in quotients:
         a, b, c, d = a * x + b, a, c * x + d, c
         yield a, b, c, d
+
+
+def _quotients_of(alpha: QuadReal) -> Iterator[int]:
+    """The partial quotients a_0, a_1, ... of the irrational alpha, without
+    end.
+
+    alpha is spelled (P + sqrt(D))/Q with Q dividing D - P*P, a form every
+    complete quotient keeps: the next one is (P' + sqrt(D))/Q' with
+    P' = a*Q - P and Q' = (D - P'*P')/Q, where a = floor((P + sqrt(D))/Q)
+    is read off isqrt(D), since D is not a square.  Only integers are used.
+    """
+    if alpha.q == 0:
+        raise ValueError("slope must be irrational")
+    sign = 1 if alpha.q > 0 else -1
+    P, Q, D = sign * alpha.p, sign * alpha.r, alpha.q * alpha.q * alpha.d
+    if (D - P * P) % Q:
+        P, Q, D = P * abs(Q), Q * abs(Q), D * Q * Q
+    root = isqrt(D)
+    while True:
+        # sqrt(D) lies strictly between root and root + 1
+        a = (P + root + (Q < 0)) // Q
+        yield a
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
+def _convergent_past(quotients: Iterable[int], n: int) -> tuple[int, int]:
+    """The first convergent (p, q) of _folds(quotients) with q > n >= 0,
+    for an endless quotient stream."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    for p, _, q, _ in _folds(quotients):
+        if q > n:
+            return p, q
 
 
 def _moebius(quotients: Iterable[int]) -> tuple[int, int, int, int]:

@@ -35,8 +35,11 @@ building a family (and so a factor language) makes no QuadReal at all.
 Two such lengths differ by a pair with |B| <= 2n.  So does the choice of
 ||m*alpha|| between {m*alpha} = -floor(m*p/q) + m*alpha and 1 - {m*alpha},
 which differ by B = 2m; its rank is min(r, q - r) for r = m*p mod q.  So
-the exponent formulas expand alpha to a convergent past 2m at least, and
-build a QuadReal only for a value that is reported.
+the exponent formulas rank on a convergent past 2m at least, and build a
+QuadReal only for a value that is reported.  Every convergent is read off
+one expansion of the slope in the cf module: a continued fraction's own
+quotients, or the integer quotient stream of a QuadReal alpha, folded
+once per call.
 
 Corollary (floor).  Let L and s > 0 be pairs with ranks G and S, B-parts B
 and B', and n = G // S.  If q > |B| + (n+1)*|B'|, then floor(L/s) = n, and
@@ -51,9 +54,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
-from math import isqrt
 
 from ._record import Record
+from .cf import _convergent_past, _quotients_of
 from .quadreal import QuadReal
 
 __all__ = [
@@ -178,33 +181,6 @@ class IntervalFamily(Record):
         return i % len(self.intervals)
 
 
-def _convergent_past(alpha: QuadReal, n: int) -> tuple[int, int]:
-    """The first convergent p/q of the irrational alpha with q > n >= 0.
-
-    alpha is spelled (P + sqrt(D))/Q with Q dividing D - P*P, a form every
-    complete quotient keeps: the next one is (P' + sqrt(D))/Q' with
-    P' = a*Q - P and Q' = (D - P'*P')/Q, where a = floor((P + sqrt(D))/Q)
-    is read off isqrt(D), since D is not a square.  Only integers are used.
-    """
-    if alpha.q == 0:
-        raise ValueError("slope must be irrational")
-    if n < 0:
-        raise ValueError("level must be >= 0")
-    sign = 1 if alpha.q > 0 else -1
-    P, Q, D = sign * alpha.p, sign * alpha.r, alpha.q * alpha.q * alpha.d
-    if (D - P * P) % Q:
-        P, Q, D = P * abs(Q), Q * abs(Q), D * Q * Q
-    root = isqrt(D)
-    p_prev, q_prev, p, q = 0, 1, 1, 0
-    while q <= n:
-        # sqrt(D) lies strictly between root and root + 1
-        a = (P + root + (Q < 0)) // Q
-        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    return p, q
-
-
 def _value(alpha: QuadReal, a: int, b: int, d: int = 1) -> QuadReal:
     """The pair a + b*alpha over d, one exact constructor call."""
     return QuadReal(a * alpha.r + b * alpha.p, b * alpha.q, alpha.d, d * alpha.r)
@@ -257,7 +233,7 @@ def level_intervals(alpha: QuadReal, n: int) -> IntervalFamily:
     starts with the i-th length-n factor, so this family *is* the language
     of length n in geometric form.
     """
-    p, q = _convergent_past(alpha, n)
+    p, q = _convergent_past(_quotients_of(alpha), n)
     return _orbit_family(alpha, _circle_order(range(n + 1), p, q), p, q)
 
 
@@ -290,5 +266,5 @@ def ikm_intervals(alpha: QuadReal, k: int, m: int) -> IntervalFamily:
     preimages of those points under m-(k-1) more rotation steps (when
     m >= k-1).  Size is min(2k, m+1).
     """
-    p, q = _convergent_past(alpha, m)
+    p, q = _convergent_past(_quotients_of(alpha), m)
     return _orbit_family(alpha, _circle_order(_checked_coarse_indices(k, m), p, q), p, q)

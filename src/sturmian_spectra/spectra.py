@@ -24,13 +24,12 @@ from functools import partial
 from operator import sub
 
 from ._record import Record
-from .cf import ContinuedFraction
+from .cf import ContinuedFraction, _convergent_past, _folds, _quotients_of
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
     _checked_coarse_indices,
     _circle_order,
-    _convergent_past,
     _dist_rank,
     _orbit_cuts,
     _rank_gaps,
@@ -155,16 +154,21 @@ def max_kab_exponent(
     coded word of length n*m.  A slope outside (0, 1) is the same rotation
     as its fractional part, which codes the witness.  With 2k > m the
     coarse family is the whole level-m family and equivalence of length-m
-    words is equality, so k = m gives the largest literal power.
+    words is equality, so k = m gives the largest literal power.  The
+    slope is expanded once, and its convergents are walked forward: to the
+    first past 2m, on past (G // S + 2)*m until the floor corollary covers
+    G // S, and on to one past |b| + 2n for the witness.
     """
     indices = _checked_coarse_indices(k, m)
+    folds = _folds(_quotients_of(alpha))
     q, bound = 0, 2 * m
-    while q <= bound:  # from past 2m, refine until the floor corollary covers G // S
-        p, q = _convergent_past(alpha, bound)
-        cuts, lengths = _orbit_cuts(_circle_order(indices, p, q), p, q)
-        gaps, s = [a * q + b * p for a, b in lengths], _dist_rank(m, p, q)
-        g = max(gaps)
-        bound = (g // s + 2) * m
+    while q <= bound:
+        p, _, q, _ = next(folds)
+        if q > bound:  # rank on it, and refine unless the floor corollary covers G // S
+            cuts, lengths = _orbit_cuts(_circle_order(indices, p, q), p, q)
+            gaps, s = [a * q + b * p for a, b in lengths], _dist_rank(m, p, q)
+            g = max(gaps)
+            bound = (g // s + 2) * m
     exponent = _kab_exponent(g, s, m, q)
     i = gaps.index(g)
     (c, j), longest = cuts[i], lengths[i]
@@ -178,10 +182,10 @@ def max_kab_exponent(
         # longest), inside [0, 1), as (n-1)*step < longest once n > 1 (longest =
         # N*step would have B-part N*m, N >= 2, and coarse lengths have |B| <= m)
         x = _value(alpha, a, b, 2)
-        n = exponent * m  # the witness's own convergent, past |b| + 2n
-        word = _code_pair(
-            *_convergent_past(alpha, abs(b) + 2 * n), a, b, 2, n, convention.zero_in_I0
-        )
+        n = exponent * m
+        while q <= abs(b) + 2 * n:  # any convergent past |b| + 2n codes the witness
+            p, _, q, _ = next(folds)
+        word = _code_pair(p, q, a, b, 2, n, convention.zero_in_I0)
     return ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step), x, word)
 
 
@@ -406,17 +410,24 @@ def exponent_bound_check(
     A = 6 against floor(longest / dist) = 4 - confirmed by brute-force
     scanning of the word itself).
 
-    For k = 1 the stronger A(m) < A(q_t) for m < q_t is recorded as well,
-    informationally (it does not affect `ok`).  At k = 1 only that list can
-    fill: both slack lists and the window list are always empty.  The
-    coarse cuts of period m are 0 and m, whose rank gaps are S and q - S
-    for the rank S of ||m*alpha||, so A_1(m) = q // S, or 1 when q = 2S; as
-    S <= q/2, A_1 does not grow with S.  The level family is the one cut 0,
-    so shortest = longest = q and the window difference is 0, or -1 when
-    q = 2S.  For m < q_{t+1}, best approximation, applied to the convergent
-    p/q described below (its convergents up to q_{t+1} are alpha's), gives
-    S >= the rank of ||q_t*alpha||, so A_1(m) <= A_1(q_t).  The report does
-    not use this to skip periods: at k = 1 it ranks them all.
+    For k = 1 the stronger A(m) < A(q_t) for m < q_t is a list as well,
+    k1_monotone_violations, informational (it does not affect `ok`).  At
+    k = 1 all four lists are empty, by the following proof, so the report
+    checks every t and ranks no period.  Let S_m be the rank of ||m*alpha||
+    on the convergent p/q described below, whose convergents up to q_{T+2}
+    are alpha's.  The coarse cuts of period m are 0 and m, whose rank gaps
+    are S_m and q - S_m, so A_1(m) = q // S_m, or 1 when q = 2*S_m; either
+    way A_1(m) <= q // S_m.  The level family is the one cut 0, so shortest
+    = longest = q: every t is checked, as S_{q_t} <= q/2 < q, and the
+    window difference is 0, or -1 when q = 2*S_m.  By best approximation,
+    S_m >= S_{q_t} for 0 < m < q_{t+1}, and A_1 does not grow with S, so
+    A_1(m) <= A_1(q_t) and both slack lists stay empty.  For the monotone
+    list, S_{q_j} = |q_j*p - p_j*q| gives q / S_{q_j} = q_{j+1} + q_j /
+    x_{j+2}, where x_{j+2} is a complete quotient of p/q, strictly above 1
+    because p/q's expansion runs on past index T+2.  Take 0 < m < q_t, so
+    that q_t >= 2 and q_{t+1} >= 3.  Then S_m >= S_{q_{t-1}} and A_1(m) <=
+    q // S_{q_{t-1}} <= q_t + q_{t-1} - 1 < q_{t+1} <= q // S_{q_t}, which
+    is A_1(q_t), as q / S_{q_t} > q_{t+1} >= 3 rules out q = 2*S_{q_t}.
 
     All is decided on ranks over one convergent.  For T = max(t_range)
     each period m taken is at most q_{T+1}, so ||m*alpha|| >=
@@ -460,9 +471,8 @@ def exponent_bound_check(
     n*theta mod 1"; it is the dual of Sos' three-distance theorem, see
     Alessandri & Berthe 1998).  _return_times walks them at O(1) per
     ranked period and O(log q) per segment, not over every period below
-    q_{t+1}.  For k = 1 the level family has the one cut 0, so shortest =
-    q, the interval is the whole circle and every period is ranked.  So
-    every list, and every raise, is the one made by ranking each period.
+    q_{t+1}.  So every list, and every raise, is the one made by ranking
+    each period.
     A report with more than BOUND_PERIOD_CAP periods to rank raises
     ResourceCapExceeded before any of them is listed or ranked: when the
     periods below the last end pass the cap, _return_count counts each
@@ -472,12 +482,13 @@ def exponent_bound_check(
         raise ValueError("order k must be >= 1")
     if cf.is_rational:
         raise ValueError("slope must be irrational")
-    alpha = cf.value()
     ts = sorted(set(t_range))
     if not ts or min(ts) < 0:
         raise ValueError("t_range must be nonempty with t >= 0")
+    if k == 1:  # every t checked, every list empty: see the proof above
+        return BoundReport(1, ts, [], [], [], [])
     convs = cf.convergents(max(ts) + 2)
-    p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-2].q + 1))
+    p, q = _convergent_past(cf._quotients(), 2 * convs[-1].q * (convs[-2].q + 1))
     level = _rank_gaps(range(2 * k - 1), p, q)
     shortest, longest = min(level), max(level)
     checked = [t for t in ts if _dist_rank(convs[t].q, p, q) < shortest]
@@ -524,9 +535,6 @@ def exponent_bound_check(
                 report.convergent_slack_violations.append((t, m))
             elif a_m == a_qt + 2:
                 report.improved_slack_exceedances.append((t, m))
-        if k == 1:
-            below = zip(ranked[: bisect_left(ranked, q_t)], exponents)
-            report.k1_monotone_violations += [(t, m) for m, a_m in below if a_m >= a_qt]
     return report
 
 
@@ -540,11 +548,10 @@ def theta_k(cf: ContinuedFraction, k: int) -> QuadReal:
 
 def _theta(cf: ContinuedFraction, k: int, constant: QuadReal) -> QuadReal:
     """theta_k(cf, k) for k >= 1, given the Lagrange constant of cf."""
-    alpha = cf.value()
-    p, q = _convergent_past(alpha, 4 * k - 4)
+    p, q = _convergent_past(cf._quotients(), 4 * k - 4)
     lengths = _orbit_cuts(_circle_order(range(2 * k - 1), p, q), p, q)[1]
     longest = max(lengths, key=lambda ab: ab[0] * q + ab[1] * p)  # the greatest rank
-    return _value(alpha, *longest) * constant
+    return _value(cf.value(), *longest) * constant
 
 
 class LimsupEstimate(Record):
@@ -577,10 +584,9 @@ def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEs
     """
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    alpha = cf.value()
     convs = cf.convergents(t_max + 1)
     # the floor at m = q_t is below 1/||q_t*alpha|| < q_t + q_{t+1} <= 2*q_{t_max+1}
-    p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-1].q + 1))
+    p, q = _convergent_past(cf._quotients(), 2 * convs[-1].q * (convs[-1].q + 1))
     exponents = _kab_exponents(k, [c.q for c in convs[1:-1]], p, q)[0]
     terms = [(c.t, Fraction(a, c.q)) for c, a in zip(convs[1:-1], exponents)]
     window_start = max(1, t_max - LIMSUP_WINDOW + 1)
@@ -701,13 +707,16 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
     digits, whose = _digit_limit()
     too_big = 10**digits // max(lam.numerator, lam.denominator)
     quotients = [1, 1]  # position i holds a_{i+1}; padding value is 1
-    qs = [1, 1]  # position i holds q_i; stages plant a_{k+1} for k >= 2 only
+    # [0; a_1, a_2, ...] folded as it is planted: a_k is read when q_k is asked for
+    folds = _folds(itertools.chain([0], map(quotients.__getitem__, itertools.count())))
+    qs = [next(folds)[2], next(folds)[2]]  # position i holds q_i
+    # stages plant a_{k+1} for k >= 2 only
     stage_records: list[LinftyStage] = []
     for t in range(1, stages + 1):
         bound = Fraction(1, 2**t)
         while True:
             k = len(qs)  # the candidates run on from the last stage's index
-            q = quotients[k - 1] * qs[k - 1] + qs[k - 2]
+            q = next(folds)[2]
             qs.append(q)
             quotients.append(1)
             if q >= too_big:

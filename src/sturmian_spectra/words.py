@@ -7,8 +7,8 @@ in the arc from {-(i+1)*alpha} to {-i*alpha}.
 
 Every letter is read off one rational rotation, by the lemma in the
 geometry module docstring.  Spell x over alpha's radicand as
-(A + B*alpha)/D with D > 0, and take the first convergent p/q of alpha
-with q > |B| + D*n.  For 0 <= i <= n the lemma, applied to the pairs
+(A + B*alpha)/D with D > 0, and take a convergent p/q of alpha with
+q > |B| + D*n, any one.  For 0 <= i <= n the lemma, applied to the pairs
 (A - t*D) + (B + i*D)*alpha, gives floor(x + i*alpha) =
 floor((K + i*D*p)/(D*q)) with K = A*q + B*p, and x + i*alpha is an integer
 only when D*q divides K + i*D*p.  So with r_i = (K + i*D*p) mod D*q, the
@@ -41,14 +41,8 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from ._record import Record
-from .geometry import (
-    EndpointConvention,
-    Interval,
-    LEFT_CLOSED,
-    _circle_order,
-    _convergent_past,
-    _orbit_family,
-)
+from .cf import _convergent_past, _quotients_of
+from .geometry import EndpointConvention, Interval, LEFT_CLOSED, _circle_order, _orbit_family
 from .quadreal import QuadReal, _common_radicand
 
 __all__ = [
@@ -96,8 +90,8 @@ class SturmianSpec(Record):
 def _code_pair(p: int, q: int, a: int, b: int, d: int, n: int, zero_in_i0: bool) -> str:
     """The first n letters from the intercept (a + b*alpha)/d, d > 0, read
     off the rotation r -> r + d*(p mod q) on Z/(d*q) from r = a*q + b*p for
-    the first convergent p/q of alpha past |b| + d*n (see the module
-    docstring), which the caller expands; p mod q makes a slope outside
+    any convergent p/q of alpha past |b| + d*n (see the module docstring),
+    which the caller expands; p mod q makes a slope outside
     (0, 1) the rotation by its fractional part.
 
     Letter i is 1 exactly when the rotation wraps on its step from
@@ -122,7 +116,7 @@ def sturmian_prefix(spec: SturmianSpec, n: int) -> str:
     a, b, d = x.p * alpha.q - x.q * alpha.p, x.q * alpha.r, x.r * alpha.q
     if d < 0:
         a, b, d = -a, -b, -d
-    p, q = _convergent_past(alpha, abs(b) + d * n)
+    p, q = _convergent_past(_quotients_of(alpha), abs(b) + d * n)
     return _code_pair(p, q, a, b, d, n, spec.convention.zero_in_I0)
 
 
@@ -133,7 +127,7 @@ def _crossings(alpha: QuadReal, n: int) -> tuple[str, list[int], int, int]:
     past n that orders them, as in geometry.  The coder and the level family
     share this one order and convergent.  The endpoint convention changes
     none of them, so it is no key."""
-    p, q = _convergent_past(alpha, n)
+    p, q = _convergent_past(_quotients_of(alpha), n)
     return _code_pair(p, q, 0, 0, 1, n, True), _circle_order(range(n + 1), p, q), p, q
 
 

@@ -13,12 +13,11 @@ import json
 from collections import Counter
 from functools import cache
 
-from sturmian_spectra.cf import _moebius
+from sturmian_spectra.cf import _convergent_past, _moebius, _quotients_of
 from sturmian_spectra.geometry import (
     Interval,
     IntervalFamily,
     _checked_coarse_indices,
-    _convergent_past,
     _dist_rank,
     _rank_gaps,
     ikm_intervals,
@@ -92,7 +91,7 @@ def prefix_suffix_sufficient(alpha, k):
 def code_pair_by_letter(alpha, a, b, d, n, zero_in_i0):
     """words._code_pair one letter at a time: step the residue r of the
     rotation on Z/(d*q) and compare it with the cut d*(q - p mod q)."""
-    p, q = _convergent_past(alpha, abs(b) + d * n)
+    p, q = _convergent_past(_quotients_of(alpha), abs(b) + d * n)
     step, mod = d * (p % q), d * q
     cut, r = mod - step, (a * q + b * p) % mod
     letters = []
@@ -116,7 +115,7 @@ def bound_check_by_period(cf, k, t_range):
     alpha = cf.value()
     ts = sorted(set(t_range))
     convs = cf.convergents(max(ts) + 2)
-    p, q = _convergent_past(alpha, 2 * convs[-1].q * (convs[-2].q + 1) + 4 * k)
+    p, q = _convergent_past(_quotients_of(alpha), 2 * convs[-1].q * (convs[-2].q + 1) + 4 * k)
     level = _rank_gaps(range(2 * k - 1), p, q)
     shortest, longest = min(level), max(level)
     report = BoundReport(k, [], [], [], [], [])

@@ -37,14 +37,18 @@ from hypothesis import strategies as st
 
 from sturmian_spectra import cli, spectra
 from sturmian_spectra._record import Record
-from sturmian_spectra.cf import ContinuedFraction, _purely_periodic_value
+from sturmian_spectra.cf import (
+    ContinuedFraction,
+    _convergent_past,
+    _purely_periodic_value,
+    _quotients_of,
+)
 from sturmian_spectra.geometry import (
     LEFT_CLOSED,
     RIGHT_CLOSED,
     Interval,
     IntervalFamily,
     _coarse_indices,
-    _convergent_past,
     _dist_rank,
     _rank_gaps,
     ikm_intervals,
@@ -56,7 +60,7 @@ from sturmian_spectra.kabelian import (
     classify_by_intervals,
     kab_equivalent,
 )
-from sturmian_spectra.quadreal import QuadReal, dist_to_int
+from sturmian_spectra.quadreal import QuadReal, _common_radicand, dist_to_int
 from sturmian_spectra.spectra import (
     DEFAULT_ORACLE_CAP,
     BoundReport,
@@ -121,6 +125,15 @@ spiked_cfs = st.builds(
     st.integers(50, 1000),
     st.lists(st.integers(1, 30), min_size=1, max_size=4),
 )
+# a_0 = 0 and a_1 = 1 (a slope above 1/2) each about half the time,
+# negative a_0 too, and runs of ones
+one_often = st.just(1) | st.integers(1, 30)
+expansion_cfs = st.builds(
+    lambda a0, pre, period: ContinuedFraction([a0, *pre], period),
+    st.just(0) | st.integers(-3, 3),
+    st.lists(one_often, min_size=1, max_size=3),
+    st.lists(one_often, min_size=1, max_size=6),
+)
 SPIKE = ContinuedFraction([0, 3, 1, 1, 1, 100], [1])
 FIB = ContinuedFraction([0, 2], [1])  # q_t = 1, 2, 3, 5, 8, ..., 55, 89, ...
 AWKWARD = [
@@ -160,11 +173,48 @@ def _convergents(alpha, limit):
     return out
 
 
+def _as_pair(alpha, x):
+    """(a, b, d) with x = (a + b*alpha)/d and d > 0, over alpha's radicand."""
+    alpha, x = _common_radicand(alpha, x)
+    a, b, d = x.p * alpha.q - x.q * alpha.p, x.q * alpha.r, x.r * alpha.q
+    return (a, b, d) if d > 0 else (-a, -b, -d)
+
+
+@given(
+    expansion_cfs,
+    st.integers(0, 60) | st.integers(0, 10**12),
+    st.integers(1, 6),
+    st.integers(1, 60),
+    st.sampled_from([LEFT_CLOSED, RIGHT_CLOSED]),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_quotient_streams_agree(cf, n, k, m, convention):
+    """The integer quotient stream of cf.value() is cf's own quotients, the
+    first convergent past n is the QuadReal-floor one on either stream, and
+    the exponent's witness, coded on a convergent past |b| + 2n that may
+    not be the first one, is the word coded letter by letter on the first
+    convergent past the intercept's own |b| + d*n."""
+    alpha = cf.value()
+    assert list(itertools.islice(_quotients_of(alpha), 41)) == list(
+        map(cf.partial_quotient, range(41))
+    )
+    want = _convergents(alpha, n)[-1]
+    assert _convergent_past(_quotients_of(alpha), n) == want
+    assert _convergent_past(cf._quotients(), n) == want
+    record = max_kab_exponent(alpha, k, m, convention)
+    if record.witness is not None:
+        a, b, d = _as_pair(alpha, record.witness_intercept)
+        length = record.exponent * m
+        assert record.witness == code_pair_by_letter(
+            alpha, a, b, d, length, convention.zero_in_I0
+        )
+
+
 def _check_level_order(alpha, n):
     """The integer circle order and the families built from it, against the
     exact sort of the points {-j*alpha} and the families cut at them, cuts
     and lengths spelled alike (family equality compares values only)."""
-    p, q = _convergent_past(alpha, n)
+    p, q = _convergent_past(_quotients_of(alpha), n)
     order = _crossings(alpha, n)[1]
     assert (p, q) == _convergents(alpha, n)[-1]
     assert order == sorted(range(n + 1), key=lambda j: (-j * alpha).frac())
@@ -676,29 +726,37 @@ def test_bound_report_ranks_the_periods_below_the_head():
     got = exponent_bound_check(cf, 3, range(1, 8))
     assert got.improved_slack_exceedances == [(1, 1)]
     assert _spelled(got) == _spelled(bound_check_by_period(cf, 3, range(1, 8)))
-    p, q = _convergent_past(cf.value(), 10**6)
+    p, q = _convergent_past(_quotients_of(cf.value()), 10**6)
     assert max(_rank_gaps(range(3), p, q)) // _dist_rank(1, p, q) + 1 == 4
 
 
-@given(shifted_cfs | spiked_cfs, st.data())
+@given(shifted_cfs | spiked_cfs | expansion_cfs, st.data())
 @settings(max_examples=100, deadline=None)
-def test_order_one_reports_can_fill_only_the_monotone_list(cf, data):
-    """The k = 1 argument of the exponent_bound_check docstring: A_1(m) is
-    q // S, or 1 when q = 2S, and below q_{t+1} no S is less than the rank
-    of ||q_t*alpha||, so both slack lists and the window list stay empty,
-    over random t ranges whose q_{t+1} stays at most 5000."""
+def test_order_one_reports_rank_no_period(cf, data):
+    """The k = 1 proof of the exponent_bound_check docstring, over random
+    t ranges whose q_{t+1} stays at most 5000: A_1(m) is q // S, or 1 when
+    q = 2S; it is at most A_1(q_t) for m < q_{t+1}, and less for m < q_t.
+    So the report, which ranks no period, checks every t and keeps all
+    four lists empty."""
     convs = cf.convergents(40)
     ts = [t for t in range(40) if convs[t + 1].q <= 5000]
     t_range = data.draw(st.lists(st.sampled_from(ts), min_size=1, max_size=8))
     report = exponent_bound_check(cf, 1, t_range)
+    assert report.t_checked == sorted(set(t_range))
     assert report.convergent_slack_violations == []
     assert report.improved_slack_exceedances == []
     assert report.approx_window_violations == []
+    assert report.k1_monotone_violations == []
     end, after = convs[max(t_range) + 1].q, convs[max(t_range) + 2].q
-    p, q = _convergent_past(cf.value(), 2 * after * (end + 1))
+    p, q = _convergent_past(_quotients_of(cf.value()), 2 * after * (end + 1))
     periods = range(1, end)
-    for m, a_m, s in zip(periods, *_kab_exponents(1, periods, p, q)):
+    exponents, steps = _kab_exponents(1, periods, p, q)
+    for m, a_m, s in zip(periods, exponents, steps):
         assert a_m == (1 if q == 2 * s else q // s)
+    for t in report.t_checked:
+        a_qt = _kab_exponents(1, [convs[t].q], p, q)[0][0]
+        assert all(a_m < a_qt for a_m in exponents[: convs[t].q - 1])
+        assert all(a_m <= a_qt for a_m in exponents[: convs[t + 1].q - 1])
 
 
 @st.composite
@@ -773,7 +831,7 @@ def test_a_too_small_convergent_ranks_its_whole_segment(monkeypatch):
         handed.append(list(periods))
         return real(k, handed[-1], p, q)
 
-    monkeypatch.setattr(spectra, "_convergent_past", lambda alpha, n: (2431, 8911))
+    monkeypatch.setattr(spectra, "_convergent_past", lambda quotients, n: (2431, 8911))
     monkeypatch.setattr(spectra, "_kab_exponents", kernel)
     with pytest.raises(AssertionError, match="too small for floor"):
         exponent_bound_check(SPIKE, 2, [4])
@@ -821,7 +879,7 @@ def test_bound_report_needs_no_term_in_k(k, t_range):
     assert _spelled(got) == _spelled(bound_check_by_period(FIB, k, t_range))
     assert all(FIB.convergents(t)[-1].q > 2 * k - 2 for t in got.t_checked)
     if max(t_range) == 1:
-        assert _convergent_past(FIB.value(), 2 * 5 * (3 + 1)) == (21, 55)
+        assert _convergent_past(_quotients_of(FIB.value()), 2 * 5 * (3 + 1)) == (21, 55)
         assert _spelled(got) == _spelled(_reference_bound_check(FIB, k, t_range))
     else:
         assert got.t_checked == [9, 10, 11]  # q_8 = 55 <= 56 = 2k-2 < q_9 = 89
@@ -832,7 +890,7 @@ def test_a_too_small_convergent_is_an_invariant_failure(monkeypatch, what):
     """Each floor of the rank kernel checks its convergent: one a hundred
     times too small raises AssertionError (exit 4), never a wrong report."""
     real = spectra._convergent_past
-    monkeypatch.setattr(spectra, "_convergent_past", lambda alpha, n: real(alpha, n // 100))
+    monkeypatch.setattr(spectra, "_convergent_past", lambda quotients, n: real(quotients, n // 100))
     with pytest.raises(AssertionError, match="too small for floor"):
         if what == "limsup":
             theta_limsup_estimate(FIB, 2, 8)
@@ -844,7 +902,7 @@ _TOO_SMALL_UNDER_O = """
 from sturmian_spectra import spectra
 from sturmian_spectra.cf import ContinuedFraction
 real = spectra._convergent_past
-spectra._convergent_past = lambda alpha, n: real(alpha, n // 100)
+spectra._convergent_past = lambda quotients, n: real(quotients, n // 100)
 fib = ContinuedFraction([0, 2], [1])
 print(__debug__)
 for call in (lambda: spectra.exponent_bound_check(fib, 2, range(1, 9)),
@@ -905,12 +963,12 @@ def test_pair_signs_and_floors_match_quadreal(alpha, a1, b1, a2, b2):
     x = A1 + B1*alpha over y = A2 + B2*alpha > 0 is n = floor(x/y), and
     equal ranks mean equal values."""
     x, y = a1 + b1 * alpha, a2 + b2 * alpha
-    p, q = _convergent_past(alpha, abs(b1 - b2))
+    p, q = _convergent_past(_quotients_of(alpha), abs(b1 - b2))
     assert (a1 * q + b1 * p > a2 * q + b2 * p) == (x > y)
     if y < 0:
         x, y, a1, b1, a2, b2 = -x, -y, -a1, -b1, -a2, -b2
     n = (x / y).floor()
-    p, q = _convergent_past(alpha, abs(b1) + (abs(n) + 1) * abs(b2))
+    p, q = _convergent_past(_quotients_of(alpha), abs(b1) + (abs(n) + 1) * abs(b2))
     g, s = a1 * q + b1 * p, a2 * q + b2 * p
     assert g // s == n
     assert (g == s) == (x == y)
@@ -931,7 +989,7 @@ def test_exponent_refines_a_convergent_the_corollary_does_not_cover(
     the golden slope's A_1(42) and overshoots A_1(12) of [0; 5, (7)]; that
     convergent is not past (n + 2)*m, so max_kab_exponent refines it."""
     alpha = cf.value()
-    p, q = _convergent_past(alpha, 2 * m)
+    p, q = _convergent_past(_quotients_of(alpha), 2 * m)
     g, s = max(_rank_gaps(_coarse_indices(1, m), p, q)), _dist_rank(m, p, q)
     assert (p, q) == convergent
     assert g // s + (g != s) == shortcut != exponent
@@ -947,9 +1005,9 @@ def test_nearest_integer_needs_a_convergent_past_twice_the_period():
     {4*alpha} and 1 - {4*alpha} tie; past 2m they tell the two apart."""
     golden = ContinuedFraction([0], [1]).value()
     want = _spelled(dist_to_int(4 * golden))
-    assert _convergent_past(golden, 5) == (5, 8)
+    assert _convergent_past(_quotients_of(golden), 5) == (5, 8)
     assert 4 * 5 % 8 == 8 - 4 * 5 % 8 == _dist_rank(4, 5, 8)
-    p, q = _convergent_past(golden, 8)
+    p, q = _convergent_past(_quotients_of(golden), 8)
     assert _dist_rank(4, p, q) == 4 * p % q < q - 4 * p % q
     assert _spelled(max_kab_exponent(golden, 1, 4, with_witness=False).step) == want
 
@@ -1043,5 +1101,5 @@ def test_pair_coder_by_wrap_positions_matches_the_letter_loop(cf, pair, n, zero_
     a, b, d = pair
     alpha = cf.value()
     for x in (alpha, 1 - alpha):
-        got = _code_pair(*_convergent_past(x, abs(b) + d * n), a, b, d, n, zero_in_i0)
+        got = _code_pair(*_convergent_past(_quotients_of(x), abs(b) + d * n), a, b, d, n, zero_in_i0)
         assert got == code_pair_by_letter(x, a, b, d, n, zero_in_i0)

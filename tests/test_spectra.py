@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmian_spectra import spectra
+from sturmian_spectra import cf as cf_module
+from sturmian_spectra import geometry, spectra, words
 from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import level_intervals
 from sturmian_spectra.kabelian import kab_equivalent
@@ -347,6 +348,59 @@ def test_order_one_exponents_grow_along_convergents():
     report = exponent_bound_check(FIB, 1, range(1, 9))
     assert report.ok
     assert report.k1_monotone_violations == []
+
+
+def test_order_one_reports_rank_nothing_at_any_depth(monkeypatch):
+    """At k = 1 the report is decided by proof (see exponent_bound_check):
+    FIB to t = 60, whose q_61 is past 10^12, checks every t, fills no list
+    and ranks no period, where ranking would pass BOUND_PERIOD_CAP."""
+    def no_kernel(*args):
+        raise AssertionError("a k = 1 report ranked a period")
+
+    monkeypatch.setattr(spectra, "_kab_exponents", no_kernel)
+    report = exponent_bound_check(FIB, 1, range(1, 61))
+    assert report.ok and report.t_checked == list(range(1, 61))
+    assert report.convergent_slack_violations == report.improved_slack_exceedances == []
+    assert report.approx_window_violations == report.k1_monotone_violations == []
+    assert FIB.convergents(61)[-1].q > 10**12
+
+
+def test_each_call_expands_its_slope_at_most_once(monkeypatch):
+    """max_kab_exponent starts one integer quotient stream per call, through
+    its refinements and its witness; the functions that take a continued
+    fraction fold its own quotients, start no stream, and build a value
+    only for the one they report."""
+    golden, coarse = GOLDEN_TAIL.value(), ContinuedFraction([0, 5], [7]).value()
+    exponent_cases = [
+        (FIB_SLOPE, 2, 5),
+        (SPIKE.value(), 2, 4),
+        (1 - golden, 3, 40),
+        (golden, 1, 42),  # this one and the next refine the convergent past 2m
+        (coarse, 1, 12),
+    ]
+    streams, values = [], []
+    real_stream, real_value = cf_module._quotients_of, ContinuedFraction.value
+    for mod in (cf_module, geometry, words, spectra):
+        monkeypatch.setattr(
+            mod, "_quotients_of", lambda alpha: streams.append(alpha) or real_stream(alpha)
+        )
+    monkeypatch.setattr(
+        ContinuedFraction, "value", lambda self: values.append(self) or real_value(self)
+    )
+    for alpha, k, m in exponent_cases:
+        streams.clear()
+        assert max_kab_exponent(alpha, k, m, with_witness=True).witness is not None
+        assert streams == [alpha]
+    streams.clear()
+    assert exponent_bound_check(FIB, 2, range(1, 9)).ok
+    assert exponent_bound_check(SPIKE, 1, range(1, 30)).ok
+    theta_limsup_estimate(FIB, 2, 20)
+    assert streams == values == []
+    theta_k(SILVER, 3)
+    assert streams == [] and values == [SILVER]
+    values.clear()
+    points = sample_spectrum(2, FIB, 4)
+    assert streams == [] and values == [point.cf for point in points]
 
 
 def test_linfty_construction_half():
