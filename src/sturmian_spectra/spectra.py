@@ -64,7 +64,7 @@ ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
 DIGIT_BUDGET = 4300
 LIMSUP_WINDOW = 5  # trailing convergent indices theta_limsup_estimate maxes over
 SPECTRUM_POOL_CAP = 10**5  # slopes in one sample_spectrum count: about 5 s at k = 2
-BOUND_PERIOD_CAP = 10**6  # periods one exponent_bound_check ranks: 3.2 s, 120 MB at k = 2
+BOUND_PERIOD_CAP = 10**6  # periods one exponent_bound_check ranks: 4 s, 100 MB at k = 2
 
 
 def _oracle_cap(cap: int | None) -> int:
@@ -429,6 +429,21 @@ def exponent_bound_check(
     q // S_{q_{t-1}} <= q_t + q_{t-1} - 1 < q_{t+1} <= q // S_{q_t}, which
     is A_1(q_t), as q / S_{q_t} > q_{t+1} >= 3 rules out q = 2*S_{q_t}.
 
+    At k >= 2 every period m >= 2k keeps the window, and A(m) <= longest
+    // S + 2, by the following proof, made on the ranks of the convergent
+    below.  Let H = {-j*p mod q : j < k} be the ranks of the head cuts and
+    r = m*p mod q, taken in (-q/2, q/2], so that |r| = S.  The tail cut m-j
+    has rank -r - (-j*p), so the coarse ranks are H and -H - r.  H and -H
+    are the level cuts 0..2k-2 rotated by (k-1)*p, so the gaps of H and -H
+    together are the level gaps.  The coarse family moves -H by S and
+    leaves H in place, so an arc that holds no coarse cut, shortened by S
+    at the end -H moves toward, holds no level cut: G <= longest + S.
+    When S < shortest no cut of -H passes a cut of H as it moves, so each
+    level gap stays a gap, at most S shorter (and one gap, of length S,
+    opens beside 0): G >= longest - S.  So G // S lies within one of
+    longest // S, and A(m) = G // S + (G != S) gives -1 <= A(m) - longest
+    // S <= 2 when S < shortest, and A(m) <= longest // S + 2 always.
+
     All is decided on ranks over one convergent.  For T = max(t_range)
     each period m taken is at most q_{T+1}, so ||m*alpha|| >=
     ||q_{T+1}*alpha|| > 1/(2*q_{T+2}) and a floor of a length <= 1 by it is
@@ -444,23 +459,28 @@ def exponent_bound_check(
 
     Only the periods that can reach a list are ranked: one call of the
     rank kernel _kab_exponents decides each checked q_t, and a second the
-    periods m below the last checked q_{t+1} that a head bound cannot rule
+    periods m below the last checked q_{t+1} that the bounds cannot rule
     out.  For m >= k-1 the coarse cuts contain the head cuts j < k (they
     are all of 0..m when m < 2k, and the head and its shift otherwise), so
-    the longest coarse gap G is at most the longest head gap H, ranked once
-    per report, and A(m) = G // S + (G != S) <= H // S + 1.  The slack
-    lists record A(m) only when A(m) >= A(q_t) + 2 for a checked t with
-    m < q_{t+1}.  The least of these A(q_t) + 2 is m's threshold; it
-    changes only at an end q_{t+1}, so it is taken once per segment
-    between ends, and it is at least 3, as every A is at least 1.  So a
-    period m >= k-1 can reach a list only when S < shortest (its window
-    check) or H // S + 1 >= threshold, that is, exactly when S <= delta =
-    max(shortest - 1, H // (threshold - 1)).  The periods below k-1 are
-    all ranked.
+    the longest coarse gap G is at most the longest head gap, ranked once
+    per report and here called head, and A(m) = G // S + (G != S) <= head
+    // S + 1.  The slack lists record A(m) only when A(m) >= A(q_t) + 2 for
+    a checked t with m < q_{t+1}.  The least of these A(q_t) + 2 is m's
+    threshold; it changes only at an end q_{t+1}, so it is taken once per
+    segment between ends, and it is at least 3, as every A is at least 1.
+    So a period k-1 <= m < 2k can reach a list only when S < shortest (its
+    window check) or head // S + 1 >= threshold, that is, exactly when S <=
+    max(shortest - 1, head // (threshold - 1)).  From 2k on the window
+    holds by the proof above, and a list needs both bounds at the
+    threshold: S <= min(head // (threshold - 1), longest // (threshold -
+    2)).  The periods below k-1 are all ranked.
 
-    A skipped period has H // S + 2 <= threshold, G <= H and m < end, so
-    q > threshold*end makes its own floor check, q > m + (G // S + 1)*m,
-    pass.  That check is made once per segment: it always holds on the
+    A skipped period m >= k-1 has G // S + 2 <= threshold, by G <= head
+    or, from 2k on, by G <= longest + S; and as longest <= head (the level
+    cuts contain the head cuts), longest // S + 1 < threshold when it skips
+    a window.  With m < end, q > threshold*end makes its floor check, q >
+    m + (G // S + 1)*m, pass, and its window's, q > 2k-2 + (longest // S +
+    1)*m.  That check is made once per segment: it always holds on the
     convergent taken here, and where it fails the whole segment is ranked,
     so a convergent too small fails as when every period was ranked.
 
@@ -505,10 +525,15 @@ def exponent_bound_check(
     windows, start = [], 1  # (lo, end, delta): the periods to rank, ascending
     for end, threshold in zip(ends, reversed(thresholds)):
         # every period below k-1; from k-1 on, those with S <= delta, or
-        # all of them where a skip's floor check could fail
-        delta = q if q <= threshold * end else max(shortest - 1, head // (threshold - 1))
+        # all of them where a skip's floor check could fail; from 2k on,
+        # only those whose slack bounds both reach the threshold
+        delta = far = q
+        if q > threshold * end:
+            delta = max(shortest - 1, head // (threshold - 1))
+            far = min(head // (threshold - 1), longest // (threshold - 2))
         below = min(max(start, k - 1), end)
-        windows += [(start, below, q), (below, end, delta)]
+        beyond = min(max(start, 2 * k), end)
+        windows += [(start, below, q), (below, beyond, delta), (beyond, end, far)]
         start = end
     # the periods below the last end bound the count; past the cap, count
     if ends[-1] - 1 > BOUND_PERIOD_CAP and (

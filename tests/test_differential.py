@@ -700,8 +700,9 @@ def test_bound_reports_match_the_report_by_period(cf, k, data):
 
 def test_bound_report_ranks_only_periods_that_can_reach_a_list(monkeypatch):
     """On the Fibonacci slope at k = 2 over t = 1..11 the rank kernel sees
-    the ten checked q_t, then 176 of the 376 periods below q_12 = 377: the
-    rest have a head bound below their threshold."""
+    the ten checked q_t, then 5 of the 376 periods below q_12 = 377: the
+    rest have a head bound below their threshold or, from 2k on, a level
+    bound below it."""
     calls = []
     real = spectra._kab_exponents
 
@@ -714,7 +715,7 @@ def test_bound_report_ranks_only_periods_that_can_reach_a_list(monkeypatch):
     report = exponent_bound_check(FIB, 2, range(1, 12))
     assert report.t_checked == list(range(2, 12))
     assert FIB.convergents(12)[-1].q == 377
-    assert calls == [10, 176]
+    assert calls == [10, 5]
 
 
 def test_bound_report_ranks_the_periods_below_the_head():
@@ -759,6 +760,26 @@ def test_order_one_reports_rank_no_period(cf, data):
         assert all(a_m <= a_qt for a_m in exponents[: convs[t + 1].q - 1])
 
 
+@given(shifted_cfs | spiked_cfs | expansion_cfs, st.integers(2, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_periods_from_2k_on_keep_the_level_bounds(cf, k, data):
+    """The k >= 2 proof of the exponent_bound_check docstring, on the
+    report's convergent for a random last t whose q_{t+1} stays at most
+    2000: every period 2k <= m < q_{t+1} has A(m) <= longest // S + 2, and
+    -1 <= A(m) - longest // S <= 2 when S < shortest."""
+    convs = cf.convergents(40)
+    t = data.draw(st.sampled_from([t for t in range(40) if convs[t + 1].q <= 2000]))
+    end, after = convs[t + 1].q, convs[t + 2].q
+    p, q = _convergent_past(_quotients_of(cf.value()), 2 * after * (end + 1))
+    level = _rank_gaps(range(2 * k - 1), p, q)
+    shortest, longest = min(level), max(level)
+    periods = range(2 * k, end)
+    for a_m, s in zip(*_kab_exponents(k, periods, p, q)):
+        assert a_m <= longest // s + 2
+        if s < shortest:
+            assert -1 <= a_m - longest // s <= 2
+
+
 @st.composite
 def return_walks(draw):
     """(p, q, delta, lo, end): q up to 10^4 or within 10^6 of 10^30, p
@@ -793,7 +814,7 @@ def test_return_time_walk_matches_the_plain_filter(case):
 
 def test_bound_report_work_follows_the_ranked_periods(monkeypatch):
     """[0; 3, (1, 300, 2)] at k = 8 over t = 1..7 ranks its five checked
-    q_t and 5423 of the 3 262 542 periods below q_8: ||m*alpha|| is ranked
+    q_t and 9 of the 3 262 542 periods below q_8: ||m*alpha|| is ranked
     once per t and once per ranked period, and never for a period that is
     skipped."""
     cf = ContinuedFraction.parse("[0; 3, (1, 300, 2)]")
@@ -814,8 +835,37 @@ def test_bound_report_work_follows_the_ranked_periods(monkeypatch):
     report = exponent_bound_check(cf, 8, range(1, 8))
     assert report.ok and report.t_checked == [3, 4, 5, 6, 7]
     assert cf.convergents(8)[-1].q == 3262543
-    assert calls == [5, 5423]
-    assert counts["rank"] == 7 + 5 + 5423
+    assert calls == [5, 9]
+    assert counts["rank"] == 7 + 5 + 9
+
+
+@pytest.mark.parametrize(
+    "k, t_max, first_checked, calls_made", [(8, 8, 3, [6, 9]), (2, 7, 1, [7, 4])]
+)
+def test_bound_reports_past_the_cap_in_periods_rank_a_handful(
+    monkeypatch, k, t_max, first_checked, calls_made
+):
+    """[0; 3, (1, 300, 2)] at k = 8 to t = 8 and at k = 2 to t = 7 have
+    3 262 542 and 2 176 232 periods below their last end, past
+    BOUND_PERIOD_CAP, and the head bound alone would rank more than the
+    cap of them.  From 2k on the level bound skips all but a handful, so
+    both are decided: the kernel ranks the checked q_t, then 9 and 4
+    periods."""
+    cf = ContinuedFraction.parse("[0; 3, (1, 300, 2)]")
+    calls = []
+    real = spectra._kab_exponents
+
+    def counted(k, periods, p, q):
+        periods = list(periods)
+        calls.append(len(periods))
+        return real(k, periods, p, q)
+
+    monkeypatch.setattr(spectra, "_kab_exponents", counted)
+    report = exponent_bound_check(cf, k, range(1, t_max + 1))
+    checked = list(range(first_checked, t_max + 1))
+    assert report == BoundReport(k, checked, [], [], [], [])
+    assert cf.convergents(t_max + 1)[-1].q - 1 > spectra.BOUND_PERIOD_CAP
+    assert calls == calls_made
 
 
 def test_a_too_small_convergent_ranks_its_whole_segment(monkeypatch):
@@ -838,17 +888,32 @@ def test_a_too_small_convergent_ranks_its_whole_segment(monkeypatch):
     assert handed == [[11], list(range(1, 1107))]
 
 
-def test_the_skip_rests_on_the_head_bound_alone(monkeypatch):
-    """The skip holds for any exponents within the head bound: with A(m)
-    raised to H // S + 1 at every period the skip may take (m >= k-1, S at
-    least the shortest level gap), both reports still agree.
-    [0; (1, 10, 1, 13)] at k = 8 over t = 2..4 has such a period, m = 48,
-    whose bound equals its threshold, so the raised report records it."""
+def test_the_skip_rests_on_the_slack_bounds_alone(monkeypatch):
+    """The skip holds for any exponents within the bounds that decide it.
+    A(m) is raised to head // S + 1 at every period k-1 <= m < 2k whose S
+    is at least the shortest level gap, and to min(head // S + 1, longest
+    // S + 2) at every m >= 2k; at a convergent denominator with S below
+    the shortest level gap it is lowered to longest // S - 1, the foot of
+    its window, which lowers the thresholds.  Every window still holds,
+    and both reports still agree.  Each bound decides a period at its
+    threshold, which the raised report records: [0; 10, (2, 2, 20)] at
+    k = 8 over t = 0..2 has m = 11 at its head bound below 2k and m = 31
+    at its level bound; [0; 4, 2, 2, 126, (1)] at k = 2 over t = 0..2 has
+    m = 5 at its head bound from 2k on and m = 13 at its level bound."""
+    cases = [
+        (ContinuedFraction([0, 10], [2, 2, 20]), 8, {(2, 11): "head", (2, 31): "level"}),
+        (ContinuedFraction([0, 4, 2, 2, 126], [1]), 2, {(1, 5): "head", (2, 13): "level"}),
+    ]
+    denominators = set()
+
     def at_the_bound(k, m, p, q, a):
-        s = _dist_rank(m, p, q)
-        if m < k - 1 or s < min(_rank_gaps(range(2 * k - 1), p, q)):
+        s, level = _dist_rank(m, p, q), _rank_gaps(range(2 * k - 1), p, q)
+        head, longest = max(_rank_gaps(range(k), p, q)), max(level)
+        if m in denominators and s < min(level):
+            return max(1, longest // s - 1)
+        if m < k - 1 or m < 2 * k and s < min(level):
             return a
-        return max(_rank_gaps(range(k), p, q)) // s + 1
+        return head // s + 1 if m < 2 * k else min(head // s + 1, longest // s + 2)
 
     real_kernel, real_one = spectra._kab_exponents, reference.kab_exponent
 
@@ -860,10 +925,17 @@ def test_the_skip_rests_on_the_head_bound_alone(monkeypatch):
     monkeypatch.setattr(spectra, "_kab_exponents", raised_kernel)
     monkeypatch.setattr(reference, "kab_exponent",
                         lambda k, m, p, q: at_the_bound(k, m, p, q, real_one(k, m, p, q)))
-    cf, k, t_range = ContinuedFraction([0], [1, 10, 1, 13]), 8, [2, 3, 4]
-    got = exponent_bound_check(cf, k, t_range)
-    assert (4, 48) in got.improved_slack_exceedances
-    assert _spelled(got) == _spelled(bound_check_by_period(cf, k, t_range))
+    for cf, k, at_threshold in cases:
+        denominators = {c.q for c in cf.convergents(40)}
+        got = exponent_bound_check(cf, k, [0, 1, 2])
+        assert set(at_threshold) <= set(got.improved_slack_exceedances)
+        assert _spelled(got) == _spelled(bound_check_by_period(cf, k, [0, 1, 2]))
+        p, q = _convergent_past(cf._quotients(), 10**9)
+        level, head = _rank_gaps(range(2 * k - 1), p, q), max(_rank_gaps(range(k), p, q))
+        for (_, m), side in at_threshold.items():
+            s = _dist_rank(m, p, q)
+            if m >= 2 * k:
+                assert (max(level) // s + 2 < head // s + 1) == (side == "level")
 
 
 @pytest.mark.parametrize(

@@ -289,11 +289,11 @@ def test_exponent_bounds_hold_along_the_convergents():
 
 
 def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch):
-    """FIB at k = 2 over t = 1..11 ranks 176 periods: a cap of 176 lets the
-    report through, and one of 175 raises ResourceCapExceeded when only the
-    checked q_t have been ranked.  At the real cap, [0; 3, (1, 300, 2)] is
-    refused at k = 8 to t = 8 and at k = 2 to t = 7, which would rank
-    1 629 018 and 1 632 625 periods."""
+    """FIB at k = 2 over t = 1..11 ranks 5 periods past its checked q_t: a
+    cap of 5 lets the report through, and one of 4 raises
+    ResourceCapExceeded when only the checked q_t have been ranked.  At the
+    real cap a report is refused only where its periods below 2k pass it,
+    at k past 10^6, whose level family alone takes seconds to rank."""
     calls = []
     real = spectra._kab_exponents
 
@@ -303,29 +303,22 @@ def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch)
         return real(k, periods, p, q)
 
     monkeypatch.setattr(spectra, "_kab_exponents", counted)
-    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 176)
+    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 5)
     assert exponent_bound_check(FIB, 2, range(1, 12)).ok
-    assert calls == [10, 176]
+    assert calls == [10, 5]
     calls.clear()
-    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 175)
+    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 4)
     with pytest.raises(ResourceCapExceeded) as info:
         exponent_bound_check(FIB, 2, range(1, 12))
-    assert (info.value.needed, info.value.cap) == (176, 175)
+    assert (info.value.needed, info.value.cap) == (5, 4)
     assert calls == [10]
-    monkeypatch.undo()
-    cf = ContinuedFraction.parse("[0; 3, (1, 300, 2)]")
-    for k, t_max in [(8, 8), (2, 7)]:
-        with pytest.raises(ResourceCapExceeded) as info:
-            exponent_bound_check(cf, k, range(1, t_max + 1))
-        assert (info.value.needed, info.value.cap) == (10**6 + 1, 10**6)
 
 
 def test_an_over_cap_bound_report_is_refused_before_listing_a_period(monkeypatch):
-    """[0; 3, (1, 300, 2)] at k = 8 has more periods below its last end
-    than the cap allows, both to t = 8 and to t = 7, so each report counts
-    its periods to rank by floor sums first: to t = 8 they pass the cap and
-    the report is refused with no period listed, and to t = 7 they are
-    5423, which are then listed."""
+    """[0; 3, (1, 300, 2)] at k = 8 to t = 8 has more periods below its
+    last end than the cap allows, so the report counts its periods to rank
+    by floor sums first: they are 9, so a cap of 8 refuses the report with
+    no period listed, and a cap of 9 lets it list them."""
     calls = []
     real = spectra._return_times
 
@@ -335,13 +328,15 @@ def test_an_over_cap_bound_report_is_refused_before_listing_a_period(monkeypatch
 
     monkeypatch.setattr(spectra, "_return_times", listed)
     cf = ContinuedFraction.parse("[0; 3, (1, 300, 2)]")
+    assert cf.convergents(9)[-1].q - 1 > spectra.BOUND_PERIOD_CAP
+    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 8)
     with pytest.raises(ResourceCapExceeded) as info:
         exponent_bound_check(cf, 8, range(1, 9))
-    assert (info.value.needed, info.value.cap) == (10**6 + 1, 10**6)
+    assert (info.value.needed, info.value.cap) == (9, 8)
     assert calls == []
-    assert cf.convergents(8)[-1].q - 1 > spectra.BOUND_PERIOD_CAP
-    assert exponent_bound_check(cf, 8, range(1, 8)).ok
-    assert sum(len(real(*args)) for args in calls) == 5423
+    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 9)
+    assert exponent_bound_check(cf, 8, range(1, 9)).ok
+    assert sum(len(real(*args)) for args in calls) == 9
 
 
 def test_order_one_exponents_grow_along_convergents():
