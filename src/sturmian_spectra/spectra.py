@@ -64,7 +64,7 @@ ORACLE_CAP_ENV = "STURMIAN_SPECTRA_CAP"
 DIGIT_BUDGET = 4300
 LIMSUP_WINDOW = 5  # trailing convergent indices theta_limsup_estimate maxes over
 SPECTRUM_POOL_CAP = 10**5  # slopes in one sample_spectrum count: about 5 s at k = 2
-BOUND_PERIOD_CAP = 10**6  # periods one exponent_bound_check ranks: 4 s, 100 MB at k = 2
+BOUND_PERIOD_CAP = 10**6  # periods one exponent_bound_check may rank: 4 s, 100 MB at k = 2
 
 
 def _oracle_cap(cap: int | None) -> int:
@@ -360,34 +360,6 @@ def _return_times(p: int, q: int, delta: int, lo: int, end: int) -> list[int]:
     return times
 
 
-def _return_count(p: int, q: int, delta: int, lo: int, end: int) -> int:
-    """len(_return_times(p, q, delta, lo, end)) in O(log q): with x = m*p +
-    delta, residue x mod q is below L = 2*delta + 1 <= q exactly when
-    floor(x/q) - floor((x - L)/q) is 1, else it is 0, so the count is the
-    difference of two floor sums over the window."""
-    n, size = max(end - lo, 0), 2 * delta + 1
-    if size >= q:
-        return n
-    x = lo * p + delta
-    return _floor_sum(n, q, p, x) - _floor_sum(n, q, p, x - size)
-
-
-def _floor_sum(n: int, q: int, a: int, b: int) -> int:
-    """The sum of floor((a*i + b)/q) over 0 <= i < n, for q >= 1, reduced
-    as in Euclid's algorithm: the whole parts of a/q and b/q are summed
-    directly, and with 0 <= a, b < q what is left counts the lattice points
-    under the line, which, read along the other axis, is the same sum with
-    (a*n + b) // q terms and a and q swapped."""
-    total = 0
-    while True:
-        total += n * (n - 1) // 2 * (a // q) + n * (b // q)
-        a, b = a % q, b % q
-        top = a * n + b
-        if top < q:
-            return total
-        n, b, a, q = top // q, top % q, q, a
-
-
 def exponent_bound_check(
     cf: ContinuedFraction, k: int, t_range: Iterable[int]
 ) -> BoundReport:
@@ -429,15 +401,16 @@ def exponent_bound_check(
     q // S_{q_{t-1}} <= q_t + q_{t-1} - 1 < q_{t+1} <= q // S_{q_t}, which
     is A_1(q_t), as q / S_{q_t} > q_{t+1} >= 3 rules out q = 2*S_{q_t}.
 
-    At k >= 2 every period m >= 2k keeps the window, and A(m) <= longest
-    // S + 2, by the following proof, made on the ranks of the convergent
-    below.  Let H = {-j*p mod q : j < k} be the ranks of the head cuts and
-    r = m*p mod q, taken in (-q/2, q/2], so that |r| = S.  The tail cut m-j
-    has rank -r - (-j*p), so the coarse ranks are H and -H - r.  H and -H
-    are the level cuts 0..2k-2 rotated by (k-1)*p, so the gaps of H and -H
-    together are the level gaps.  The coarse family moves -H by S and
-    leaves H in place, so an arc that holds no coarse cut, shortened by S
-    at the end -H moves toward, holds no level cut: G <= longest + S.
+    At k >= 2 every period m >= 2k-1 keeps the window, and A(m) <=
+    longest // S + 2, by the following proof, made on the ranks of the
+    convergent below.  Let H = {-j*p mod q : j < k} be the ranks of the
+    head cuts and r = m*p mod q, taken in (-q/2, q/2], so that |r| = S.
+    The tail cut m-j has rank -r - (-j*p), so the coarse ranks are H and
+    -H - r (at m = 2k-1 the head and its shift make up all of 0..m).  H
+    and -H are the level cuts 0..2k-2 rotated by (k-1)*p, so the gaps of
+    H and -H together are the level gaps.  The coarse family moves -H by
+    S and leaves H in place, so an arc that holds no coarse cut, shortened
+    by S at the end -H moves toward, holds no level cut: G <= longest + S.
     When S < shortest no cut of -H passes a cut of H as it moves, so each
     level gap stays a gap, at most S shorter (and one gap, of length S,
     opens beside 0): G >= longest - S.  So G // S lies within one of
@@ -493,10 +466,24 @@ def exponent_bound_check(
     ranked period and O(log q) per segment, not over every period below
     q_{t+1}.  So every list, and every raise, is the one made by ranking
     each period.
-    A report with more than BOUND_PERIOD_CAP periods to rank raises
-    ResourceCapExceeded before any of them is listed or ranked: when the
-    periods below the last end pass the cap, _return_count counts each
-    segment's return times with two floor sums, in O(log q), first.
+
+    A report over n distinct t ranks at most needed = min(2k-1, q_{T+1}-1)
+    + 5*n periods, so one whose needed passes BOUND_PERIOD_CAP raises
+    ResourceCapExceeded before any family is built.  The first kernel
+    call ranks at most n denominators, and at most min(2k-1,
+    q_{T+1}-1) periods lie below 2k, as no end passes q_{T+1}.  From 2k on
+    the segment that ends at q_{t+1} ranks at most 4 periods, on the
+    convergent taken here, where its floor check holds.  Two periods below
+    q_{t+1} differ by some 0 < n < q_{t+1}, so by best approximation each
+    has S >= S_{q_t}, and their ranks r differ by at least S_{q_t}.  Let x
+    = longest // S_{q_t}, at least 1 as longest >= shortest > S_{q_t}.
+    Every checked t' >= t has S_{q_t'} <= S_{q_t} < shortest and q_t' >=
+    2k-1, so the window gives A(q_t') >= longest // S_{q_t'} - 1 >= x - 1,
+    and threshold - 2 >= max(1, x - 1).  The segment ranks only S <= far
+    <= longest // (threshold - 2), and as longest < (x+1)*S_{q_t} that is
+    below 3*S_{q_t} for x <= 2, and below 2*S_{q_t} from x = 3 on.  So its
+    ranks lie in [S_{q_t}, 3*S_{q_t}) on either side of 0, at most two on
+    each.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
@@ -508,6 +495,13 @@ def exponent_bound_check(
     if k == 1:  # every t checked, every list empty: see the proof above
         return BoundReport(1, ts, [], [], [], [])
     convs = cf.convergents(max(ts) + 2)
+    needed = min(2 * k - 1, convs[-2].q - 1) + 5 * len(ts)  # by the last proof above
+    if needed > BOUND_PERIOD_CAP:
+        raise ResourceCapExceeded(
+            needed,
+            BOUND_PERIOD_CAP,
+            f"a bound report may rank {needed} periods, cap is {BOUND_PERIOD_CAP}",
+        )
     p, q = _convergent_past(cf._quotients(), 2 * convs[-1].q * (convs[-2].q + 1))
     level = _rank_gaps(range(2 * k - 1), p, q)
     shortest, longest = min(level), max(level)
@@ -522,7 +516,7 @@ def exponent_bound_check(
     ends = [convs[t + 1].q for t in checked]
     thresholds = list(itertools.accumulate([a_q[q_t] + 2 for q_t in reversed(q_ts)], min))
     head = max(_rank_gaps(range(k), p, q))
-    windows, start = [], 1  # (lo, end, delta): the periods to rank, ascending
+    ranked, start = [], 1  # the periods to rank, ascending
     for end, threshold in zip(ends, reversed(thresholds)):
         # every period below k-1; from k-1 on, those with S <= delta, or
         # all of them where a skip's floor check could fail; from 2k on,
@@ -533,20 +527,9 @@ def exponent_bound_check(
             far = min(head // (threshold - 1), longest // (threshold - 2))
         below = min(max(start, k - 1), end)
         beyond = min(max(start, 2 * k), end)
-        windows += [(start, below, q), (below, beyond, delta), (beyond, end, far)]
+        for lo, hi, d in (start, below, q), (below, beyond, delta), (beyond, end, far):
+            ranked += _return_times(p, q, d, lo, hi)
         start = end
-    # the periods below the last end bound the count; past the cap, count
-    if ends[-1] - 1 > BOUND_PERIOD_CAP and (
-        sum(_return_count(p, q, d, lo, hi) for lo, hi, d in windows) > BOUND_PERIOD_CAP
-    ):
-        raise ResourceCapExceeded(
-            BOUND_PERIOD_CAP + 1,
-            BOUND_PERIOD_CAP,
-            f"a bound report would rank more than {BOUND_PERIOD_CAP} periods",
-        )
-    ranked = []
-    for lo, hi, d in windows:
-        ranked += _return_times(p, q, d, lo, hi)
     exponents, steps = _kab_exponents(k, ranked, p, q)
     for m, a_m, s in zip(ranked, exponents, steps):
         if s < shortest:
@@ -607,6 +590,10 @@ def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEs
     [0; 27, (6, 9, 16, 1, 26, 21)] at k = 4, t_max = 10 gives a gap of 4.5
     against a slack of 2.9e-6.
     """
+    if k < 1:
+        raise ValueError("order k must be >= 1")
+    if cf.is_rational:
+        raise ValueError("slope must be irrational")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
     convs = cf.convergents(t_max + 1)
@@ -649,6 +636,8 @@ def sample_spectrum(
     order.  A count above SPECTRUM_POOL_CAP raises ResourceCapExceeded
     before any slope is built.
     """
+    if k < 1:
+        raise ValueError("order k must be >= 1")
     if base.is_rational:
         raise ValueError("base slope must be irrational")
     if isinstance(pool, int):
@@ -661,8 +650,6 @@ def sample_spectrum(
         cfs = _distinct_variants(base, max(pool, 1))
     else:
         cfs = [_variant(base, tuple(p)) for p in pool] or [base]
-    if k < 1:
-        raise ValueError("order k must be >= 1")
     # every variant's period is base's, perhaps rotated, and so is its
     # Lagrange constant (see ContinuedFraction.lagrange_constant)
     constant = base.lagrange_constant()

@@ -13,9 +13,8 @@ counted by a Counter over slices, on binary and ternary words and on
 random slopes' factor languages; the all-integer key of binary words also against the raw
 definition.  The bound report, which ranks only the periods that can
 reach a list, is played against one exponent per period, and its
-three-gap walk and floor-sum count against testing every period of a
-window; the pair coder against stepping its rotation letter by letter,
-and the Lagrange denominator by conjugation against folding every
+three-gap walk against testing every period of a window; the pair coder
+against stepping its rotation letter by letter, and the Lagrange denominator by conjugation against folding every
 rotation, and spectrum points, which share one Lagrange constant,
 against theta_k.
 """
@@ -70,7 +69,6 @@ from sturmian_spectra.spectra import (
     _BlockClasses,
     _kab_exponents,
     _longest_block_run,
-    _return_count,
     _return_times,
     brute_kab_exponent,
     exponent_bound_check,
@@ -684,18 +682,23 @@ def test_bound_report_where_the_first_two_denominators_are_one():
     assert _spelled(got) == _spelled(_reference_bound_check(cf, 1, [0]))
 
 
-@given(shifted_cfs | spiked_cfs, st.integers(1, 8), st.data())
+@given(shifted_cfs | spiked_cfs | expansion_cfs, st.integers(1, 8), st.data())
 @settings(max_examples=100, deadline=None)
 def test_bound_reports_match_the_report_by_period(cf, k, data):
     """The report that skips periods on the head bound against one
     exponent per period, field for field, over random t ranges whose
     q_{t+1} stays at most 2000, also on slopes with a quotient in the
-    hundreds."""
+    hundreds.  The kernel ranks no more periods than the report's needed,
+    min(2k-1, q_{T+1}-1) + 5*n over n distinct t, the bound its cap is
+    checked against."""
     convs = cf.convergents(40)
     ts = [t for t in range(40) if convs[t + 1].q <= 2000]
     t_range = data.draw(st.lists(st.sampled_from(ts), min_size=1, max_size=8))
-    got = exponent_bound_check(cf, k, t_range)
+    with mock.patch.object(spectra, "_kab_exponents", wraps=_kab_exponents) as kernel:
+        got = exponent_bound_check(cf, k, t_range)
     assert _spelled(got) == _spelled(bound_check_by_period(cf, k, t_range))
+    needed = min(2 * k - 1, convs[max(t_range) + 1].q - 1) + 5 * len(set(t_range))
+    assert sum(len(call.args[1]) for call in kernel.call_args_list) <= needed
 
 
 def test_bound_report_ranks_only_periods_that_can_reach_a_list(monkeypatch):
@@ -803,13 +806,11 @@ def return_walks(draw):
 @example((-7, 10, 0, 3, 3))  # an empty window
 @settings(max_examples=300, deadline=None)
 def test_return_time_walk_matches_the_plain_filter(case):
-    """The three-gap walk of _return_times, and the floor-sum count of
-    _return_count, against testing the rank of ||m*alpha|| at every period
-    of the window."""
+    """The three-gap walk of _return_times against testing the rank of
+    ||m*alpha|| at every period of the window."""
     p, q, delta, lo, end = case
     want = [m for m in range(lo, end) if _dist_rank(m, p, q) <= delta]
     assert _return_times(p, q, delta, lo, end) == want
-    assert _return_count(p, q, delta, lo, end) == len(want)
 
 
 def test_bound_report_work_follows_the_ranked_periods(monkeypatch):

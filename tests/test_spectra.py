@@ -14,6 +14,7 @@ from sturmian_spectra.geometry import level_intervals
 from sturmian_spectra.kabelian import kab_equivalent
 from sturmian_spectra.quadreal import QuadReal, sqrt
 from sturmian_spectra.spectra import (
+    BoundReport,
     ResourceCapExceeded,
     brute_kab_exponent,
     construct_linfty_slope,
@@ -270,6 +271,19 @@ def test_limsup_estimate_misses_a_peak_outside_its_window():
     assert abs(exact - est.estimate) < est.slack
 
 
+@pytest.mark.parametrize("t_max", [1, 5])
+def test_limsup_estimate_refuses_a_rational_slope_before_any_fold(monkeypatch, t_max):
+    """[0; 2, 3] is rational: it raised TypeError at t_max = 1 and
+    IndexError at t_max = 5 from the fold; k is checked before the slope."""
+    monkeypatch.setattr(ContinuedFraction, "convergents", lambda *_: pytest.fail("folded"))
+    monkeypatch.setattr(spectra, "_convergent_past", lambda *_: pytest.fail("folded"))
+    rational = ContinuedFraction.parse("[0; 2, 3]")
+    with pytest.raises(ValueError, match="slope must be irrational"):
+        theta_limsup_estimate(rational, 2, t_max)
+    with pytest.raises(ValueError, match="order k must be >= 1"):
+        theta_limsup_estimate(rational, 0, t_max)
+
+
 def test_limsup_estimate_single_term():
     est = theta_limsup_estimate(FIB, 2, 1)
     assert est.estimate == 1
@@ -289,11 +303,10 @@ def test_exponent_bounds_hold_along_the_convergents():
 
 
 def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch):
-    """FIB at k = 2 over t = 1..11 ranks 5 periods past its checked q_t: a
-    cap of 5 lets the report through, and one of 4 raises
-    ResourceCapExceeded when only the checked q_t have been ranked.  At the
-    real cap a report is refused only where its periods below 2k pass it,
-    at k past 10^6, whose level family alone takes seconds to rank."""
+    """FIB at k = 2 over t = 1..11 may rank needed = min(2k-1, q_12 - 1) +
+    5*11 = 58 periods by the bound in exponent_bound_check's docstring: a
+    cap of 58 leaves the report as it was, and one of 57 raises
+    ResourceCapExceeded before a convergent is taken or a family built."""
     calls = []
     real = spectra._kab_exponents
 
@@ -303,40 +316,31 @@ def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch)
         return real(k, periods, p, q)
 
     monkeypatch.setattr(spectra, "_kab_exponents", counted)
-    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 5)
-    assert exponent_bound_check(FIB, 2, range(1, 12)).ok
+    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 58)
+    report = exponent_bound_check(FIB, 2, range(1, 12))
+    assert report == BoundReport(2, list(range(2, 12)), [], [], [], [])
     assert calls == [10, 5]
-    calls.clear()
-    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 4)
+    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 57)
+    _forbid_ranking(monkeypatch)
     with pytest.raises(ResourceCapExceeded) as info:
         exponent_bound_check(FIB, 2, range(1, 12))
-    assert (info.value.needed, info.value.cap) == (5, 4)
-    assert calls == [10]
+    assert (info.value.needed, info.value.cap) == (58, 57)
 
 
-def test_an_over_cap_bound_report_is_refused_before_listing_a_period(monkeypatch):
-    """[0; 3, (1, 300, 2)] at k = 8 to t = 8 has more periods below its
-    last end than the cap allows, so the report counts its periods to rank
-    by floor sums first: they are 9, so a cap of 8 refuses the report with
-    no period listed, and a cap of 9 lets it list them."""
-    calls = []
-    real = spectra._return_times
-
-    def listed(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(spectra, "_return_times", listed)
-    cf = ContinuedFraction.parse("[0; 3, (1, 300, 2)]")
-    assert cf.convergents(9)[-1].q - 1 > spectra.BOUND_PERIOD_CAP
-    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 8)
+def test_a_bound_report_past_its_period_bound_builds_nothing(monkeypatch):
+    """[0; 2, (1)] at k = 10^6 + 3, t = 30 may rank min(2k-1, q_31 - 1) +
+    5 = 2 000 010 periods, past the real cap of 10^6, so it is refused
+    with nothing ranked and no family built."""
+    _forbid_ranking(monkeypatch)
     with pytest.raises(ResourceCapExceeded) as info:
-        exponent_bound_check(cf, 8, range(1, 9))
-    assert (info.value.needed, info.value.cap) == (9, 8)
-    assert calls == []
-    monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 9)
-    assert exponent_bound_check(cf, 8, range(1, 9)).ok
-    assert sum(len(real(*args)) for args in calls) == 9
+        exponent_bound_check(FIB, 10**6 + 3, [30])
+    assert (info.value.needed, info.value.cap) == (2_000_010, 10**6)
+
+
+def _forbid_ranking(monkeypatch):
+    """Make the convergent, the rank families and the kernel fail if called."""
+    for name in ("_convergent_past", "_rank_gaps", "_kab_exponents"):
+        monkeypatch.setattr(spectra, name, lambda *_, name=name: pytest.fail(f"called {name}"))
 
 
 def test_order_one_exponents_grow_along_convergents():
@@ -497,6 +501,14 @@ def test_spectrum_pool_past_its_cap_is_refused_before_any_slope(monkeypatch):
     with pytest.raises(ResourceCapExceeded) as info:
         sample_spectrum(2, GOLDEN_TAIL, 4)
     assert (info.value.needed, info.value.cap) == (4, 3)
+
+
+@pytest.mark.parametrize("pool", [10**5, [(1, 1), (2, 1)]])
+def test_spectrum_refuses_order_zero_before_any_slope(monkeypatch, pool):
+    monkeypatch.setattr(spectra, "_distinct_variants", lambda *_: pytest.fail("built variants"))
+    monkeypatch.setattr(spectra, "_variant", lambda *_: pytest.fail("built a variant"))
+    with pytest.raises(ValueError, match="order k must be >= 1"):
+        sample_spectrum(0, GOLDEN_TAIL, pool)
 
 
 def test_spectrum_takes_the_lagrange_constant_once(monkeypatch):
