@@ -4,9 +4,9 @@ A record names its fields, in order, as the keys of its `__slots__` dict,
 whose values say each field's type.  Record gives it an `__init__` that
 takes the fields by position or by keyword, with the defaults of its last
 fields in `_defaults`; equality by class and fields; a repr
-`Name(field=value, ...)`; and pickling.  A record is frozen, refusing
-assignment and hashing by its fields, unless its class says
-`frozen=False`: then it is mutable and unhashable.
+`Name(field=value, ...)`; and pickling.  A record is frozen: it refuses
+assignment and hashes by its fields, so one that holds a list is
+unhashable.
 
 The records were dataclasses.  Importing `dataclasses` loads `inspect`,
 `ast`, `dis`, `tokenize` and a dozen more modules the package never uses,
@@ -24,16 +24,13 @@ class Record:
     __match_args__: tuple[str, ...] = ()  # the fields in order, set per class
     _defaults: tuple = ()  # the values of the last fields, for a caller who leaves them out
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = tuple(cls.__slots__)
         # each slot's own setter: it bypasses the frozen __setattr__, and a
         # loop over them builds a frozen record about as fast as the
         # __init__ a dataclass generates
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         setters = self._setters

@@ -170,26 +170,13 @@ def _class_walk(alpha: QuadReal, k: int, m: int) -> Iterator[tuple[bool, bytearr
     return ((j in coarse, letters) for j, letters in _language_walk(alpha, m))
 
 
-class TernaryReport(Record, frozen=False):
-    """A mutable report; it starts with a fresh empty list of counterexamples
-    unless given one."""
-
+class TernaryReport(Record):
     __slots__ = {
         "k": "int",
         "max_len": "int",
         "pairs_checked": "int",
         "counterexamples": "list[tuple[str, str]]",
     }
-
-    def __init__(
-        self,
-        k: int,
-        max_len: int,
-        pairs_checked: int,
-        counterexamples: list[tuple[str, str]] | None = None,
-    ):
-        found = [] if counterexamples is None else counterexamples
-        super().__init__(k, max_len, pairs_checked, found)
 
     @property
     def ok(self) -> bool:
@@ -208,17 +195,17 @@ def verify_ternary_property(spec: SturmianSpec, k: int, max_len: int) -> Ternary
         raise ValueError("the substituted coding property needs k >= 2")
     if "00" not in _factor_words(spec.alpha, 2):
         raise ValueError("slope's coding must contain 00 (slope below 1/2)")
-    report = TernaryReport(k, max_len, 0)
+    pairs, found = 0, []
     for ell in range(1, max_len + 1):
         words = sigma_factors_of_length(spec.alpha, ell)
         width, digits = _digits(words)
         keys = [_key(d, ell, k, width) for d in digits]
         edge = min(ell, k - 1)
+        pairs += len(words) * (len(words) - 1) // 2
         for i, u in enumerate(words):
             for j in range(i + 1, len(words)):
                 v = words[j]
-                report.pairs_checked += 1
                 same_ends = u[:edge] == v[:edge] and u[ell - edge :] == v[ell - edge :]
                 if (keys[i] == keys[j]) != same_ends:
-                    report.counterexamples.append((u, v))
-    return report
+                    found.append((u, v))
+    return TernaryReport(k, max_len, pairs, found)

@@ -67,11 +67,7 @@ SPECTRUM_POOL_CAP = 10**5  # slopes in one sample_spectrum count: about 5 s at k
 BOUND_PERIOD_CAP = 10**6  # periods one exponent_bound_check may rank: 4 s, 100 MB at k = 2
 
 
-def _oracle_cap(cap: int | None) -> int:
-    if cap is not None:
-        if cap < 0:
-            raise ValueError(f"cap must be >= 0, got {cap}")
-        return cap
+def _oracle_cap() -> int:
     env = os.environ.get(ORACLE_CAP_ENV)
     try:
         value = int(env) if env else DEFAULT_ORACLE_CAP
@@ -175,7 +171,7 @@ def max_kab_exponent(
     f, r = divmod(m * p, q)  # ||m*alpha|| is {m*alpha} when s == r, else 1 - {m*alpha}
     step, sign = ((-f, m), -1) if s == r else ((1 + f, -m), 1)
     x = word = None
-    if with_witness and exponent * m <= _oracle_cap(None):
+    if with_witness and exponent * m <= _oracle_cap():
         # sign = 1 when x + i*m*alpha runs downward: x = cut + (longest + sign*(n-1)*step)/2
         a, b = (2 * u + v + sign * (exponent - 1) * w for u, v, w in zip((c, -j), longest, step))
         # x = (a + b*alpha)/2 needs no reduction mod 1: it lies in [cut, cut +
@@ -272,32 +268,30 @@ def _longest_block_run(alpha: QuadReal, m: int, key, cap: int) -> int:
         length = min(cap, length * 2)
 
 
-def brute_kab_exponent(alpha: QuadReal, k: int, m: int, cap: int | None = None) -> int:
+def brute_kab_exponent(alpha: QuadReal, k: int, m: int) -> int:
     """Independent check of max_kab_exponent by enumerating actual factors.
 
     No interval-length reasoning: splits enumerated factors into m-blocks
     and compares their signatures, computed once per distinct block.  The
     factors, and so the result, do not depend on an endpoint convention,
     so none is taken.
-    Raises ValueError unless k >= 1, m >= 1 and cap >= 0, and
-    ResourceCapExceeded (a declared failure, never a wrong answer) if the
-    needed factor length passes the cap, env-overridable via
-    STURMIAN_SPECTRA_CAP.
+    Raises ValueError unless k >= 1 and m >= 1, and ResourceCapExceeded (a
+    declared failure, never a wrong answer) if the needed factor length
+    passes the cap: STURMIAN_SPECTRA_CAP symbols, default DEFAULT_ORACLE_CAP.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
     if m < 1:
         raise ValueError("period must be >= 1")
-    return _longest_block_run(alpha, m, partial(_key, m=m, k=k), _oracle_cap(cap))
+    return _longest_block_run(alpha, m, partial(_key, m=m, k=k), _oracle_cap())
 
 
-class BoundReport(Record, frozen=False):
+class BoundReport(Record):
     __slots__ = {
         "k": "int",
         "t_checked": "list[int]",
         "convergent_slack_violations": "list[tuple[int, int]]",
         "approx_window_violations": "list[int]",
-        "k1_monotone_violations": "list[tuple[int, int]]",
         # informational: where the conjectured tighter +1 slack would fail
         "improved_slack_exceedances": "list[tuple[int, int]]",
     }
@@ -382,24 +376,16 @@ def exponent_bound_check(
     A = 6 against floor(longest / dist) = 4 - confirmed by brute-force
     scanning of the word itself).
 
-    For k = 1 the stronger A(m) < A(q_t) for m < q_t is a list as well,
-    k1_monotone_violations, informational (it does not affect `ok`).  At
-    k = 1 all four lists are empty, by the following proof, so the report
-    checks every t and ranks no period.  Let S_m be the rank of ||m*alpha||
-    on the convergent p/q described below, whose convergents up to q_{T+2}
-    are alpha's.  The coarse cuts of period m are 0 and m, whose rank gaps
-    are S_m and q - S_m, so A_1(m) = q // S_m, or 1 when q = 2*S_m; either
-    way A_1(m) <= q // S_m.  The level family is the one cut 0, so shortest
-    = longest = q: every t is checked, as S_{q_t} <= q/2 < q, and the
-    window difference is 0, or -1 when q = 2*S_m.  By best approximation,
-    S_m >= S_{q_t} for 0 < m < q_{t+1}, and A_1 does not grow with S, so
-    A_1(m) <= A_1(q_t) and both slack lists stay empty.  For the monotone
-    list, S_{q_j} = |q_j*p - p_j*q| gives q / S_{q_j} = q_{j+1} + q_j /
-    x_{j+2}, where x_{j+2} is a complete quotient of p/q, strictly above 1
-    because p/q's expansion runs on past index T+2.  Take 0 < m < q_t, so
-    that q_t >= 2 and q_{t+1} >= 3.  Then S_m >= S_{q_{t-1}} and A_1(m) <=
-    q // S_{q_{t-1}} <= q_t + q_{t-1} - 1 < q_{t+1} <= q // S_{q_t}, which
-    is A_1(q_t), as q / S_{q_t} > q_{t+1} >= 3 rules out q = 2*S_{q_t}.
+    At k = 1 all three lists are empty, by the following proof, so the
+    report checks every t and ranks no period.  Let S_m be the rank of
+    ||m*alpha|| on the convergent p/q described below, whose convergents up
+    to q_{T+2} are alpha's.  The coarse cuts of period m are 0 and m, whose
+    rank gaps are S_m and q - S_m, so A_1(m) = q // S_m, or 1 when q =
+    2*S_m; either way A_1(m) <= q // S_m.  The level family is the one cut
+    0, so shortest = longest = q: every t is checked, as S_{q_t} <= q/2 <
+    q, and the window difference is 0, or -1 when q = 2*S_m.  By best
+    approximation, S_m >= S_{q_t} for 0 < m < q_{t+1}, and A_1 does not
+    grow with S, so A_1(m) <= A_1(q_t) and both slack lists stay empty.
 
     At k >= 2 every period m >= 2k-1 keeps the window, and A(m) <=
     longest // S + 2, by the following proof, made on the ranks of the
@@ -469,7 +455,9 @@ def exponent_bound_check(
 
     A report over n distinct t ranks at most needed = min(2k-1, q_{T+1}-1)
     + 5*n periods, so one whose needed passes BOUND_PERIOD_CAP raises
-    ResourceCapExceeded before any family is built.  The first kernel
+    ResourceCapExceeded before any denominator table or family is built:
+    the fold that gives needed stops at the first q >= 2k, or at index
+    T+1, as the q_t do not decrease.  The first kernel
     call ranks at most n denominators, and at most min(2k-1,
     q_{T+1}-1) periods lie below 2k, as no end passes q_{T+1}.  From 2k on
     the segment that ends at q_{t+1} ranks at most 4 periods, on the
@@ -490,30 +478,35 @@ def exponent_bound_check(
     if cf.is_rational:
         raise ValueError("slope must be irrational")
     ts = sorted(set(t_range))
-    if not ts or min(ts) < 0:
+    if not ts or ts[0] < 0:
         raise ValueError("t_range must be nonempty with t >= 0")
     if k == 1:  # every t checked, every list empty: see the proof above
-        return BoundReport(1, ts, [], [], [], [])
-    convs = cf.convergents(max(ts) + 2)
-    needed = min(2 * k - 1, convs[-2].q - 1) + 5 * len(ts)  # by the last proof above
+        return BoundReport(1, ts, [], [], [])
+    T = ts[-1]
+    for _, (_, _, q_stop, _) in zip(range(T + 2), _folds(cf._quotients())):
+        if q_stop >= 2 * k:
+            break
+    needed = min(2 * k, q_stop) - 1 + 5 * len(ts)  # by the last proof above
     if needed > BOUND_PERIOD_CAP:
         raise ResourceCapExceeded(
             needed,
             BOUND_PERIOD_CAP,
             f"a bound report may rank {needed} periods, cap is {BOUND_PERIOD_CAP}",
         )
-    p, q = _convergent_past(cf._quotients(), 2 * convs[-1].q * (convs[-2].q + 1))
+    read = {*ts, *(t + 1 for t in ts), T + 2}  # the q_t this report reads
+    qs = {t: q for t, (_, _, q, _) in zip(range(T + 3), _folds(cf._quotients())) if t in read}
+    p, q = _convergent_past(cf._quotients(), 2 * qs[T + 2] * (qs[T + 1] + 1))
     level = _rank_gaps(range(2 * k - 1), p, q)
     shortest, longest = min(level), max(level)
-    checked = [t for t in ts if _dist_rank(convs[t].q, p, q) < shortest]
-    report = BoundReport(k, checked, [], [], [], [])
+    checked = [t for t in ts if _dist_rank(qs[t], p, q) < shortest]
+    report = BoundReport(k, checked, [], [], [])
     if not checked:
         return report
-    q_ts = [convs[t].q for t in checked]
+    q_ts = [qs[t] for t in checked]
     a_q = dict(zip(q_ts, _kab_exponents(k, q_ts, p, q)[0]))
     # the periods below each end q_{t+1} (they ascend) and their threshold:
     # the least A(q_t) + 2 over this end and the ends past it
-    ends = [convs[t + 1].q for t in checked]
+    ends = [qs[t + 1] for t in checked]
     thresholds = list(itertools.accumulate([a_q[q_t] + 2 for q_t in reversed(q_ts)], min))
     head = max(_rank_gaps(range(k), p, q))
     ranked, start = [], 1  # the periods to rank, ascending
@@ -538,7 +531,7 @@ def exponent_bound_check(
                 report.approx_window_violations.append(m)
     for t, q_t in zip(checked, q_ts):
         a_qt = a_q[q_t]
-        for m, a_m in zip(ranked[: bisect_left(ranked, convs[t + 1].q)], exponents):
+        for m, a_m in zip(ranked[: bisect_left(ranked, qs[t + 1])], exponents):
             if a_m > a_qt + 2:
                 report.convergent_slack_violations.append((t, m))
             elif a_m == a_qt + 2:
@@ -596,14 +589,14 @@ def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEs
         raise ValueError("slope must be irrational")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
-    convs = cf.convergents(t_max + 1)
+    qs = [q for _, _, q, _ in itertools.islice(_folds(cf._quotients()), t_max + 2)]
     # the floor at m = q_t is below 1/||q_t*alpha|| < q_t + q_{t+1} <= 2*q_{t_max+1}
-    p, q = _convergent_past(cf._quotients(), 2 * convs[-1].q * (convs[-1].q + 1))
-    exponents = _kab_exponents(k, [c.q for c in convs[1:-1]], p, q)[0]
-    terms = [(c.t, Fraction(a, c.q)) for c, a in zip(convs[1:-1], exponents)]
+    p, q = _convergent_past(cf._quotients(), 2 * qs[-1] * (qs[-1] + 1))
+    exponents = _kab_exponents(k, qs[1:-1], p, q)[0]
+    terms = [(t, Fraction(a, q_t)) for t, (q_t, a) in enumerate(zip(qs[1:-1], exponents), 1)]
     window_start = max(1, t_max - LIMSUP_WINDOW + 1)
     estimate = max(v for t, v in terms if t >= window_start)
-    slack = Fraction(2, convs[window_start].q)
+    slack = Fraction(2, qs[window_start])
     return LimsupEstimate(k, t_max, window_start, estimate, slack, tuple(terms))
 
 
@@ -622,34 +615,26 @@ def _preperiods() -> Iterator[tuple[int, ...]]:
             yield (shell, c2)
 
 
-def sample_spectrum(
-    k: int,
-    base: ContinuedFraction,
-    pool: int | Iterable[tuple[int, ...]],
-) -> list[SpectrumPoint]:
+def sample_spectrum(k: int, base: ContinuedFraction, pool: int) -> list[SpectrumPoint]:
     """Exact theta_k values over slopes sharing base's periodic tail.
 
-    The pool is either a count, taking preperiods in _preperiods' order,
-    or an explicit iterable of preperiod digit tuples; duplicates after
-    canonicalization are skipped, so a count yields that many distinct
-    slopes (the base itself first).  Points are returned in enumeration
-    order.  A count above SPECTRUM_POOL_CAP raises ResourceCapExceeded
-    before any slope is built.
+    The slopes take preperiods in _preperiods' order, skipping duplicates
+    after canonicalization, so a count of pool >= 1 yields that many
+    distinct slopes, the base itself first, and a count of 0 yields the
+    base alone.  Points are returned in enumeration order.  A count above
+    SPECTRUM_POOL_CAP raises ResourceCapExceeded before any slope is built.
     """
     if k < 1:
         raise ValueError("order k must be >= 1")
     if base.is_rational:
         raise ValueError("base slope must be irrational")
-    if isinstance(pool, int):
-        if pool < 0:
-            raise ValueError("pool size must be >= 0")
-        if pool > SPECTRUM_POOL_CAP:
-            raise ResourceCapExceeded(
-                pool, SPECTRUM_POOL_CAP, f"a pool of {pool} slopes, cap is {SPECTRUM_POOL_CAP}"
-            )
-        cfs = _distinct_variants(base, max(pool, 1))
-    else:
-        cfs = [_variant(base, tuple(p)) for p in pool] or [base]
+    if pool < 0:
+        raise ValueError("pool size must be >= 0")
+    if pool > SPECTRUM_POOL_CAP:
+        raise ResourceCapExceeded(
+            pool, SPECTRUM_POOL_CAP, f"a pool of {pool} slopes, cap is {SPECTRUM_POOL_CAP}"
+        )
+    cfs = _distinct_variants(base, max(pool, 1))
     # every variant's period is base's, perhaps rotated, and so is its
     # Lagrange constant (see ContinuedFraction.lagrange_constant)
     constant = base.lagrange_constant()

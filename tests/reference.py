@@ -118,7 +118,8 @@ def bound_check_by_period(cf, k, t_range):
     p, q = _convergent_past(_quotients_of(alpha), 2 * convs[-1].q * (convs[-2].q + 1) + 4 * k)
     level = _rank_gaps(range(2 * k - 1), p, q)
     shortest, longest = min(level), max(level)
-    report = BoundReport(k, [], [], [], [], [])
+    report = BoundReport(k, [], [], [], [])
+    monotone = []  # the (t, m) with m < q_t and A_1(m) >= A_1(q_t)
     exponent = cache(lambda m: kab_exponent(k, m, p, q))
     for t in ts:
         q_t = convs[t].q
@@ -139,7 +140,8 @@ def bound_check_by_period(cf, k, t_range):
                 if not -1 <= diff <= 2 and m not in report.approx_window_violations:
                     report.approx_window_violations.append(m)
             if k == 1 and m < q_t and a_m >= a_qt:
-                report.k1_monotone_violations.append((t, m))
+                monotone.append((t, m))
+    assert monotone == [], monotone  # A_1 grows along convergent denominators
     return report
 
 

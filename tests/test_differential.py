@@ -592,7 +592,8 @@ def _reference_bound_check(cf, k, t_range):
     shortest, longest = min(level.lengths), max(level.lengths)
     ts = sorted(set(t_range))
     convs = cf.convergents(max(ts) + 1)
-    report = BoundReport(k, [], [], [], [], [])
+    report = BoundReport(k, [], [], [], [])
+    monotone = []  # the (t, m) with m < q_t and A_1(m) >= A_1(q_t)
     exponent = {}
     for t in ts:
         q_t = convs[t].q
@@ -614,7 +615,8 @@ def _reference_bound_check(cf, k, t_range):
                 if not -1 <= diff <= 2 and m not in report.approx_window_violations:
                     report.approx_window_violations.append(m)
             if k == 1 and m < q_t and a_m >= a_qt:
-                report.k1_monotone_violations.append((t, m))
+                monotone.append((t, m))
+    assert monotone == [], monotone  # A_1 grows along convergent denominators
     return report
 
 
@@ -739,9 +741,9 @@ def test_bound_report_ranks_the_periods_below_the_head():
 def test_order_one_reports_rank_no_period(cf, data):
     """The k = 1 proof of the exponent_bound_check docstring, over random
     t ranges whose q_{t+1} stays at most 5000: A_1(m) is q // S, or 1 when
-    q = 2S; it is at most A_1(q_t) for m < q_{t+1}, and less for m < q_t.
-    So the report, which ranks no period, checks every t and keeps all
-    four lists empty."""
+    q = 2S, and it is at most A_1(q_t) for m < q_{t+1}.  So the report,
+    which ranks no period, checks every t and keeps all three lists empty.
+    A_1 also grows along the denominators: A_1(m) < A_1(q_t) for m < q_t."""
     convs = cf.convergents(40)
     ts = [t for t in range(40) if convs[t + 1].q <= 5000]
     t_range = data.draw(st.lists(st.sampled_from(ts), min_size=1, max_size=8))
@@ -750,7 +752,6 @@ def test_order_one_reports_rank_no_period(cf, data):
     assert report.convergent_slack_violations == []
     assert report.improved_slack_exceedances == []
     assert report.approx_window_violations == []
-    assert report.k1_monotone_violations == []
     end, after = convs[max(t_range) + 1].q, convs[max(t_range) + 2].q
     p, q = _convergent_past(_quotients_of(cf.value()), 2 * after * (end + 1))
     periods = range(1, end)
@@ -864,7 +865,7 @@ def test_bound_reports_past_the_cap_in_periods_rank_a_handful(
     monkeypatch.setattr(spectra, "_kab_exponents", counted)
     report = exponent_bound_check(cf, k, range(1, t_max + 1))
     checked = list(range(first_checked, t_max + 1))
-    assert report == BoundReport(k, checked, [], [], [], [])
+    assert report == BoundReport(k, checked, [], [], [])
     assert cf.convergents(t_max + 1)[-1].q - 1 > spectra.BOUND_PERIOD_CAP
     assert calls == calls_made
 
@@ -1153,10 +1154,14 @@ def test_spectrum_points_are_theta_k_of_their_slopes(a0, period, k, picks):
     """sample_spectrum takes one Lagrange constant for all its variants;
     each point is still spelled as theta_k of its own slope, also where a
     last digit equal to the period's last quotient rotates the variant's
-    canonical period."""
+    canonical period.  The drawn preperiods go through the theta that
+    sample_spectrum calls, with base's constant."""
     base = ContinuedFraction([a0], period)
-    pool = [(*digits, base.period[-1]) if rotate else tuple(digits) for digits, rotate in picks]
-    for point in sample_spectrum(k, base, pool) + sample_spectrum(k, base, 6):
+    constant = base.lagrange_constant()
+    for digits, rotate in picks:
+        variant = spectra._variant(base, (*digits, base.period[-1]) if rotate else tuple(digits))
+        assert _spelled(spectra._theta(variant, k, constant)) == _spelled(theta_k(variant, k))
+    for point in sample_spectrum(k, base, 6):
         assert _spelled(point.theta) == _spelled(theta_k(point.cf, k))
 
 

@@ -112,27 +112,32 @@ def test_exponents_shrink_as_the_order_grows():
             prev = cur
 
 
-def test_brute_force_respects_its_cap():
+def test_brute_force_respects_its_cap(monkeypatch):
+    monkeypatch.setenv("STURMIAN_SPECTRA_CAP", "30")
     with pytest.raises(ResourceCapExceeded) as info:
-        brute_kab_exponent(FIB_SLOPE, 1, 5, cap=30)
+        brute_kab_exponent(FIB_SLOPE, 1, 5)
     assert info.value.needed == 35
     assert info.value.cap == 30
+    monkeypatch.delenv("STURMIAN_SPECTRA_CAP")
     assert brute_kab_exponent(FIB_SLOPE, 1, 5) == 11
 
 
 @pytest.mark.parametrize(
-    "k, m, cap, match",
+    "k, m, env, match",
     [
         (2, 0, None, "period"),  # was a ZeroDivisionError
         (2, -3, None, "period"),  # was the wrong answer -22
         (0, 5000, None, "order"),  # was a cap refusal at the default cap
-        (2, 5, -1, "cap"),  # was a cap refusal, as a negative environment cap is not
+        (2, 0, "abc", "period"),  # a bad argument is named before a bad environment cap
     ],
 )
-def test_brute_force_rejects_bad_arguments_as_usage_errors(monkeypatch, k, m, cap, match):
+def test_brute_force_rejects_bad_arguments_as_usage_errors(monkeypatch, k, m, env, match):
+    """`env` is STURMIAN_SPECTRA_CAP, None for unset."""
     monkeypatch.delenv("STURMIAN_SPECTRA_CAP", raising=False)
+    if env is not None:
+        monkeypatch.setenv("STURMIAN_SPECTRA_CAP", env)
     with pytest.raises(ValueError, match=match):
-        brute_kab_exponent(FIB_SLOPE, k, m, cap=cap)
+        brute_kab_exponent(FIB_SLOPE, k, m)
 
 
 def test_cap_can_come_from_the_environment(monkeypatch):
@@ -318,7 +323,7 @@ def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch)
     monkeypatch.setattr(spectra, "_kab_exponents", counted)
     monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 58)
     report = exponent_bound_check(FIB, 2, range(1, 12))
-    assert report == BoundReport(2, list(range(2, 12)), [], [], [], [])
+    assert report == BoundReport(2, list(range(2, 12)), [], [], [])
     assert calls == [10, 5]
     monkeypatch.setattr(spectra, "BOUND_PERIOD_CAP", 57)
     _forbid_ranking(monkeypatch)
@@ -327,14 +332,25 @@ def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch)
     assert (info.value.needed, info.value.cap) == (58, 57)
 
 
-def test_a_bound_report_past_its_period_bound_builds_nothing(monkeypatch):
-    """[0; 2, (1)] at k = 10^6 + 3, t = 30 may rank min(2k-1, q_31 - 1) +
-    5 = 2 000 010 periods, past the real cap of 10^6, so it is refused
-    with nothing ranked and no family built."""
+@pytest.mark.parametrize(
+    "k, t_range, needed",
+    [
+        (10**6 + 3, [30], 2_000_010),  # min(2k-1, q_31 - 1) + 5: its periods below 2k
+        (2, range(200_001), 1_000_008),  # min(2k-1, q_200001 - 1) + 5*200 001: its t
+    ],
+    ids=["by-k", "by-t"],
+)
+def test_a_bound_report_past_its_period_bound_builds_nothing(monkeypatch, k, t_range, needed):
+    """[0; 2, (1)] at these k and t may rank more periods than the real cap
+    of 10^6, so it is refused with no convergent table built, nothing
+    ranked and no family built."""
     _forbid_ranking(monkeypatch)
+    monkeypatch.setattr(
+        ContinuedFraction, "convergents", lambda *_: pytest.fail("built a convergent table")
+    )
     with pytest.raises(ResourceCapExceeded) as info:
-        exponent_bound_check(FIB, 10**6 + 3, [30])
-    assert (info.value.needed, info.value.cap) == (2_000_010, 10**6)
+        exponent_bound_check(FIB, k, t_range)
+    assert (info.value.needed, info.value.cap) == (needed, 10**6)
 
 
 def _forbid_ranking(monkeypatch):
@@ -344,9 +360,14 @@ def _forbid_ranking(monkeypatch):
 
 
 def test_order_one_exponents_grow_along_convergents():
+    """A_1(m) < A_1(q_t) for every m < q_t, and the k = 1 report is clean."""
+    alpha = FIB.value()
+    for c in FIB.convergents(8)[1:]:
+        a_qt = max_kab_exponent(alpha, 1, c.q, with_witness=False).exponent
+        for m in range(1, c.q):
+            assert max_kab_exponent(alpha, 1, m, with_witness=False).exponent < a_qt
     report = exponent_bound_check(FIB, 1, range(1, 9))
-    assert report.ok
-    assert report.k1_monotone_violations == []
+    assert report == BoundReport(1, list(range(1, 9)), [], [], [])
 
 
 def test_order_one_reports_rank_nothing_at_any_depth(monkeypatch):
@@ -360,7 +381,7 @@ def test_order_one_reports_rank_nothing_at_any_depth(monkeypatch):
     report = exponent_bound_check(FIB, 1, range(1, 61))
     assert report.ok and report.t_checked == list(range(1, 61))
     assert report.convergent_slack_violations == report.improved_slack_exceedances == []
-    assert report.approx_window_violations == report.k1_monotone_violations == []
+    assert report.approx_window_violations == []
     assert FIB.convergents(61)[-1].q > 10**12
 
 
@@ -486,12 +507,6 @@ def test_spectrum_sampling_is_deterministic():
         "[0; 3, 2, (1)]", "[0; 1, 4, (1)]", "[0; 2, 4, (1)]", "[0; 3, 4, (1)]"]
 
 
-def test_spectrum_accepts_an_explicit_pool():
-    points = sample_spectrum(2, GOLDEN_TAIL, [(), (1, 1), (2, 1)])
-    assert len(points) == 3
-    assert points[0].cf == GOLDEN_TAIL
-
-
 def test_spectrum_pool_past_its_cap_is_refused_before_any_slope(monkeypatch):
     """A count at SPECTRUM_POOL_CAP is sampled; one past it raises
     ResourceCapExceeded before any variant of the base is built."""
@@ -503,7 +518,7 @@ def test_spectrum_pool_past_its_cap_is_refused_before_any_slope(monkeypatch):
     assert (info.value.needed, info.value.cap) == (4, 3)
 
 
-@pytest.mark.parametrize("pool", [10**5, [(1, 1), (2, 1)]])
+@pytest.mark.parametrize("pool", [10**5, -1])
 def test_spectrum_refuses_order_zero_before_any_slope(monkeypatch, pool):
     monkeypatch.setattr(spectra, "_distinct_variants", lambda *_: pytest.fail("built variants"))
     monkeypatch.setattr(spectra, "_variant", lambda *_: pytest.fail("built a variant"))
