@@ -21,19 +21,39 @@ windows b = 0..m-k from the right: window b starts at letter m-k-b, and
 its block fills the width*k bits from bit width*b up.  The prefix is the
 word shifted right by width*(m-k+1).
 
-The length-k blocks are counted on one counting tree.  Its root is the
-window-start mask, with one bit at each window start: bits 0, width,
-2*width, ..., width*(m-k), the repunit of m-k+1 digits in base 2^width.
-Bit width*b + s of the word is bit s of window b's block, so ANDing the
-mask with the word shifted right by s, for s = width*k-1 down to 0,
-splits the windows by the bits of their blocks: a node is a block's
-leading bits and the set of windows whose blocks start with them.  The
-nonzero leaves are the blocks that occur, each under the integer of its
-digits and counted by its popcount, and they come out in increasing
-order, that is in lexicographic order of the blocks, with no sort.  A
-word costs one AND of (width*m)-bit integers per node, and a Sturmian
-factor has at most j+1 distinct blocks of length j, so that is O(k^2) of
-them for a binary word.  The brute oracle keys every m-block on the
+A word list is keyed in runs of whole words, at most _RUN_BITS bits each,
+on one counting tree per run.  A run lays its words side by side in
+fields of whole bytes, the first word lowest, as one integer built by one
+bytes join.  The tree's root is the window-start mask, with one bit at
+each window start of every word: in each field bits 0, width, ...,
+width*(m-k), the repunit of m-k+1 digits in base 2^width, so no window
+crosses a field.  Bit width*b + s of a field is bit s of window b's
+block, so ANDing the mask with the run shifted right by s, for s =
+width*k-1 down to 0, splits the windows by the bits of their blocks: a
+node is a block's leading bits and the set of windows whose blocks start
+with them.  The nonzero leaves are the blocks that occur in the run, each
+under the integer of its digits, in increasing order, that is in
+lexicographic order of the blocks, with no sort.  A node whose windows
+all have the same bit passes on whole; only a node that splits costs an
+XOR.  A word's count of a block is the popcount of its field in the leaf,
+and one pass reads them all: bytes.translate puts each byte's popcount in
+its place, and one multiplication by the field's repunit of bytes sums
+each field into its top byte (a field of at most 31 bytes counts at most
+248 windows, so no sum carries).  So a run costs one AND of run-sized
+integers per node, and a handful of linear passes per leaf, whatever its
+number of words.  A Sturmian language has j+1 factors of length j, one of
+them right special, so a run of binary Sturmian factors takes O(k^2)
+ANDs and k XORs.  A word of more than 31 bytes, or a list of fewer than 8
+bytes in all, where the passes cost more than they save, is a run of its
+own, read by int.bit_count.
+
+A key is spelled by the blocks' digits and counts alone, (prefix,
+((block, count), ...)) with the blocks that do not occur left out, and
+not by the leaves of the run it came from, so keys of one word list, one
+digit map, compare across runs and calls.  A run builds each spelling
+once per distinct row of counts, and its words share it.  The brute
+oracle keys the m+1 length-m factors of its slope up front, every m-block
+of a longer factor being one of them, and looks each m-block up on the
 integer of its letters along the crossing walk, with no string at all.
 
 For factors of a rotation coding the classes have a geometric shape: two
@@ -48,6 +68,7 @@ classify_brute ignores it, so the two can be played against each other.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 
 from ._record import Record
 from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices
@@ -64,12 +85,17 @@ __all__ = [
 ]
 
 
+_RUN_BITS = 4096  # most bits of words keyed on one counting tree
+_POPCOUNT = bytes(map(int.bit_count, range(256)))  # each byte value's popcount
+
+
 def _digits(words: Sequence[str]) -> tuple[int, list[int]]:
     """(width, digits) of words keyed in one call: the bits per letter, and
     each word as the integer of its letters' indices in their sorted
     alphabet with 0 and 1 in it (see the module docstring)."""
     text = "".join(words)
-    if not text.strip("01"):  # int() alone would also take "_", "0b", a sign or spaces
+    # counted, not int()'s test: int() alone would also take "_", "0b", a sign or spaces
+    if text.count("0") + text.count("1") == len(text):
         return 1, [int(w or "0", 2) for w in words]
     letters = sorted(set(text).union("01"))
     width = (len(letters) - 1).bit_length()
@@ -77,26 +103,67 @@ def _digits(words: Sequence[str]) -> tuple[int, list[int]]:
     return width, [int(w.translate(table), 2) for w in words]
 
 
-def _key(word: int, m: int, k: int, width: int = 1) -> int | tuple[int, tuple]:
-    """The key at order k >= 1 of the length-m word whose digits, `width`
-    bits each, are `word` (see the module docstring): the word itself when
-    m < k, else (prefix, counts), each length-k block counted under the
-    integer of its digits, in increasing order."""
-    if m < k:
-        return word
-    nodes = [(0, ((1 << width * (m - k + 1)) - 1) // ((1 << width) - 1))]
+def _leaves(digits: int, mask: int, width: int, k: int) -> list[tuple[int, int]]:
+    """The nonzero leaves (block, windows) of the counting tree of `digits`
+    rooted at the window starts `mask`, in increasing order of block (see
+    the module docstring)."""
+    nodes = [(0, mask)]
     for shift in range(width * k - 1, -1, -1):
-        o, children = word >> shift, []
+        o, children = digits >> shift, []
         for b, node in nodes:
-            one = node & o
-            if zero := node ^ one:  # the windows whose bit here is 0
-                children.append((2 * b, zero))
-            if one:
+            one = node & o  # the windows whose bit here is 1
+            if one == node:
+                children.append((2 * b + 1, node))
+            elif one:
+                children.append((2 * b, node ^ one))
                 children.append((2 * b + 1, one))
+            else:
+                children.append((2 * b, node))
         nodes = children
-    # from a list: tuple() of a generator grows and shrinks its result, and
-    # the freed sizes raised the oracle sweep's peak RSS by about 0.5 MB
-    return word >> width * (m - k + 1), tuple([(b, node.bit_count()) for b, node in nodes])
+    return nodes
+
+
+def _keys(words: Sequence[int], m: int, k: int, width: int = 1) -> list:
+    """The keys at order k >= 1 of the length-m words whose digits, `width`
+    bits each, are `words` (see the module docstring): each word itself
+    when m < k, else (prefix, counts), each length-k block that occurs
+    counted under the integer of its digits, in increasing order."""
+    if m < k:
+        return list(words)
+    top = width * (m - k + 1)
+    unit = ((1 << top) - 1) // ((1 << width) - 1)  # one word's window starts
+    size = -(-width * m // 8)  # the bytes of a word's field
+    per_run = _RUN_BITS // (8 * size) if size < 32 else 1
+    keys = []
+    if per_run < 2 or len(words) * size < 8:
+        # equal keys share one tuple: the oracle holds m+1 keys at once, 4.6 MB
+        # more at m = 10 001 if each kept its own
+        seen: dict[tuple, tuple] = {}
+        for w in words:
+            # from a list: tuple() of a generator grows and shrinks its result, and
+            # the freed sizes raised the oracle sweep's peak RSS by about 0.5 MB
+            key = (w >> top, tuple([(b, node.bit_count()) for b, node in _leaves(w, unit, width, k)]))
+            keys.append(seen.setdefault(key, key))
+        return keys
+    field_ones = int.from_bytes(b"\1" * size, "little")
+    for i in range(0, len(words), per_run):
+        part = words[i : i + per_run]
+        n = len(part)
+        fields = b"".join(map(int.to_bytes, reversed(part), repeat(size), repeat("big")))
+        mask = int.from_bytes(unit.to_bytes(size, "big") * n, "big")
+        blocks, nodes = zip(*_leaves(int.from_bytes(fields, "big"), mask, width, k))
+        counts = [  # per leaf, each word's count, off the top byte of its field
+            (int.from_bytes(node.to_bytes(n * size, "little").translate(_POPCOUNT), "little")
+             * field_ones).to_bytes((n + 1) * size, "little")[size - 1 : n * size : size]
+            for node in nodes
+        ]
+        rows = list(zip(map(int.__rshift__, part, repeat(top)), *counts))
+        key_of = {  # one spelling per distinct row of this run's leaves
+            row: (row[0], tuple([(b, c) for b, c in zip(blocks, row[1:]) if c]))
+            for row in set(rows)
+        }
+        keys += map(key_of.__getitem__, rows)
+    return keys
 
 
 def kab_equivalent(u: str, v: str, k: int) -> bool:
@@ -105,8 +172,9 @@ def kab_equivalent(u: str, v: str, k: int) -> bool:
         raise ValueError("order k must be >= 1")
     if len(u) != len(v):
         raise ValueError("k-abelian equivalence compares equal-length words")
-    width, (a, b) = _digits([u, v])
-    return _key(a, len(u), k, width) == _key(b, len(u), k, width)
+    width, digits = _digits([u, v])
+    a, b = _keys(digits, len(u), k, width)
+    return a == b
 
 
 class FactorClass(Record):
@@ -133,8 +201,8 @@ def classify_brute(words: Iterable[str], k: int) -> list[FactorClass]:
         raise ValueError("all words must share one length")
     width, digits = _digits(words)
     groups: dict[int | tuple, list[str]] = {}
-    for w, d in zip(words, digits):
-        groups.setdefault(_key(d, length, k, width), []).append(w)
+    for w, key in zip(words, _keys(digits, length, k, width)):
+        groups.setdefault(key, []).append(w)
     classes = [FactorClass(k, length, tuple(sorted(g))) for g in groups.values()]
     classes.sort(key=lambda c: c.members[0])
     return classes
@@ -199,7 +267,7 @@ def verify_ternary_property(spec: SturmianSpec, k: int, max_len: int) -> Ternary
     for ell in range(1, max_len + 1):
         words = sigma_factors_of_length(spec.alpha, ell)
         width, digits = _digits(words)
-        keys = [_key(d, ell, k, width) for d in digits]
+        keys = _keys(digits, ell, k, width)
         edge = min(ell, k - 1)
         pairs += len(words) * (len(words) - 1) // 2
         for i, u in enumerate(words):

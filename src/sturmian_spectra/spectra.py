@@ -35,7 +35,7 @@ from .geometry import (
     _rank_gaps,
     _value,
 )
-from .kabelian import _key
+from .kabelian import _keys
 from .quadreal import QuadReal
 from .words import DEFAULT_ORACLE_CAP, ResourceCapExceeded, _code_pair, _crossings
 
@@ -185,23 +185,28 @@ def max_kab_exponent(
     return ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step), x, word)
 
 
-class _BlockClasses(dict):
-    """m-block -> class id under `key`, filled in on first sight of a block:
-    a block is the integer of its letters (letter i of the block at bit
-    m-1-i), `key` runs once per distinct block, and there are at most m+1
-    of those."""
+def _block_classes(alpha: QuadReal, n: int, m: int, keys) -> dict[int, int]:
+    """m-block -> class id under the batch key function `keys`, for the
+    m+1 length-m factors, which hold every m-block of a longer factor, read
+    off the language of length n >= m and keyed in one call.  Block 0 of
+    its first word is the first length-m factor, the integer of its letters
+    (letter i at bit m-1-i), and its crossings of cuts j <= m, in circle
+    order, flip block 0 through the others two bits at a time, as
+    _best_initial_run reads its blocks; the other crossings leave it be."""
+    first, order, _, _ = _crossings(alpha, n)
+    top = 1 << (m - 1)
+    block = int(first[:m], 2)
+    blocks = [block]
+    for j in filter(m.__ge__, itertools.islice(order, 1, None)):
+        block |= top >> (j - 1)  # entering the arc of letter j-1
+        if j < m:
+            block &= ~(top >> j)  # leaving the arc of letter j
+        blocks.append(block)
+    ids: dict = {}
+    return {b: ids.setdefault(key, len(ids)) for b, key in zip(blocks, keys(blocks))}
 
-    def __init__(self, key):
-        super().__init__()
-        self.key = key
-        self.ids = {}
 
-    def __missing__(self, block: int) -> int:
-        cid = self[block] = self.ids.setdefault(self.key(block), len(self.ids))
-        return cid
-
-
-def _best_initial_run(alpha: QuadReal, n: int, m: int, classes: _BlockClasses) -> int:
+def _best_initial_run(alpha: QuadReal, n: int, m: int, classes: dict[int, int]) -> int:
     """Max over the length-n factors (n >= m) of the leading whole m-blocks
     equivalent to the first, along the words module's crossing order.
 
@@ -242,23 +247,30 @@ def _best_initial_run(alpha: QuadReal, n: int, m: int, classes: _BlockClasses) -
     return best
 
 
-def _longest_block_run(alpha: QuadReal, m: int, key, cap: int) -> int:
-    """Max n with a factor of length n*m whose m-blocks all share `key`.
+def _longest_block_run(alpha: QuadReal, m: int, keys, cap: int) -> int:
+    """Max n with a factor of length n*m whose m-blocks all share a key
+    under the batch key function `keys` (a list of m-blocks, each the
+    integer of its letters, to their keys, in order).
 
-    Enumerates complete factor languages of increasing length; every factor
-    of length n*m is a prefix of some enumerated factor, so initial block
-    runs see every power.  Certification that no longer power exists needs
-    the language at length (n+1)*m, hence the growth loop and the cap.
+    Every m-block of a factor is one of the m+1 length-m factors, so these
+    are keyed up front, in one call, off the first language of the ladder
+    (_block_classes); the walk's blocks are then looked up as integers in
+    a plain dict.  Enumerates
+    complete factor languages of increasing length; every factor of length
+    n*m is a prefix of some enumerated factor, so initial block runs see
+    every power.  Certification that no longer power exists needs the
+    language at length (n+1)*m, hence the growth loop and the cap, checked
+    before anything is keyed.
     """
     if 2 * m > cap:
         raise ResourceCapExceeded(2 * m, cap)
-    classes = _BlockClasses(key)
     # Shared ladder of lengths (powers of two up to the cap) so repeated
     # calls with different periods reuse the cached crossing orders.
     length = 64
     while length < 4 * m and length < cap:
         length *= 2
     length = min(length, cap)
+    classes = _block_classes(alpha, length, m, keys)
     while True:
         best = _best_initial_run(alpha, length, m, classes)
         if (best + 1) * m <= length:
@@ -271,10 +283,12 @@ def _longest_block_run(alpha: QuadReal, m: int, key, cap: int) -> int:
 def brute_kab_exponent(alpha: QuadReal, k: int, m: int) -> int:
     """Independent check of max_kab_exponent by enumerating actual factors.
 
-    No interval-length reasoning: splits enumerated factors into m-blocks
-    and compares their signatures, computed once per distinct block.  The
-    factors, and so the result, do not depend on an endpoint convention,
-    so none is taken.
+    No interval-length reasoning: keys the m+1 length-m factors at order k
+    in one call of kabelian._keys, on counting trees of whole runs of
+    them, then splits enumerated factors into m-blocks and compares the
+    blocks' class ids, each block an integer flipped two bits per crossing
+    and never decoded.  The factors, and so the result, do not depend on
+    an endpoint convention, so none is taken.
     Raises ValueError unless k >= 1 and m >= 1, and ResourceCapExceeded (a
     declared failure, never a wrong answer) if the needed factor length
     passes the cap: STURMIAN_SPECTRA_CAP symbols, default DEFAULT_ORACLE_CAP.
@@ -283,7 +297,7 @@ def brute_kab_exponent(alpha: QuadReal, k: int, m: int) -> int:
         raise ValueError("order k must be >= 1")
     if m < 1:
         raise ValueError("period must be >= 1")
-    return _longest_block_run(alpha, m, partial(_key, m=m, k=k), _oracle_cap())
+    return _longest_block_run(alpha, m, partial(_keys, m=m, k=k), _oracle_cap())
 
 
 class BoundReport(Record):
@@ -308,15 +322,26 @@ def _first_time(p: int, q: int, lo: int, hi: int) -> int:
     0 < lo <= hi < q, in O(log q) steps of Euclid's algorithm on (p, q).
 
     If a multiple of p lies in [lo, hi], n = ceil(lo/p).  Otherwise hi - lo
-    < p, so each j >= 1 has at most one n with n*p - j*q in [lo, hi], and
-    one exactly when j*q mod p lies in [p - hi % p, p - lo % p]; the least
-    such j, found the same way on (q mod p, p), gives the least n."""
-    frames = []
-    while (n := -(-lo // p)) * p > hi:
-        frames.append((p, q, lo))
-        p, q, lo, hi = q % p, p, p - hi % p, p - lo % p
-    for p, q, lo in reversed(frames):
-        n = -(-(q * n + lo) // p)
+    < p, so lo and hi share the quotient c = lo // p, and each j >= 1 has at
+    most one n with n*p - j*q in [lo, hi], and one exactly when r = j*q mod
+    p lies in [p - hi % p, p - lo % p]; the least such j, found the same way
+    on (q mod p, p), gives the least n.  With a = q // p and j*(q mod p) =
+    t*p + r, j*q + lo = (a*j + t + c)*p + r + lo % p, and 0 < r + lo % p <=
+    p, so n = a*j + t + c + 1, where t, the j of the step below, is 0 at
+    the last step, whose n*p lies in [lo, hi] below q.  So the descent keeps
+    only the small quotients a and c of each step, and the way back is a
+    linear recurrence on them: no step's p, q or bounds are held."""
+    steps = []
+    while True:
+        (c, low), (d, high) = divmod(lo, p), divmod(hi, p)
+        if not low or d > c:  # a multiple of p lies in [lo, hi]
+            break
+        a, r = divmod(q, p)
+        steps.append((a, c))
+        p, q, lo, hi = r, p, p - high, p - low
+    n, below = c + (low > 0), 0
+    for a, c in reversed(steps):
+        n, below = a * n + below + c + 1, n
     return n
 
 

@@ -1,7 +1,8 @@
 """Generic references, independent of the package's fast paths: interval
 families by exact sorting and subtraction on QuadReal points, ignoring the
-integer circle order; k-abelian equivalence by its raw definition, and
-signatures by counting string slices, ignoring the bit masks; whether
+integer circle order; k-abelian equivalence by its raw definition,
+signatures by counting string slices, ignoring the bit masks, and keys
+on a counting tree of their own for each word, not one per run; whether
 shared ends alone decide equivalence, from the slope's distance to an
 integer; the pair coder one letter at a time; bound reports with one
 exponent per period; the least Lagrange denominator by folding every
@@ -69,6 +70,29 @@ def counter_signature(u, k):
     if m >= k:
         counts = tuple(sorted(Counter(u[i : i + k] for i in range(m - k + 1)).items()))
     return m, u[:edge], u[m - edge :] if edge else "", counts
+
+
+def tree_key(word, m, k, width=1):
+    """The key at order k of the length-m word whose digits, `width` bits
+    each, are `word`, on a counting tree of its own: the word itself when
+    m < k, else (prefix, counts), each length-k block counted under the
+    integer of its digits, in increasing order, blocks that do not occur
+    left out.  The root has a bit at each window start, and the word
+    shifted right by s splits each node by bit s of its windows' blocks,
+    for s = width*k-1 down to 0."""
+    if m < k:
+        return word
+    nodes = [(0, ((1 << width * (m - k + 1)) - 1) // ((1 << width) - 1))]
+    for shift in range(width * k - 1, -1, -1):
+        o, children = word >> shift, []
+        for b, node in nodes:
+            one = node & o
+            if node ^ one:
+                children.append((2 * b, node ^ one))
+            if one:
+                children.append((2 * b + 1, one))
+        nodes = children
+    return word >> width * (m - k + 1), tuple((b, node.bit_count()) for b, node in nodes)
 
 
 def is_balanced_pair(u, v):

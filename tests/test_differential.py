@@ -11,7 +11,8 @@ oracle's incremental block scan is played against a plain rescan of every
 factor, and k-abelian keys counted on bit masks against signatures
 counted by a Counter over slices, on binary and ternary words and on
 random slopes' factor languages; the all-integer key of binary words also against the raw
-definition.  The bound report, which ranks only the periods that can
+definition, and the keys of a word list, one counting tree per run of
+words, against a tree per word.  The bound report, which ranks only the periods that can
 reach a list, is played against one exponent per period, and its
 three-gap walk against testing every period of a window; the pair coder
 against stepping its rotation letter by letter, and the Lagrange denominator by conjugation against folding every
@@ -54,7 +55,8 @@ from sturmian_spectra.geometry import (
     level_intervals,
 )
 from sturmian_spectra.kabelian import (
-    _key,
+    _digits,
+    _keys,
     classify_brute,
     classify_by_intervals,
     kab_equivalent,
@@ -66,7 +68,8 @@ from sturmian_spectra.spectra import (
     ExponentRecord,
     ResourceCapExceeded,
     _best_initial_run,
-    _BlockClasses,
+    _block_classes,
+    _first_time,
     _kab_exponents,
     _longest_block_run,
     _return_times,
@@ -84,6 +87,7 @@ from sturmian_spectra.words import (
     _factor_words,
     _factors_of_length,
     factors_of_length,
+    sigma_image,
     sturmian_prefix,
 )
 
@@ -97,6 +101,7 @@ from reference import (
     least_rotation_denominator,
     midpoint,
     sorted_family,
+    tree_key,
 )
 
 periodic_slopes = st.lists(st.integers(1, 30), min_size=1, max_size=8).map(
@@ -441,7 +446,7 @@ def test_binary_key_partitions_like_the_counter_signature(case):
     the Counter signature does, and two words share a key exactly when the
     raw definition calls them equivalent."""
     k, m, words = case
-    keys = [_key(int(w, 2), m, k) for w in words]
+    keys = _keys([int(w, 2) for w in words], m, k)
     signatures = [counter_signature(w, k) for w in words]
     assert len(set(keys)) == len(set(signatures)) == len(set(zip(keys, signatures)))
     for i, u in enumerate(words):
@@ -449,6 +454,49 @@ def test_binary_key_partitions_like_the_counter_signature(case):
             assert (keys[i] == keys[j]) == kab_equivalent_counts(u, words[j], k)
     if 3 * (k - 1) <= m:
         assert keys[-2] == keys[-1]
+
+
+@st.composite
+def word_lists(draw):
+    """(k, m, words): 1 to 70 words of one length m in 0..300, binary,
+    ternary, or windows of the sigma-image of a binary word, so 1 to 3 bits
+    a letter, and past a run's bits at the longest.  Half the time they
+    come from a pool of at most 4 words, so that rows of counts repeat,
+    and the order k runs over 1..m+2; else it stops at 12, where a tree
+    per word on random words is still quick.  Sorted half the time, so
+    that runs differ in their leaves."""
+    m = draw(st.one_of(st.integers(0, 12), st.integers(0, 300)), label="m")
+    n = draw(st.integers(1, 70), label="n")
+    alphabet = draw(st.sampled_from(["01", "012", "sigma"]))
+    if alphabet == "sigma":
+        image = sigma_image(draw(st.text("01", min_size=m, max_size=m + 20)))
+        word = st.integers(0, len(image) - m).map(lambda i: image[i : i + m])
+    else:
+        word = st.text(alphabet, min_size=m, max_size=m)
+    pooled = draw(st.booleans())
+    if pooled:
+        word = st.sampled_from(draw(st.lists(word, min_size=1, max_size=4)))
+    top = m + 2 if pooled else min(m + 2, 12)
+    k = draw(st.one_of(st.integers(1, min(top, 8)), st.integers(1, top)), label="k")
+    words = draw(st.lists(word, min_size=n, max_size=n))
+    return k, m, sorted(words) if draw(st.booleans()) else words
+
+
+@given(word_lists(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_batch_keys_match_a_tree_per_word(case, data):
+    """The keys of a word list, read off one counting tree per run, are
+    each word's own tree key, and keying the list in two calls, or one
+    word alone, gives the same keys."""
+    k, m, words = case
+    width, digits = _digits(words)
+    keys = _keys(digits, m, k, width)
+    want = {d: tree_key(d, m, k, width) for d in set(digits)}
+    assert keys == [want[d] for d in digits]
+    cut = data.draw(st.integers(0, len(digits)), label="cut")
+    assert _keys(digits[:cut], m, k, width) + _keys(digits[cut:], m, k, width) == keys
+    i = data.draw(st.integers(0, len(digits) - 1), label="i")
+    assert _keys([digits[i]], m, k, width) == [keys[i]]
 
 
 @given(periodic_slopes, st.integers(1, 4), st.integers(1, 40))
@@ -485,7 +533,7 @@ def test_exponent_past_half_the_period_counts_literal_powers(cf, data):
     alpha = cf.value()
     want = max_kab_exponent(alpha, k, m, with_witness=False).exponent
     try:
-        got = _longest_block_run(alpha, m, lambda b: b, DEFAULT_ORACLE_CAP)
+        got = _longest_block_run(alpha, m, list, DEFAULT_ORACLE_CAP)
     except ResourceCapExceeded:
         return  # a declared refusal, never a wrong answer
     assert got == want
@@ -509,22 +557,30 @@ def _rescanned_run(alpha, n, m, classes):
     return max(_initial_run(w, m, classes) for w in _factor_words(alpha, n))
 
 
+def _decoded_classes(alpha, m, keys):
+    """m-block -> class id under the batch key function `keys`, the
+    length-m factors decoded from their words, not flipped bit by bit."""
+    blocks = [int(w, 2) for w in _factor_words(alpha, m)]
+    ids = {}
+    return {b: ids.setdefault(key, len(ids)) for b, key in zip(blocks, keys(blocks))}
+
+
 def block_keys(m):
-    """The oracle's keys on integer m-blocks: binary signature keys at
-    k = 1..4, and the identity, which keys literal powers.  Both tell
+    """The oracle's batch keys on integer m-blocks: binary signature keys
+    at k = 1..4, and the identity, which keys literal powers.  Both tell
     apart blocks with different letter counts, so a crossing always moves
     block j-1 out of block 0's class; the first-letter key lets block j-1
     keep its class while block j leaves it."""
     return st.one_of(
-        st.integers(1, 4).map(lambda k: partial(_key, m=m, k=k)),
-        st.just(lambda v: v),
-        st.just(lambda v: v >> (m - 1)),
+        st.integers(1, 4).map(lambda k: partial(_keys, m=m, k=k)),
+        st.just(list),
+        st.just(lambda blocks: [v >> (m - 1) for v in blocks]),
     )
 
 
-def _ladder_outcome(alpha, m, key, cap):
+def _ladder_outcome(alpha, m, keys, cap):
     try:
-        return _longest_block_run(alpha, m, key, cap)
+        return _longest_block_run(alpha, m, keys, cap)
     except ResourceCapExceeded as exc:
         return ("cap", exc.needed, exc.cap)
 
@@ -534,15 +590,19 @@ def _ladder_outcome(alpha, m, key, cap):
 def test_incremental_block_scan_matches_the_rescan(alpha, m, data):
     """The crossing walk's repaired runs against a rescan of every factor,
     on one language of length 2m..300 (m need not divide it), and along the
-    whole ladder at a small cap, cap refusals included."""
-    key = data.draw(block_keys(m))
+    whole ladder at a small cap, cap refusals included.  The class map
+    flipped off that language's crossing walk is the one decoded from the
+    length-m factors."""
+    keys = data.draw(block_keys(m))
     n = data.draw(st.integers(2 * m, 300))
-    got = _best_initial_run(alpha, n, m, _BlockClasses(key))
-    assert got == _rescanned_run(alpha, n, m, _BlockClasses(key))
+    classes = _block_classes(alpha, n, m, keys)
+    assert classes == _decoded_classes(alpha, m, keys)
+    got = _best_initial_run(alpha, n, m, classes)
+    assert got == _rescanned_run(alpha, n, m, _decoded_classes(alpha, m, keys))
     cap = data.draw(st.integers(2 * m - 1, 300))
-    got = _ladder_outcome(alpha, m, key, cap)
+    got = _ladder_outcome(alpha, m, keys, cap)
     with mock.patch.object(spectra, "_best_initial_run", _rescanned_run):
-        assert got == _ladder_outcome(alpha, m, key, cap)
+        assert got == _ladder_outcome(alpha, m, keys, cap)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
@@ -552,12 +612,12 @@ def test_block_scan_ends_the_run_where_block_j_leaves(m):
     block, not stay long (at m = 2, n = 8 the stale run would read 4, not
     3)."""
     alpha = ContinuedFraction([0], [1]).value()
-    def first_letter(v):
-        return v >> (m - 1)
+    def first_letters(blocks):
+        return [v >> (m - 1) for v in blocks]
 
     for n in range(2 * m, 120):
-        got = _best_initial_run(alpha, n, m, _BlockClasses(first_letter))
-        assert got == _rescanned_run(alpha, n, m, _BlockClasses(first_letter))
+        got = _best_initial_run(alpha, n, m, _block_classes(alpha, n, m, first_letters))
+        assert got == _rescanned_run(alpha, n, m, _decoded_classes(alpha, m, first_letters))
 
 
 # -- exponent formulas on integer pairs, against their QuadReal versions --------
@@ -812,6 +872,21 @@ def test_return_time_walk_matches_the_plain_filter(case):
     p, q, delta, lo, end = case
     want = [m for m in range(lo, end) if _dist_rank(m, p, q) <= delta]
     assert _return_times(p, q, delta, lo, end) == want
+
+
+@given(st.integers(2, 3000), st.data())
+@settings(max_examples=300, deadline=None)
+def test_first_time_is_the_least_return(q, data):
+    """_first_time's recurrence on small quotients against stepping n*p
+    mod q until it lands in [lo, hi], for p prime to q and windows from one
+    residue to all of 1..q-1."""
+    p = data.draw(st.integers(1, q - 1).filter(lambda p: gcd(p, q) == 1), label="p")
+    lo = data.draw(st.integers(1, q - 1), label="lo")
+    hi = data.draw(st.integers(lo, min(q - 1, lo + 3)) | st.integers(lo, q - 1), label="hi")
+    n = 1
+    while not lo <= n * p % q <= hi:
+        n += 1
+    assert _first_time(p, q, lo, hi) == n
 
 
 def test_bound_report_work_follows_the_ranked_periods(monkeypatch):

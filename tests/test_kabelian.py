@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from sturmian_spectra.kabelian import (
     classify_brute,
     classify_by_intervals,
-    _key,
+    _keys,
     kab_equivalent,
     verify_ternary_property,
 )
 from sturmian_spectra.quadreal import QuadReal
 from sturmian_spectra.words import SturmianSpec, factors_of_length
 
-from reference import kab_equivalent_counts, prefix_suffix_sufficient
+from reference import counter_signature, kab_equivalent_counts, prefix_suffix_sufficient
 
 FIB_SLOPE = QuadReal(3, -1, 5, 2)
 SILVER_SLOPE = QuadReal(-1, 1, 2, 1)
@@ -31,13 +31,23 @@ word_pairs = st.integers(0, 22).flatmap(lambda n: st.tuples(_binary(n), _binary(
 def test_key_known_value():
     """01001 at order 2: the prefix 0, then the blocks 00, 01 (twice) and
     10, each under the integer of its letters, in increasing order."""
-    assert _key(0b01001, 5, 2) == (0b0, ((0b00, 1), (0b01, 2), (0b10, 1)))
+    assert _keys([0b01001], 5, 2) == [(0b0, ((0b00, 1), (0b01, 2), (0b10, 1)))]
+    # and the same, read off one counting tree for eight words at once
+    assert _keys([0b01001] * 8, 5, 2) == [(0b0, ((0b00, 1), (0b01, 2), (0b10, 1)))] * 8
+
+
+def test_keys_of_different_runs_do_not_mix():
+    """Each run reads its rows of counts against its own leaves: 64 words
+    of 0s fill one run, whose one leaf is the block 0, and 64 words of 1s
+    the next, whose one leaf is 1, and both runs' rows read (0, 64)."""
+    keys = _keys([0] * 64 + [(1 << 64) - 1] * 64, 64, 1)
+    assert keys == [(0, ((0b0, 64),))] * 64 + [(0, ((0b1, 64),))] * 64
 
 
 def test_key_degenerates_below_order():
     """Below the order the key is the word itself, so equivalence is
     equality."""
-    assert _key(0b01, 2, 4) == 0b01
+    assert _keys([0b01], 2, 4) == [0b01]
     assert kab_equivalent("01", "01", 4)
     assert not kab_equivalent("01", "10", 4)
 
@@ -77,6 +87,23 @@ def test_interval_classification_matches_brute_force():
                 got = sorted(c.members for c in by_interval if c.members)
                 want = sorted(c.members for c in brute)
                 assert got == want
+
+
+@pytest.mark.parametrize(
+    "words",
+    [["0_1", "001", "011", "0_1"], [" 01", "001", "0 1"], ["-01", "001", "101"], ["0b1", "001", "b01"]],
+)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_text_that_int_reads_is_keyed_letter_by_letter(words, k):
+    """int(w, 2) reads "0_1", " 01" and "0b1" as 1, the value of "001", and
+    "-01" as -1, so these words must be keyed on their letters, each "_",
+    " ", "-" or "b" a letter of its own, as the Counter signature counts
+    them."""
+    groups = {}
+    for w in words:
+        groups.setdefault(counter_signature(w, k), []).append(w)
+    want = sorted(tuple(sorted(g)) for g in groups.values())
+    assert sorted(c.members for c in classify_brute(words, k)) == want
 
 
 def test_interval_classes_carry_their_interval_index():

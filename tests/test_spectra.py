@@ -1,6 +1,7 @@
 """Repetition exponents, their limiting constants, and slope construction."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,18 @@ def test_cap_can_come_from_the_environment(monkeypatch):
     monkeypatch.setenv("STURMIAN_SPECTRA_CAP", "40")
     with pytest.raises(ResourceCapExceeded):
         brute_kab_exponent(FIB_SLOPE, 1, 51)
+
+
+def test_the_oracle_decides_blocks_of_ten_thousand_letters(monkeypatch):
+    """[0; (2)] at m = 10 001 under a cap of 32 000: the oracle keys the
+    m+1 length-m factors flipped off a longer language's crossing walk,
+    never decoded, so the length-m language's 10^8 symbols, past
+    LANGUAGE_SYMBOL_CAP, are no bar, and it meets the formula at k = 1..4."""
+    monkeypatch.setenv("STURMIAN_SPECTRA_CAP", "32000")
+    alpha, m = SILVER.value(), 10_001
+    found = [brute_kab_exponent(alpha, k, m) for k in range(1, 5)]
+    assert found == [max_kab_exponent(alpha, k, m, with_witness=False).exponent for k in range(1, 5)]
+    assert found == [2, 1, 1, 1]
 
 
 def _integer_power_exponent(cf, m):
@@ -305,6 +318,22 @@ def test_exponent_bounds_hold_along_the_convergents():
     report = exponent_bound_check(SPIKE, 2, range(1, 9))
     assert report.ok
     assert report.t_checked == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def test_a_bound_report_on_a_deep_convergent_holds_no_euclid_frames():
+    """At t = 4000 the report's convergent has about 1700 digits, and each
+    of the thousands of Euclid steps of a first return time would hold an
+    integer that long if it kept its own p, q and bounds (4.96 MB traced);
+    _first_time keeps two small quotients a step (0.27 MB)."""
+    cf = ContinuedFraction.parse("[0; 2, (1)]")
+    tracemalloc.start()
+    try:
+        report = exponent_bound_check(cf, 2, [4000])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.t_checked == [4000]
+    assert peak < 1_000_000
 
 
 def test_bound_report_past_its_period_cap_is_refused_before_ranking(monkeypatch):
