@@ -200,9 +200,8 @@ class ContinuedFraction:
         if self.is_rational:
             raise ValueError("Lagrange constant needs an irrational value")
         cycle = self.period
-        _, disc, _ = _purely_periodic_value(cycle)
         a, b, c, d = _moebius(cycle)
-        least = c
+        disc, least = (a - d) * (a - d) + 4 * b * c, c
         for x in cycle[:-1]:
             a, b, c, d = x * c + d, c, x * (a - x * c) + b - x * d, a - x * c
             least = min(least, c)

@@ -28,6 +28,10 @@ rank c_j*q - j*p = -j*p mod q, so sorting on ranks orders the cuts
 exactly, with {0} first.  The length from cut a to the next cut b is the
 pair (c_b - c_a) + (a - b)*alpha, the last one wrapping to 1 = 1 + 0*alpha,
 and its rank is the gap between the two cut ranks (q closes the circle).
+Conversely a rank names its cut: as 0 <= j < q, the cut of rank r is j =
+-r*p^-1 mod q (p is prime to q), with c_j = (r + j*p)/q exactly, and the
+closing rank q gives j = 0, c = 1, the wrap.  So the longest length of a
+family is found on sorted ranks alone, and only it is turned into a pair.
 A family keeps these integer pairs, one Interval per cut: each QuadReal
 start or length is built the first time it is read, and then kept, so
 building a family (and so a factor language) makes no QuadReal at all.
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Sequence
+from operator import sub
 
 from ._record import Record
 from .cf import _convergent_past, _quotients_of
@@ -89,30 +94,17 @@ RIGHT_CLOSED = EndpointConvention(zero_in_I0=False)
 class Interval:
     """An arc of the circle: its start and its length, exact values.
 
-    Interval(start, length) takes the two values.  A family's intervals
-    instead keep the integer pairs of _orbit_cuts, the cut (c, j) standing
-    for c - j*alpha and the length (A, B) for A + B*alpha: each QuadReal is
-    built by _value the first time it is read, and then kept.  Intervals
-    unpack as (start, length), and compare and hash by value.
+    Interval(start, length) takes the two values.  A family's intervals,
+    made by _orbit_family, instead keep integer pairs, the cut (c, j)
+    standing for c - j*alpha and the length (A, B) for A + B*alpha: each
+    QuadReal is built by _value the first time it is read, and then kept.
+    Intervals unpack as (start, length), and compare and hash by value.
     """
 
     __slots__ = ("_alpha", "_start", "_length")
 
     def __init__(self, start: QuadReal, length: QuadReal):
         self._alpha, self._start, self._length = None, start, length
-
-    @classmethod
-    def _of_pairs(
-        cls, alpha: QuadReal, cuts: Sequence[tuple[int, int]], lengths: Sequence[tuple[int, int]]
-    ) -> tuple[Interval, ...]:
-        """The intervals from each cut (c, j) with its length (A, B) over
-        alpha, as _orbit_cuts returns them; no value is built yet."""
-        new, out = object.__new__, []
-        for cut, gap in zip(cuts, lengths):
-            iv = new(cls)
-            iv._alpha, iv._start, iv._length = alpha, cut, gap
-            out.append(iv)
-        return tuple(out)
 
     @property
     def start(self) -> QuadReal:
@@ -186,11 +178,32 @@ def _value(alpha: QuadReal, a: int, b: int, d: int = 1) -> QuadReal:
     return QuadReal(a * alpha.r + b * alpha.p, b * alpha.q, alpha.d, d * alpha.r)
 
 
+def _ranks(indices: Iterable[int], p: int, q: int) -> list[int]:
+    """The cut ranks -j*p mod q of the j of `indices`, ascending, q closing
+    the circle, for a convergent p/q of alpha past every one."""
+    return sorted([-j * p % q for j in indices]) + [q]
+
+
 def _rank_gaps(indices: Iterable[int], p: int, q: int) -> list[int]:
-    """The ranks of the lengths of _orbit_cuts in the circle order of
+    """The ranks of the lengths of _orbit_family in the circle order of
     `indices`: the gaps between the sorted cut ranks, q closing the circle."""
-    ranks = sorted([-j * p % q for j in indices]) + [q]
-    return [b - a for a, b in zip(ranks, ranks[1:])]
+    ranks = _ranks(indices, p, q)
+    return list(map(sub, ranks[1:], ranks))
+
+
+def _longest(ranks: list[int], p: int, q: int) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """The rank G of the first longest length in circle order between the
+    sorted cut ranks `ranks`, closed by q, with its cut (c, j) and its pair
+    (A, B) as _orbit_family builds them: only this one length is turned
+    into pairs, by the rank inversion of the module docstring."""
+    gaps = list(map(sub, ranks[1:], ranks))
+    g = max(gaps)
+    i = gaps.index(g)
+    r, t = ranks[i], ranks[i + 1]
+    inverse = pow(-p, -1, q)
+    a, b = r * inverse % q, t * inverse % q  # the cuts -a*alpha and -b*alpha
+    c = (r + a * p) // q
+    return g, (c, a), ((t + b * p) // q - c, a - b)
 
 
 def _dist_rank(m: int, p: int, q: int) -> int:
@@ -206,24 +219,19 @@ def _circle_order(indices: Iterable[int], p: int, q: int) -> list[int]:
     return sorted(indices, key=lambda j: -j * p % q)
 
 
-def _orbit_cuts(
-    order: Iterable[int], p: int, q: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """The cuts (c_j, j), standing for c_j - j*alpha, for the j of `order`,
-    which are in circle order and begin with 0, and the pairs (A, B) of the
-    lengths from each cut to the next.  p/q is a convergent of alpha past
-    every index (see the module docstring)."""
-    cuts = [(-(-j * p // q), j) for j in order]
-    ends = cuts[1:] + [(1, 0)]  # the last interval wraps to 1 - 0*alpha
-    return cuts, [(cb - ca, a - b) for (ca, a), (cb, b) in zip(cuts, ends)]
-
-
 def _orbit_family(alpha: QuadReal, order: Iterable[int], p: int, q: int) -> IntervalFamily:
-    """The circle cut at {-j*alpha} for the j of `order`, in circle order
-    under the convergent p/q past every one: the pairs of _orbit_cuts, whose
-    values are built on read."""
-    cuts, lengths = _orbit_cuts(order, p, q)
-    return IntervalFamily(Interval._of_pairs(alpha, cuts, lengths))
+    """The circle cut at {-j*alpha} for the j of `order`, which are in
+    circle order under the convergent p/q past every one and begin with 0.
+    Each Interval keeps integer pairs (see the module docstring), and no
+    value is built yet: its cut (c_j, j), standing for c_j - j*alpha, and
+    the pair (A, B) of the length to the next cut."""
+    cuts = [(-(-j * p // q), j) for j in order]
+    new, intervals = object.__new__, []
+    for (ca, a), (cb, b) in zip(cuts, cuts[1:] + [(1, 0)]):  # the last wraps to 1 - 0*alpha
+        iv = new(Interval)
+        iv._alpha, iv._start, iv._length = alpha, (ca, a), (cb - ca, a - b)
+        intervals.append(iv)
+    return IntervalFamily(tuple(intervals))
 
 
 def level_intervals(alpha: QuadReal, n: int) -> IntervalFamily:
@@ -257,6 +265,23 @@ def _checked_coarse_indices(k: int, m: int) -> Sequence[int]:
     if len(indices) != want:
         raise AssertionError(f"coarse family has {len(indices)} intervals, not {want}")
     return indices
+
+
+def _coarse_ranks(k: int, m: int, p: int, q: int, head: list[int] | None = None) -> list[int]:
+    """The sorted ranks of the coarse cuts of period m, closed by q, for a
+    convergent p/q past m: those of _checked_coarse_indices(k, m), so all
+    m+1 cuts when m < 2k, and the family's size is checked.  From 2k on, a
+    caller that ranks many periods passes `head`, the ranks of the head cuts
+    j < k: the tail cut m-k+1+j has rank -j*p - (m-k+1)*p mod q, so the
+    tail is the head shifted by -(m-k+1)*p mod q, and only k ranks are
+    computed per period."""
+    if head is None or m < 2 * k:
+        return _ranks(_checked_coarse_indices(k, m), p, q)
+    shift = -(m - k + 1) * p % q
+    ranks = head + [(h + shift) % q for h in head]
+    ranks.sort()
+    ranks.append(q)  # q closes the circle
+    return ranks
 
 
 def ikm_intervals(alpha: QuadReal, k: int, m: int) -> IntervalFamily:

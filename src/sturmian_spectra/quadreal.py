@@ -108,17 +108,19 @@ def _sign_pair(a: int, b: int, d: int) -> int:
 
 
 def _floor_parts(p: int, q: int, d: int, r: int) -> int:
-    """floor((p + q*sqrt(d)) / r) with r > 0."""
+    """floor((p + q*sqrt(d)) / r) with r > 0, with no sign test.
+
+    q*sqrt(d) is sqrt(m) or -sqrt(m) for m = q*q*d, so its floor t is
+    isqrt(m) for q > 0, and for q < 0 it is -isqrt(m), less one unless m is
+    a square.  For an integer p and an integer r > 0, floor(p + y) = p +
+    floor(y) and floor(x/r) = floor(floor(x)/r), so the floor is (p + t) // r.
+    """
     if q == 0 or d == 0:
         return p // r
     m = q * q * d
     s = isqrt(m)
     t = s if q > 0 else (-s if s * s == m else -s - 1)
-    n = (p + t) // r
-    # t only brackets q*sqrt(d) within one unit; settle the candidate exactly.
-    if _sign_pair(p - (n + 1) * r, q, d) >= 0:
-        n += 1
-    return n
+    return (p + t) // r
 
 
 class QuadReal:

@@ -28,11 +28,11 @@ from .cf import ContinuedFraction, _convergent_past, _folds, _quotients_of
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
-    _checked_coarse_indices,
-    _circle_order,
+    _coarse_ranks,
     _dist_rank,
-    _orbit_cuts,
+    _longest,
     _rank_gaps,
+    _ranks,
     _value,
 )
 from .kabelian import _keys
@@ -96,20 +96,14 @@ def _kab_exponents(
 ) -> tuple[list[int], list[int]]:
     """A_k(m) by _kab_exponent for each m in `periods`, and the rank S of
     ||m*alpha|| it took, for a convergent p/q past (G // S + 2)*m at every m,
-    which each floor checks.  The head cuts j < k are ranked once: for
-    m >= 2k the tail cuts m-k+1..m are the head shifted by -(m-k+1)*p mod q,
-    and for m < 2k the coarse family is all m+1 cuts."""
+    which each floor checks.  G is read off geometry._coarse_ranks, handed
+    the head ranks, which are computed once."""
     if k < 1:
         raise ValueError("order k must be >= 1")
-    head = [-j * p % q for j in range(k)]
+    head = _ranks(range(k), p, q)[:-1]
     exponents, steps = [], []
     for m in periods:
-        if m < 2 * k:
-            ranks = sorted([-j * p % q for j in _checked_coarse_indices(k, m)])
-        else:
-            shift = -(m - k + 1) * p % q
-            ranks = sorted(head + [(h + shift) % q for h in head])
-        ranks.append(q)  # q closes the circle
+        ranks = _coarse_ranks(k, m, p, q, head)
         s = _dist_rank(m, p, q)
         exponents.append(_kab_exponent(max(map(sub, ranks[1:], ranks)), s, m, q))
         steps.append(s)
@@ -143,7 +137,8 @@ def max_kab_exponent(
 
     Exact: floor(longest coarse interval / dist(m*alpha)), plus one unless
     the two are equal, decided on circle ranks as G // S + (G != S) (the
-    floor corollary in the geometry module docstring).  The witness, when
+    floor corollary in the geometry module docstring), G read off
+    geometry._coarse_ranks by geometry._longest.  The witness, when
     requested and within the oracle cap (STURMIAN_SPECTRA_CAP, default
     DEFAULT_ORACLE_CAP symbols), is an intercept placed inside the longest
     interval so that all n period-m steps stay inside it, together with the
@@ -155,19 +150,17 @@ def max_kab_exponent(
     first past 2m, on past (G // S + 2)*m until the floor corollary covers
     G // S, and on to one past |b| + 2n for the witness.
     """
-    indices = _checked_coarse_indices(k, m)
     folds = _folds(_quotients_of(alpha))
-    q, bound = 0, 2 * m
-    while q <= bound:
+    bound = 2 * m
+    while True:
         p, _, q, _ = next(folds)
         if q > bound:  # rank on it, and refine unless the floor corollary covers G // S
-            cuts, lengths = _orbit_cuts(_circle_order(indices, p, q), p, q)
-            gaps, s = [a * q + b * p for a, b in lengths], _dist_rank(m, p, q)
-            g = max(gaps)
+            g, (c, j), longest = _longest(_coarse_ranks(k, m, p, q), p, q)
+            s = _dist_rank(m, p, q)
             bound = (g // s + 2) * m
+            if q > bound:
+                break
     exponent = _kab_exponent(g, s, m, q)
-    i = gaps.index(g)
-    (c, j), longest = cuts[i], lengths[i]
     f, r = divmod(m * p, q)  # ||m*alpha|| is {m*alpha} when s == r, else 1 - {m*alpha}
     step, sign = ((-f, m), -1) if s == r else ((1 + f, -m), 1)
     x = word = None
@@ -573,10 +566,11 @@ def theta_k(cf: ContinuedFraction, k: int) -> QuadReal:
 
 
 def _theta(cf: ContinuedFraction, k: int, constant: QuadReal) -> QuadReal:
-    """theta_k(cf, k) for k >= 1, given the Lagrange constant of cf."""
+    """theta_k(cf, k) for k >= 1, given the Lagrange constant of cf: the
+    longest level-(2k-2) length by geometry._longest, on a convergent past
+    4k-4, as two level lengths differ by a pair with |B| <= 4k-4."""
     p, q = _convergent_past(cf._quotients(), 4 * k - 4)
-    lengths = _orbit_cuts(_circle_order(range(2 * k - 1), p, q), p, q)[1]
-    longest = max(lengths, key=lambda ab: ab[0] * q + ab[1] * p)  # the greatest rank
+    longest = _longest(_ranks(range(2 * k - 1), p, q), p, q)[2]
     return _value(cf.value(), *longest) * constant
 
 

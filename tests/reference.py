@@ -1,6 +1,8 @@
 """Generic references, independent of the package's fast paths: interval
 families by exact sorting and subtraction on QuadReal points, ignoring the
-integer circle order; k-abelian equivalence by its raw definition,
+integer circle order; the longest length of a family of orbit cuts by
+sorting the cut indices and building a pair for every length;
+k-abelian equivalence by its raw definition,
 signatures by counting string slices, ignoring the bit masks, and keys
 on a counting tree of their own for each word, not one per run; whether
 shared ends alone decide equivalence, from the slope's distance to an
@@ -19,6 +21,7 @@ from sturmian_spectra.geometry import (
     Interval,
     IntervalFamily,
     _checked_coarse_indices,
+    _circle_order,
     _dist_rank,
     _rank_gaps,
     ikm_intervals,
@@ -123,6 +126,20 @@ def code_pair_by_letter(alpha, a, b, d, n, zero_in_i0):
         letters.append("1" if ((r >= cut) if zero_in_i0 else (r > cut or r == 0)) else "0")
         r = (r + step) % mod
     return "".join(letters)
+
+
+def longest_by_index_sort(indices, p, q):
+    """The rank G of the first longest length of the circle cut at
+    {-j*alpha}, j in `indices` (which hold 0), with its cut (c, j) and pair
+    (A, B), for a convergent p/q past every index: the indices sorted on
+    their ranks, every cut and length turned into pairs, and the first
+    length of the greatest rank A*q + B*p kept."""
+    cuts = [(-(-j * p // q), j) for j in _circle_order(indices, p, q)]
+    ends = cuts[1:] + [(1, 0)]  # the last length wraps to 1 - 0*alpha
+    lengths = [(cb - ca, a - b) for (ca, a), (cb, b) in zip(cuts, ends)]
+    gaps = [a * q + b * p for a, b in lengths]
+    i = gaps.index(max(gaps))
+    return gaps[i], cuts[i], lengths[i]
 
 
 def kab_exponent(k, m, p, q):

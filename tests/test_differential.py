@@ -40,6 +40,7 @@ from sturmian_spectra._record import Record
 from sturmian_spectra.cf import (
     ContinuedFraction,
     _convergent_past,
+    _folds,
     _purely_periodic_value,
     _quotients_of,
 )
@@ -48,9 +49,13 @@ from sturmian_spectra.geometry import (
     RIGHT_CLOSED,
     Interval,
     IntervalFamily,
+    _checked_coarse_indices,
     _coarse_indices,
+    _coarse_ranks,
     _dist_rank,
+    _longest,
     _rank_gaps,
+    _ranks,
     ikm_intervals,
     level_intervals,
 )
@@ -99,6 +104,7 @@ from reference import (
     counter_signature,
     kab_equivalent_counts,
     least_rotation_denominator,
+    longest_by_index_sort,
     midpoint,
     sorted_family,
     tree_key,
@@ -1084,6 +1090,51 @@ def test_a_too_small_convergent_fails_under_python_o():
 def test_theta_matches_the_quadreal_longest_interval(cf, k):
     want = max(_level_reference(cf.value(), 2 * k - 2).lengths) * cf.lagrange_constant()
     assert _spelled(theta_k(cf, k)) == _spelled(want)
+
+
+def _past(cf, n, further):
+    """The first convergent (p, q) of cf with q > n, or the one after it."""
+    folds = (fold for fold in _folds(cf._quotients()) if fold[2] > n)
+    p, _, q, _ = next(folds)
+    if further:
+        p, _, q, _ = next(folds)
+    return p, q
+
+
+@given(shifted_cfs | spiked_cfs, st.integers(1, 8), st.integers(1, 400), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_longest_coarse_length_matches_the_index_sort(cf, k, m, further):
+    """_longest over _coarse_ranks, with the head ranks handed in as the
+    kernel does or not, gives the (G, cut, pair) of sorting the coarse
+    indices and building every pair, on the first convergent past 2m and
+    on the one after it, with a_0 from -2 to 2 and slopes above 1/2."""
+    p, q = _past(cf, 2 * m, further)
+    want = longest_by_index_sort(_checked_coarse_indices(k, m), p, q)
+    assert _longest(_coarse_ranks(k, m, p, q), p, q) == want
+    assert _longest(_coarse_ranks(k, m, p, q, _ranks(range(k), p, q)[:-1]), p, q) == want
+
+
+def test_tied_longest_coarse_lengths_keep_the_first_in_circle_order():
+    """The Fibonacci slope ties its longest coarse lengths at many (k, m);
+    the first in circle order wins, as it does in the index sort."""
+    ties = 0
+    for k, m, further in itertools.product(range(1, 9), range(1, 401), (False, True)):
+        p, q = _past(FIB, 2 * m, further)
+        indices = _checked_coarse_indices(k, m)
+        gaps = _rank_gaps(indices, p, q)
+        ties += gaps.count(max(gaps)) > 1
+        assert _longest(_coarse_ranks(k, m, p, q), p, q) == longest_by_index_sort(indices, p, q)
+    assert ties > 1000
+
+
+@given(shifted_cfs | spiked_cfs, st.integers(1, 8), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_longest_level_length_matches_the_index_sort(cf, k, further):
+    """_theta's longest level-(2k-2) length, on the convergent past 4k-4
+    (whose q is 1 at k = 1) and on the one after it, is the index sort's."""
+    p, q = _past(cf, 4 * k - 4, further)
+    want = longest_by_index_sort(range(2 * k - 1), p, q)
+    assert _longest(_ranks(range(2 * k - 1), p, q), p, q) == want
 
 
 @given(shifted_cfs, st.integers(1, 6), st.integers(1, 12))

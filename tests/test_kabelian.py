@@ -44,6 +44,14 @@ def test_keys_of_different_runs_do_not_mix():
     assert keys == [(0, ((0b0, 64),))] * 64 + [(0, ((0b1, 64),))] * 64
 
 
+def test_words_of_32_bytes_are_keyed_one_tree_each():
+    """A word of 256 letters fills a 32-byte field, one byte past what a
+    run's byte sum can carry (a count of 256 would wrap to 0), so each is
+    keyed on a tree of its own, and 256 ones stay apart from 256 zeros."""
+    assert not kab_equivalent("1" * 256, "0" * 256, 1)
+    assert len(classify_brute(["1" * 256, "0" * 256], 1)) == 2
+
+
 def test_key_degenerates_below_order():
     """Below the order the key is the word itself, so equivalence is
     equality."""

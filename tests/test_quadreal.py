@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmian_spectra.quadreal import MixedRadicandError, QuadReal, dist_to_int, sqrt
+from sturmian_spectra.quadreal import MixedRadicandError, QuadReal, _floor_parts, dist_to_int, sqrt
 
 GOLDEN = QuadReal(1, 1, 5, 2)  # (1 + sqrt 5) / 2
 FIB_SLOPE = QuadReal(3, -1, 5, 2)  # (3 - sqrt 5) / 2
@@ -91,6 +91,29 @@ def test_cross_field_comparison_near_ties():
     b = QuadReal(0, 4, 5, 1) + Fraction(3, 10)
     assert a < b
     assert b > a
+
+
+def _sign_by_squares(a, b, d):
+    """The sign of a + b*sqrt(d), d >= 0: that of its nonzero terms when
+    they agree, else that of a times the sign of a*a - b*b*d."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0) if d else 0
+    if sa * sb >= 0:
+        return sa or sb
+    return sa * ((a * a > b * b * d) - (a * a < b * b * d))
+
+
+big_ints = st.integers(-(2**200), 2**200)
+
+
+@given(big_ints, big_ints, st.integers(0, 2**200) | st.integers(0, 2**100).map(lambda x: x * x),
+       st.integers(1, 2**200))
+@settings(max_examples=500, deadline=None)
+def test_floor_parts_brackets_the_value_exactly(p, q, d, r):
+    """n = _floor_parts(p, q, d, r) has n <= (p + q*sqrt(d))/r < n + 1,
+    decided by exact sign tests, for d a perfect square too."""
+    n = _floor_parts(p, q, d, r)
+    assert _sign_by_squares(p - n * r, q, d) >= 0
+    assert _sign_by_squares(p - (n + 1) * r, q, d) < 0
 
 
 def test_floor_on_negative_values():
