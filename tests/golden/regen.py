@@ -30,6 +30,8 @@ from sturmian_spectra import cli
 from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import RIGHT_CLOSED
 from sturmian_spectra.spectra import (
+    ResourceCapExceeded,
+    brute_kab_exponent,
     construct_linfty_slope,
     exponent_bound_check,
     max_kab_exponent,
@@ -90,6 +92,24 @@ CLI_CASES = {
     "cli/exit3/pool": (["spectrum", "-k", "2", "--base", FIB, "--pool", "100001"], None),
 }
 
+# id -> (slope, k, m) of a brute oracle call: ladders that end at the rungs
+# 64, 256, 1024 and the default cap 2000, and one refusal at that cap
+BRUTE_CASES = {
+    "rung64": (FIB, 1, 5),
+    "rung256": (FIB, 1, 8),
+    "rung1024": (FIB, 1, 21),
+    "rung2000": ("[0; (1, 3, 1, 8)]", 1, 39),
+    "cap": ("[0; (60)]", 1, 60),
+}
+
+
+def _brute_or_refusal(alpha, k, m):
+    """brute_kab_exponent, or its refusal digested as (needed, cap)."""
+    try:
+        return brute_kab_exponent(alpha, k, m)
+    except ResourceCapExceeded as exc:
+        return exc.needed, exc.cap
+
 
 def _library_cases() -> dict:
     """id -> a call whose repr is digested."""
@@ -110,6 +130,11 @@ def _library_cases() -> dict:
                 lambda cf=cf, k=k: exponent_bound_check(cf, k, range(1, 10)))
         cases[f"lib/theta_limsup_estimate/{name}"] = lambda cf=cf: theta_limsup_estimate(cf, 2, 9)
         cases[f"lib/sample_spectrum/{name}"] = lambda cf=cf: sample_spectrum(3, cf, 5)
+        cases[f"lib/brute_kab_exponent/{name}/sweep"] = lambda alpha=alpha: [
+            _brute_or_refusal(alpha, k, m) for k in range(1, 5) for m in range(1, 41)]
+    for name, (text, k, m) in BRUTE_CASES.items():
+        cases[f"lib/brute_kab_exponent/{name}"] = (
+            lambda text=text, k=k, m=m: _brute_or_refusal(ContinuedFraction.parse(text).value(), k, m))
     for target in "7/3", "1/2", "5":
         cases[f"lib/construct_linfty_slope/{target}"] = (
             lambda target=target: construct_linfty_slope(target, 4))
