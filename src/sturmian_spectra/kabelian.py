@@ -51,10 +51,7 @@ A key is spelled by the blocks' digits and counts alone, (prefix,
 ((block, count), ...)) with the blocks that do not occur left out, and
 not by the leaves of the run it came from, so keys of one word list, one
 digit map, compare across runs and calls.  A run builds each spelling
-once per distinct row of counts, and its words share it.  The brute
-oracle keys the m+1 length-m factors of its slope up front, every m-block
-of a longer factor being one of them, and looks each m-block up on the
-integer of its letters along the crossing walk, with no string at all.
+once per distinct row of counts, and its words share it.
 
 For factors of a rotation coding the classes have a geometric shape: two
 length-m factors are equivalent at order k exactly when their level-m
@@ -63,6 +60,14 @@ and last few orbit points.  The coarse cuts are level-m cuts, so this is a
 question about circle ranks alone: the factor at rank r belongs to the
 coarse cut of largest rank <= r.  classify_by_intervals exploits that and
 classify_brute ignores it, so the two can be played against each other.
+The brute oracle of the spectra module ignores it too.  It keys the m+1
+length-m factors of its slope up front, as integers flipped off the
+level-m crossing order, every m-block of a longer factor being one of
+them, and takes from the keys alone the moves: the level-m cuts where the
+class changes, in circle order.  An m-block of a longer factor is the
+length-m factor at a shifted point, so it changes class only where that
+point crosses a move, and the walk along a longer language visits those
+crossings and no other, with no string and no sort of the language.
 """
 
 from __future__ import annotations

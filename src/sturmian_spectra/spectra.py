@@ -28,6 +28,7 @@ from .cf import ContinuedFraction, _convergent_past, _folds, _quotients_of
 from .geometry import (
     EndpointConvention,
     LEFT_CLOSED,
+    _circle_order,
     _coarse_ranks,
     _dist_rank,
     _longest,
@@ -178,55 +179,76 @@ def max_kab_exponent(
     return ExponentRecord(k, m, exponent, _value(alpha, *longest), _value(alpha, *step), x, word)
 
 
-def _block_classes(alpha: QuadReal, n: int, m: int, keys) -> dict[int, int]:
-    """m-block -> class id under the batch key function `keys`, for the
-    m+1 length-m factors, which hold every m-block of a longer factor, read
-    off the language of length n >= m and keyed in one call.  Block 0 of
-    its first word is the first length-m factor, the integer of its letters
-    (letter i at bit m-1-i), and its crossings of cuts j <= m, in circle
-    order, flip block 0 through the others two bits at a time, as
-    _best_initial_run reads its blocks; the other crossings leave it be."""
-    first, order, _, _ = _crossings(alpha, n)
+def _block_classes(alpha: QuadReal, m: int, keys) -> tuple[dict[int, int], list[int], list[int]]:
+    """(classes, at, moves) of the m+1 length-m factors under the batch key
+    function `keys`, keyed in one call: `classes` maps each factor, the
+    integer of its letters (letter i at bit m-1-i), to its class id; at[J]
+    is the class id of the factor whose level-m interval starts at cut J;
+    the moves are the cuts J whose class differs from that of the cut
+    before them in circle order, the last cut coming before cut 0.  The
+    factors are read off the level-m crossing order, the first word
+    flipped two bits per crossing; every m-block of a longer factor is one
+    of them, and _best_initial_run's docstring says why its walk needs
+    only the moves."""
+    first, order, _, _ = _crossings(alpha, m)
     top = 1 << (m - 1)
-    block = int(first[:m], 2)
+    block = int(first, 2)
     blocks = [block]
-    for j in filter(m.__ge__, itertools.islice(order, 1, None)):
+    for j in order[1:]:
         block |= top >> (j - 1)  # entering the arc of letter j-1
         if j < m:
             block &= ~(top >> j)  # leaving the arc of letter j
         blocks.append(block)
     ids: dict = {}
-    return {b: ids.setdefault(key, len(ids)) for b, key in zip(blocks, keys(blocks))}
+    circle = [ids.setdefault(key, len(ids)) for key in keys(blocks)]
+    at = [0] * (m + 1)
+    for j, c in zip(order, circle):
+        at[j] = c
+    moves = [j for j, c, before in zip(order, circle, circle[-1:] + circle) if c != before]
+    return dict(zip(blocks, circle)), at, moves
 
 
-def _best_initial_run(alpha: QuadReal, n: int, m: int, classes: dict[int, int]) -> int:
+def _best_initial_run(
+    alpha: QuadReal, n: int, m: int, classes: dict[int, int], at: list[int], moves: list[int]
+) -> int:
     """Max over the length-n factors (n >= m) of the leading whole m-blocks
-    equivalent to the first, along the words module's crossing order.
+    equivalent to the first, along the level-n crossing order, given
+    _block_classes(alpha, m, keys).
 
-    Each whole block is kept as the integer of its letters.  Cut j sets
-    letter j-1, bit m-1-(j-1)%m of block (j-1)//m, and clears letter j, in
-    the same block or at bit m-1 of the next one; only the blocks that
-    changed are looked up again, and the run is repaired, since the blocks
-    below it that did not change still match block 0."""
-    first, order, _, _ = _crossings(alpha, n)
-    blocks, top = n // m, 1 << (m - 1)
-    ints = [int(first[s : s + m], 2) for s in range(0, blocks * m, m)]
-    ids = [classes[v] for v in ints]
+    The coding is shift-invariant: block b of the factor at x is the
+    length-m factor at x + b*m*alpha.  Crossing the level-n cut j, x passes
+    {-j*alpha}, so the point x + b*m*alpha passes the level-m cut
+    j - b*m when 0 <= j - b*m <= m: block j//m enters the level-m interval
+    that starts at cut J = j mod m, and when J = 0 block j//m - 1 also
+    enters the one that starts at cut m.  A block that enters the interval
+    of cut J leaves the one ending there, so its class id changes only
+    when J is a move, and the crossings j = b*m + J with J not a move
+    change no id.  The run is the number of leading blocks whose id equals
+    block 0's, a function of the ids alone, so the walk visits only the
+    crossings of moves, about (n/m)*|moves| of them, and reads the same
+    best as a walk through all n crossings.  The first word is coded at
+    the convergent past n, its whole blocks looked up in `classes`; the
+    visited crossings are put in circle order by their ranks -j*p mod q.
+    After each, only the blocks that changed are compared again, and the
+    run is repaired, since the blocks below it that did not change still
+    match block 0.  The moves come from the keys alone, never from the
+    coarse family, so the oracle does not lean on the exponent formula."""
+    p, q = _convergent_past(_quotients_of(alpha), n)
+    blocks = n // m
+    first = _code_pair(p, q, 0, 0, 1, blocks * m, True)
+    ids = [classes[int(first[s : s + m], 2)] for s in range(0, blocks * m, m)]
     best = run = next((b for b in range(1, blocks) if ids[b] != ids[0]), blocks)
-    for j in order[1:]:
-        lo, r = divmod(j - 1, m)
-        if lo >= blocks:
-            continue  # both letters lie past the last whole block
-        if r + 1 < m:  # letter j is in block lo too
-            hi = lo
-            ints[lo] = (ints[lo] | top >> r) & ~(top >> (r + 1))
-        else:  # letter j is bit m-1 of block hi, if that block is whole
-            hi = lo + 1
-            ints[lo] |= 1
+    cuts = [j for J in {J % m for J in moves} for j in range(J or m, blocks * m + 1, m)]
+    for j in _circle_order(cuts, p, q):
+        hi, J = divmod(j, m)
+        if J:
+            lo = hi
+            ids[hi] = at[J]
+        else:  # block hi-1 passes cut m as block hi passes cut 0
+            lo = hi - 1
+            ids[lo] = at[m]
             if hi < blocks:
-                ints[hi] &= ~top
-                ids[hi] = classes[ints[hi]]
-        ids[lo] = classes[ints[lo]]
+                ids[hi] = at[0]
         if lo == 0:
             run = 1
         elif lo < run and ids[lo] != ids[0]:
@@ -246,26 +268,25 @@ def _longest_block_run(alpha: QuadReal, m: int, keys, cap: int) -> int:
     integer of its letters, to their keys, in order).
 
     Every m-block of a factor is one of the m+1 length-m factors, so these
-    are keyed up front, in one call, off the first language of the ladder
-    (_block_classes); the walk's blocks are then looked up as integers in
-    a plain dict.  Enumerates
-    complete factor languages of increasing length; every factor of length
-    n*m is a prefix of some enumerated factor, so initial block runs see
-    every power.  Certification that no longer power exists needs the
-    language at length (n+1)*m, hence the growth loop and the cap, checked
-    before anything is keyed.
+    are keyed up front, in one call, off the level-m crossing order
+    (_block_classes); the walk then visits only the crossings that move a
+    block to another class (see _best_initial_run).  Enumerates complete
+    factor languages of increasing length; every factor of length n*m is
+    a prefix of some enumerated factor, so initial block runs see every
+    power.  Certification that no longer power exists needs the language
+    at length (n+1)*m, hence the growth loop and the cap, checked before
+    anything is keyed.
     """
     if 2 * m > cap:
         raise ResourceCapExceeded(2 * m, cap)
-    # Shared ladder of lengths (powers of two up to the cap) so repeated
-    # calls with different periods reuse the cached crossing orders.
+    # Ladder of lengths: powers of two from 64, the first at least 4m, up to the cap
     length = 64
     while length < 4 * m and length < cap:
         length *= 2
     length = min(length, cap)
-    classes = _block_classes(alpha, length, m, keys)
+    classes, at, moves = _block_classes(alpha, m, keys)
     while True:
-        best = _best_initial_run(alpha, length, m, classes)
+        best = _best_initial_run(alpha, length, m, classes, at, moves)
         if (best + 1) * m <= length:
             return best
         if length >= cap:
@@ -279,9 +300,10 @@ def brute_kab_exponent(alpha: QuadReal, k: int, m: int) -> int:
     No interval-length reasoning: keys the m+1 length-m factors at order k
     in one call of kabelian._keys, on counting trees of whole runs of
     them, then splits enumerated factors into m-blocks and compares the
-    blocks' class ids, each block an integer flipped two bits per crossing
-    and never decoded.  The factors, and so the result, do not depend on
-    an endpoint convention, so none is taken.
+    blocks' class ids, visiting only the crossings where a block changes
+    class (the shift-invariance argument is in _best_initial_run's
+    docstring); no factor is decoded.  The factors, and so the result, do
+    not depend on an endpoint convention, so none is taken.
     Raises ValueError unless k >= 1 and m >= 1, and ResourceCapExceeded (a
     declared failure, never a wrong answer) if the needed factor length
     passes the cap: STURMIAN_SPECTRA_CAP symbols, default DEFAULT_ORACLE_CAP.

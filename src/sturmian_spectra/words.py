@@ -31,8 +31,9 @@ and crossing order, O(n), sorted once with one convergent that also codes
 the first word and cuts the level family, and one bytearray walked through
 the crossings holds each factor in turn: no sampling, no sign tests, and
 no QuadReal.  Decoding every factor takes (n+1)*n symbols, refused past
-LANGUAGE_SYMBOL_CAP; the brute oracle decodes none, as it keeps each
-m-block as the integer of its letters and flips two bits per crossing.
+LANGUAGE_SYMBOL_CAP; the brute oracle decodes none, as it flips the
+length-m factors' integers two bits per level-m crossing and walks a
+longer language on class ids alone.
 """
 
 from __future__ import annotations

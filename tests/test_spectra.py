@@ -149,14 +149,35 @@ def test_cap_can_come_from_the_environment(monkeypatch):
 
 def test_the_oracle_decides_blocks_of_ten_thousand_letters(monkeypatch):
     """[0; (2)] at m = 10 001 under a cap of 32 000: the oracle keys the
-    m+1 length-m factors flipped off a longer language's crossing walk,
-    never decoded, so the length-m language's 10^8 symbols, past
+    m+1 length-m factors flipped off the level-m crossing order, never
+    decoded, so the length-m language's 10^8 symbols, past
     LANGUAGE_SYMBOL_CAP, are no bar, and it meets the formula at k = 1..4."""
     monkeypatch.setenv("STURMIAN_SPECTRA_CAP", "32000")
     alpha, m = SILVER.value(), 10_001
     found = [brute_kab_exponent(alpha, k, m) for k in range(1, 5)]
     assert found == [max_kab_exponent(alpha, k, m, with_witness=False).exponent for k in range(1, 5)]
     assert found == [2, 1, 1, 1]
+
+
+def test_the_oracle_sorts_no_language_longer_than_its_period(monkeypatch):
+    """The oracle orders the m+1 level-m cuts and no rung's language:
+    spectra asks for the crossing order at n = m alone, both on a ladder
+    that climbs to the cap of 2000 ([0; (1, 3, 1, 8)], k = 1, m = 39, for
+    26) and on one refused there ([0; (60)], k = 1, m = 60)."""
+    monkeypatch.delenv("STURMIAN_SPECTRA_CAP", raising=False)
+    crossings = spectra._crossings
+    for text, m, want in ("[0; (1, 3, 1, 8)]", 39, 26), ("[0; (60)]", 60, (2040, 2000)):
+
+        def level_order_only(alpha, n, m=m):
+            assert n == m, f"the oracle sorted the length-{n} language"
+            return crossings(alpha, n)
+
+        monkeypatch.setattr(spectra, "_crossings", level_order_only)
+        try:
+            got = brute_kab_exponent(ContinuedFraction.parse(text).value(), 1, m)
+        except ResourceCapExceeded as exc:
+            got = exc.needed, exc.cap
+        assert got == want
 
 
 def _integer_power_exponent(cf, m):
