@@ -222,11 +222,12 @@ def _best_initial_run(
     that starts at cut J = j mod m, and when J = 0 block j//m - 1 also
     enters the one that starts at cut m.  A block that enters the interval
     of cut J leaves the one ending there, so its class id changes only
-    when J is a move, and the crossings j = b*m + J with J not a move
-    change no id.  The run is the number of leading blocks whose id equals
-    block 0's, a function of the ids alone, so the walk visits only the
-    crossings of moves, about (n/m)*|moves| of them, and reads the same
-    best as a walk through all n crossings.  The first word is coded at
+    when J is a move.  The walk visits the crossings j = b*m + J for the
+    moves J, a move m standing for J = 0 of block b+1, about
+    (n/m)*|moves| of them; every other crossing changes no id.  The run is
+    the number of leading blocks whose id equals block 0's, a function of
+    the ids alone, so each best equals that of a walk through all n
+    crossings.  The first word is coded at
     the convergent past n, its whole blocks looked up in `classes`; the
     visited crossings are put in circle order by their ranks -j*p mod q.
     After each, only the blocks that changed are compared again, and the
@@ -279,7 +280,6 @@ def _longest_block_run(alpha: QuadReal, m: int, keys, cap: int) -> int:
     """
     if 2 * m > cap:
         raise ResourceCapExceeded(2 * m, cap)
-    # Ladder of lengths: powers of two from 64, the first at least 4m, up to the cap
     length = 64
     while length < 4 * m and length < cap:
         length *= 2
