@@ -12,6 +12,14 @@ Every refusal (2, 3 or 4) comes before the first byte of stdout.
 
 `classes` writes its words as the crossing walk reaches them, one at a
 time, so its memory stays O(m) however long the output.
+
+An argv that starts with a command is parsed once, by parse_known_args on
+that command's parser, the very call the top-level parser makes for it.
+Every other argv -- one with arguments left over, an empty one, -h, an
+unknown command, an option before the command -- goes through the full
+top-level parse.  Each refusal and help text therefore comes from the
+parser that gives it in the full parse, so every exit code and message
+stays argparse's own, whatever the Python version.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .spectra import (
     sample_spectrum,
     theta_k,
 )
-from .spectra import _digit_cap, _digit_limit
+from .spectra import _digit_cap, _digit_limit, _power_of_ten
 
 EXIT_OK = 0
 EXIT_STDOUT_CLOSED = 1
@@ -84,12 +92,14 @@ class _Parser(argparse.ArgumentParser):
     """Reports a usage error by raising, so main can answer in JSON with
     exit 2; --help still prints and exits as argparse does."""
 
+    commands: dict[str, argparse.ArgumentParser]  # on the top-level parser: each command's parser
+
     def error(self, message: str):
         raise _UsageError(f"{self.prog}: {message}")
 
 
 @cache  # built once per process; parse_args keeps no state between calls
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> _Parser:
     parser = _Parser(
         prog="sturmian-spectra",
         description="Exact repetition thresholds of Sturmian words.",
@@ -161,7 +171,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lin.add_argument("--stages", type=_positive_int, default=4)
     add_format(p_lin, "text", "json")
 
+    parser.commands = sub.choices
     return parser
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """What _build_parser().parse_args(argv) gives, parsing a command with
+    nothing left over only once (see the module docstring)."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def _cmd_cf(args: argparse.Namespace) -> int:
@@ -171,7 +194,7 @@ def _cmd_cf(args: argparse.Namespace) -> int:
     if cf.is_rational:  # a finite expansion just ends early
         t_max = min(t_max, len(cf.preperiod) - 1)
     digits, whose = _digit_limit()
-    limit, convs = 10**digits, []
+    limit, convs = _power_of_ten(digits), []
     for t, (p, _, q, _) in enumerate(_folds(map(cf.partial_quotient, range(t_max + 1)))):
         if max(q, abs(p)) >= limit:  # refused before printing or folding any further
             raise _digit_cap(digits, whose, f"the convergent table to t = {t_max}")
@@ -399,7 +422,7 @@ _HANDLERS = {
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:
         return _error(EXIT_USAGE, "usage_error", str(exc))
     try:

@@ -20,7 +20,7 @@ import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from operator import sub
 
 from ._record import Record
@@ -743,7 +743,7 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
     if stages < 1:
         raise ValueError("need at least one stage")
     digits, whose = _digit_limit()
-    too_big = 10**digits // max(lam.numerator, lam.denominator)
+    too_big = _power_of_ten(digits) // max(lam.numerator, lam.denominator)
     quotients = [1, 1]  # position i holds a_{i+1}; padding value is 1
     # [0; a_1, a_2, ...] folded as it is planted: a_k is read when q_k is asked for
     folds = _folds(itertools.chain([0], map(quotients.__getitem__, itertools.count())))
@@ -787,6 +787,14 @@ def _digit_limit() -> tuple[int, str]:
     if digits:
         return digits, "the interpreter's int-to-str limit"
     return DIGIT_BUDGET, "the package's digit budget"
+
+
+@lru_cache(maxsize=1)
+def _power_of_ten(digits: int) -> int:
+    """10**digits, the least integer of more than _digit_limit() digits.
+    It has 4300 digits at the default limit, so it is built once per limit
+    value: the one kept is built again only when the limit changes."""
+    return 10**digits
 
 
 def _digit_cap(digits: int, whose: str, what: str) -> ResourceCapExceeded:

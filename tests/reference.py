@@ -9,7 +9,8 @@ shared ends alone decide equivalence, from the slope's distance to an
 integer; the pair coder one letter at a time; bound reports with one
 exponent per period; the least Lagrange denominator by folding every
 rotation of the cycle afresh; the output of `classes` built whole before
-it is written; and the balance of two binary words by counting."""
+it is written; a command line parsed whole by the top-level parser; and the
+balance of two binary words by counting."""
 
 import io
 import json
@@ -17,6 +18,7 @@ from collections import Counter
 from functools import cache
 
 from sturmian_spectra.cf import _convergent_past, _moebius, _quotients_of
+from sturmian_spectra.cli import _build_parser
 from sturmian_spectra.geometry import (
     Interval,
     IntervalFamily,
@@ -234,3 +236,9 @@ def classes_output(cf, k, m, output, emit_circle):
             for i, cut in enumerate(fam.cuts):
                 print(f"  {i}: {cut} = {cut.decimal()}", file=out)
     return out.getvalue()
+
+
+def full_parse(argv):
+    """The namespace of argv parsed whole by the top-level parser, whose
+    subparsers action hands the command's arguments on to its parser."""
+    return _build_parser().parse_args(argv)

@@ -18,6 +18,9 @@ from sturmian_spectra.cli import (
 )
 from sturmian_spectra.spectra import DIGIT_BUDGET, SPECTRUM_POOL_CAP
 
+from golden.regen import CLI_CASES
+from reference import full_parse
+
 FIB = "[0; 2, (1)]"
 
 
@@ -343,6 +346,43 @@ def test_no_interpreter_digit_limit_falls_back_to_the_package_budget(capsys, arg
     assert "interpreter" not in payload["message"]
 
 
+# limit -> (argv, exit code, the refusal's cap or None) for cf and linfty at
+# the t and stage where each is refused
+_SHARP_DIGIT_LIMITS = {
+    640: [(("cf", "[0; (1)]", "--t-max", "3063"), EXIT_OK, None),
+          (("cf", "[0; (1)]", "--t-max", "3064"), EXIT_RESOURCE, 640),
+          (("linfty", "7/3", "--stages", "11"), EXIT_OK, None),
+          (("linfty", "7/3", "--stages", "12"), EXIT_RESOURCE, 640)],
+    4300: [(("cf", "[0; (1)]", "--t-max", "3064"), EXIT_OK, None),
+           (("cf", "[0; (1)]", "--t-max", "21000"), EXIT_RESOURCE, 4300),
+           (("linfty", "7/3", "--stages", "14"), EXIT_OK, None),
+           (("linfty", "7/3", "--stages", "15"), EXIT_RESOURCE, 4300)],
+}
+_SHARP_DIGIT_LIMITS[0] = [(argv, code, cap and DIGIT_BUDGET)
+                          for argv, code, cap in _SHARP_DIGIT_LIMITS[4300]]
+
+
+def test_every_digit_limit_set_in_one_process_is_followed(capsys):
+    """The limit is read afresh by each call, so a process that changes it
+    is refused at each limit's own t and stage, under the name of its own
+    limit, and a power of ten kept from an earlier limit changes nothing."""
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in 640, 4300, 0, 640:
+            sys.set_int_max_str_digits(limit)
+            for argv, want, cap in _SHARP_DIGIT_LIMITS[limit]:
+                code, out, err = _run(capsys, *argv)
+                assert code == want, (limit, argv)
+                if cap is None:
+                    assert out and not err, (limit, argv)
+                    continue
+                payload = json.loads(err)["error"]
+                assert out == "" and payload["cap"] == cap, (limit, argv)
+                assert ("the package's digit budget" in payload["message"]) == (limit == 0)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def test_linfty_many_stages_stop_quickly():
     cmd = [sys.executable, "-m", "sturmian_spectra", "linfty", "7/3",
            "--stages", "30"]
@@ -466,6 +506,48 @@ def test_one_parser_serves_every_call_like_a_fresh_process(capsys, monkeypatch):
                                capture_output=True, text=True, env=os.environ)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert cli._build_parser() is cli._build_parser()
+
+
+_PARSE_ARGVS = [argv for argv, _ in CLI_CASES.values()] + [
+    ["theta", FIB, "-k", "2", "--bogus"],
+    ["theta", FIB, "extra", "-k", "2"],
+    ["theta", FIB, "-k", "2", "--", "x"],
+    ["theta", "--", FIB, "-k", "2"],
+    ["theta", FIB],
+    ["theta", FIB, "-k", "2", "--format", "csv"],
+    ["theta", FIB, "-k", "0"],
+    ["theta", FIB, "-k", "2", "-k", "3"],
+    ["theta", FIB, "-k2"],
+    ["spectrum", "-k", "2", "--base", FIB, "--pool=2"],
+    ["theta", FIB, "-k", "2", "--form", "json"],
+    ["theta", FIB, "-k", "2", "--he"],
+    ["exponent", "--help"],
+    ["--help"],
+    [],
+    ["nonesuch"],
+    ["--format", "json", "theta", FIB, "-k", "2"],
+]
+
+
+def _parse_outcome(capsys, parse, argv):
+    """The namespace parse gives argv, as a dict, or its usage error, or the
+    code it exits with; and what it printed."""
+    try:
+        outcome = vars(parse(argv))
+    except cli._UsageError as exc:
+        outcome = str(exc)
+    except SystemExit as exc:  # --help
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _PARSE_ARGVS)
+def test_one_pass_parse_matches_the_full_parse(capsys, monkeypatch, argv):
+    """Parsing a command on its own parser gives the namespace, the usage
+    error (named by the same prog), the help text and the exit code of the
+    full top-level parse."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    assert _parse_outcome(capsys, cli._parse, argv) == _parse_outcome(capsys, full_parse, argv)
 
 
 def test_repeated_runs_are_identical(capsys):
