@@ -16,10 +16,8 @@ it folds a continued fraction's own quotients (`_quotients`) or
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from itertools import chain, cycle
 from math import isqrt
 
@@ -37,10 +35,6 @@ class CFSyntaxError(ValueError):
 
 
 Convergent = namedtuple("Convergent", "t p q")
-
-
-_CF_OUTER = re.compile(r"\[(-?\d+)(?:;(.+))?\]")
-_CF_TAIL = re.compile(r"(?:(\d+(?:,\d+)*),)?\((\d+(?:,\d+)*)\)|(\d+(?:,\d+)*)")
 
 
 def _primitive_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,23 +118,41 @@ class ContinuedFraction:
 
     @classmethod
     def parse(cls, text: str) -> "ContinuedFraction":
-        compact = re.sub(r"\s+", "", text)
-        m = _CF_OUTER.fullmatch(compact)
-        if not m:
+        """The continued fraction spelled by text.
+
+        The grammar, once every whitespace character is dropped (those
+        `str.split()` splits on, Unicode ones such as U+0085 included), is
+        ``[a0]`` or ``[a0;tail]``.  a0 is a run of decimal digits with an
+        optional leading ``-``; tail is ``d,...,d``, ``d,...,d,(d,...,d)``
+        or ``(d,...,d)``, each d a run of decimal digits.  A decimal digit
+        is a character for which `str.isdecimal()` holds, so Unicode digits
+        such as U+0663 read as their values, while U+00B2 is no digit.
+        Text that is not ``[a0]`` or ``[a0;...]`` with a nonempty tail is
+        "not a continued fraction"; a tail outside the grammar is a
+        "malformed quotient list"; and a quotient past a0 below 1 is
+        refused last.  Each refusal is a CFSyntaxError.
+        """
+        compact = "".join(text.split())
+        head, semi, tail = compact[1:-1].partition(";")
+        bracketed = compact[:1] == "[" and compact[-1:] == "]"
+        if not (bracketed and head.removeprefix("-").isdecimal()) or (semi and not tail):
             raise CFSyntaxError(f"not a continued fraction: {text!r}")
-        pre = [int(m.group(1))]
-        tail = m.group(2)
-        per: list[int] = []
-        if tail is not None:
-            tm = _CF_TAIL.fullmatch(tail)
-            if not tm:
-                raise CFSyntaxError(f"malformed quotient list in {text!r}")
-            if tm.group(3) is not None:
-                pre += [int(x) for x in tm.group(3).split(",")]
+        pre, per = [int(head)], []
+        if semi:
+            lead, paren, cycle = tail.partition("(")
+            if paren:  # "(d,...)" or "d,...,(d,...)": drop the "," and the ")"
+                lists = [lead[:-1], cycle[:-1]] if lead else [cycle[:-1]]
+                ok = lead[-1:] in ("", ",") and cycle[-1:] == ")"
             else:
-                if tm.group(1):
-                    pre += [int(x) for x in tm.group(1).split(",")]
-                per = [int(x) for x in tm.group(2).split(",")]
+                lists, ok = [tail], True
+            runs = [part.split(",") for part in lists]
+            if not (ok and all(x.isdecimal() for run in runs for x in run)):
+                raise CFSyntaxError(f"malformed quotient list in {text!r}")
+            quotients = [list(map(int, run)) for run in runs]
+            if paren:
+                per = quotients.pop()
+            if quotients:
+                pre += quotients[0]
         if any(a < 1 for a in pre[1:]) or any(b < 1 for b in per):
             raise CFSyntaxError(f"partial quotients beyond a0 must be >= 1: {text!r}")
         return cls(pre, per)
@@ -166,7 +178,7 @@ class ContinuedFraction:
         """
         a, b, c, d = _moebius(self.preperiod)
         if self.is_rational:
-            return QuadReal.from_fraction(Fraction(a, c))
+            return QuadReal(a, 0, 0, c)
         P, D, R = _purely_periodic_value(self.period)
         u, v = a * P + b * R, c * P + d * R
         return QuadReal(u * v - a * c * D, (a * d - b * c) * R, D, v * v - c * c * D)

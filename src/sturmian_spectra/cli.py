@@ -25,12 +25,10 @@ stays argparse's own, whatever the Python version.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import cache
 
 from .cf import CFSyntaxError, ContinuedFraction, Convergent, _folds
@@ -211,6 +209,8 @@ def _cmd_cf(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc))
     elif args.output == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["t", "p", "q"])
         for c in convs:
@@ -354,6 +354,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
                 )
             )
     elif args.output == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["cf", "k", "theta_decimal"])
         for p in points:
@@ -366,6 +368,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_linfty(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
     try:
         lam = Fraction(args.target)
     except (ValueError, ZeroDivisionError) as exc:

@@ -21,7 +21,7 @@ analysis of the difference; see :func:`QuadReal.compare`.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt, ldexp
@@ -34,6 +34,7 @@ class MixedRadicandError(ValueError):
 
 
 _TRIAL_LIMIT = 1000
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -168,12 +169,16 @@ class QuadReal:
 
     @classmethod
     def from_fraction(cls, fr: Fraction | int) -> "QuadReal":
+        from fractions import Fraction
+
         fr = Fraction(fr)
         return cls(fr.numerator, 0, 0, fr.denominator)
 
     def to_fraction(self) -> Fraction:
         if self.q != 0:
             raise ValueError("value is irrational")
+        from fractions import Fraction
+
         return Fraction(self.p, self.r)
 
     @property
@@ -291,9 +296,14 @@ class QuadReal:
         # square q*q*d/r*r of its irrational part, with the sign of q; as
         # r > 0, a gcd brings each to one spelling, with no Fraction built
         # (every lru_cache lookup keyed on a slope hashes it).  A rational
-        # value hashes like the Fraction it equals.
+        # value p/r hashes like the Fraction it equals, by Python's numeric
+        # hash rule for rationals: |p| times the inverse of r modulo the
+        # prime P = sys.hash_info.modulus (sys.hash_info.inf when P divides
+        # r), reduced mod P, with the sign of p; hash() itself reads -1 as -2.
         if self.q == 0:
-            return hash(Fraction(self.p, self.r))
+            P = _HASH_MODULUS
+            h = abs(self.p) % P * pow(self.r, -1, P) % P if self.r % P else _HASH_INF
+            return h if self.p >= 0 else -h
         g, s, rr = gcd(self.p, self.r), self.q * self.q * self.d, self.r * self.r
         h = gcd(s, rr)
         return hash((self.p // g, self.r // g, s // h, rr // h, self.q > 0))
@@ -417,7 +427,10 @@ def _coerce(x) -> QuadReal | None:
         return x
     if isinstance(x, int):
         return QuadReal(x)
-    if isinstance(x, Fraction):
+    # no Fraction exists before the fractions module is loaded, so x is
+    # checked against it only if it is loaded, and it is not loaded here
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
         return QuadReal(x.numerator, 0, 0, x.denominator)
     return None
 

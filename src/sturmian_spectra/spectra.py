@@ -19,7 +19,6 @@ import os
 import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from functools import lru_cache, partial
 from operator import sub
 
@@ -630,6 +629,8 @@ def theta_limsup_estimate(cf: ContinuedFraction, k: int, t_max: int) -> LimsupEs
         raise ValueError("slope must be irrational")
     if t_max < 1:
         raise ValueError("t_max must be >= 1")
+    from fractions import Fraction
+
     qs = [q for _, _, q, _ in itertools.islice(_folds(cf._quotients()), t_max + 2)]
     # the floor at m = q_t is below 1/||q_t*alpha|| < q_t + q_{t+1} <= 2*q_{t_max+1}
     p, q = _convergent_past(cf._quotients(), 2 * qs[-1] * (qs[-1] + 1))
@@ -737,6 +738,8 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
     larger term; see _digit_limit) raises ResourceCapExceeded before the
     next, far larger, stage is computed.
     """
+    from fractions import Fraction
+
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("target must be a positive rational")

@@ -9,15 +9,23 @@ shared ends alone decide equivalence, from the slope's distance to an
 integer; the pair coder one letter at a time; bound reports with one
 exponent per period; the least Lagrange denominator by folding every
 rotation of the cycle afresh; the output of `classes` built whole before
-it is written; a command line parsed whole by the top-level parser; and the
-balance of two binary words by counting."""
+it is written; a command line parsed whole by the top-level parser; the
+balance of two binary words by counting; and continued fraction text parsed
+by two regular expressions."""
 
 import io
 import json
+import re
 from collections import Counter
 from functools import cache
 
-from sturmian_spectra.cf import _convergent_past, _moebius, _quotients_of
+from sturmian_spectra.cf import (
+    CFSyntaxError,
+    ContinuedFraction,
+    _convergent_past,
+    _moebius,
+    _quotients_of,
+)
 from sturmian_spectra.cli import _build_parser
 from sturmian_spectra.geometry import (
     Interval,
@@ -242,3 +250,33 @@ def full_parse(argv):
     """The namespace of argv parsed whole by the top-level parser, whose
     subparsers action hands the command's arguments on to its parser."""
     return _build_parser().parse_args(argv)
+
+
+_CF_OUTER = re.compile(r"\[(-?\d+)(?:;(.+))?\]")
+_CF_TAIL = re.compile(r"(?:(\d+(?:,\d+)*),)?\((\d+(?:,\d+)*)\)|(\d+(?:,\d+)*)")
+
+
+def regex_parse(text):
+    """ContinuedFraction.parse(text) by two regular expressions, one for the
+    brackets and a0 and one for the quotient list, on the text with every
+    whitespace run removed."""
+    compact = re.sub(r"\s+", "", text)
+    m = _CF_OUTER.fullmatch(compact)
+    if not m:
+        raise CFSyntaxError(f"not a continued fraction: {text!r}")
+    pre = [int(m.group(1))]
+    tail = m.group(2)
+    per: list[int] = []
+    if tail is not None:
+        tm = _CF_TAIL.fullmatch(tail)
+        if not tm:
+            raise CFSyntaxError(f"malformed quotient list in {text!r}")
+        if tm.group(3) is not None:
+            pre += [int(x) for x in tm.group(3).split(",")]
+        else:
+            if tm.group(1):
+                pre += [int(x) for x in tm.group(1).split(",")]
+            per = [int(x) for x in tm.group(2).split(",")]
+    if any(a < 1 for a in pre[1:]) or any(b < 1 for b in per):
+        raise CFSyntaxError(f"partial quotients beyond a0 must be >= 1: {text!r}")
+    return ContinuedFraction(pre, per)

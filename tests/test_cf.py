@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from sturmian_spectra.cf import CFSyntaxError, ContinuedFraction
 from sturmian_spectra.quadreal import QuadReal, sqrt
 
+from reference import regex_parse
+
 FIB = ContinuedFraction.parse("[0; 2, (1)]")
 GOLDEN_TAIL = ContinuedFraction.parse("[0; (1)]")
 SILVER = ContinuedFraction.parse("[0; (2)]")
@@ -186,6 +188,59 @@ cf_texts = st.tuples(
 def test_render_parse_round_trip(cf):
     """Rendering then parsing reproduces the canonical object."""
     assert ContinuedFraction.parse(cf.render()) == cf
+
+
+# characters that stand for a digit: Unicode decimal digits, which the grammar
+# reads as digits; a superscript that isdigit() takes for one and isdecimal()
+# does not; "+" and "_", which int() accepts and the grammar does not; 0, which
+# no quotient past a0 may be; and 7
+DIGIT_STANDINS = ["\u0663", "\uff13", "\u00b2", "+", "_", "0", "7"]
+# grammar characters, whitespace (Unicode included), empty groups and
+# trailing commas
+PARSE_FRAGMENTS = [
+    "[", "]", ";", ",", "(", ")", "-", " ", "\x1c", "\x85", "\n", "()", ",)", ",]", ",(", "",
+]
+
+
+@st.composite
+def mutated_cf_texts(draw):
+    """A rendered continued fraction with one of its digits replaced by a
+    digit stand-in, or the stand-in put before it, and then up to two of its
+    spans (each up to one character, or empty) replaced by a fragment."""
+    text = draw(cf_texts).render()
+    k = draw(st.sampled_from([k for k, c in enumerate(text) if c.isdigit()]))
+    text = text[:k] + draw(st.sampled_from(DIGIT_STANDINS)) + text[k + draw(st.integers(0, 1)) :]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(i + 1, len(text))))
+        text = text[:i] + draw(st.sampled_from(PARSE_FRAGMENTS)) + text[j:]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_parse_agrees_with_the_regex_reference_on_edge_texts():
+    for text in [
+        "", "[", "]", "[]", "[-]", "[--1]", "[+1]", "[1_0]", "[\u00b2]", "[0;\u00b2]",
+        "[\u0663; \uff13, (1)]", "\x1c[0;\x85(1)]\n", "[0; 1 0]", "[0;]", "[0; ]",
+        "[0;1;2]", "[0;1]]", "[[0]", "[0; -1]", "[0; (0)]", "[0; ()]", "[0; 1, ()]",
+        "[0;,(1)]", "[0;(1),]", "[0; 1,]", "[0; 1,,2]", "[0; (1,)]", "[0; 1(2)]",
+        "[0; (1)(2)]", "[0; (1), (2)]", "[0; ((1))]", "[0; 1)]", "[-0; 2, (1)]",
+    ]:
+        assert _parse_outcome(ContinuedFraction.parse, text) == _parse_outcome(regex_parse, text)
+
+
+@given(cf_texts.map(ContinuedFraction.render) | mutated_cf_texts())
+@settings(max_examples=400)
+def test_parse_agrees_with_the_regex_reference(text):
+    """The parser gives the continued fraction the regex reference gives, or
+    raises the same exception with the same message."""
+    assert _parse_outcome(ContinuedFraction.parse, text) == _parse_outcome(regex_parse, text)
 
 
 @given(cf_texts)

@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,49 @@ def test_the_command_line_loads_no_typing():
         timeout=30,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_the_library_loads_no_re_enum_or_fractions():
+    """In a fresh `python -S`, the library loads none of `re`, `enum`,
+    `fractions`, `decimal` or `numbers`, and the command line, whose
+    argparse and json load `re`, none of `fractions`, `decimal`, `numbers`
+    or `csv`.  The functions that build a Fraction, and the CSV writer,
+    then import what they need themselves."""
+    src = os.path.dirname(os.path.dirname(sturmian_spectra.__file__))
+    code = textwrap.dedent("""
+        import sys
+        import sturmian_spectra
+        unused = ("re", "enum", "fractions", "decimal", "numbers")
+        loaded = [m for m in unused if m in sys.modules]
+        assert not loaded, loaded
+        import sturmian_spectra.cli as cli
+        loaded = [m for m in ("fractions", "decimal", "numbers", "csv") if m in sys.modules]
+        assert not loaded, loaded
+
+        from sturmian_spectra import ContinuedFraction, QuadReal
+        from sturmian_spectra import construct_linfty_slope, theta_limsup_estimate
+        fib = ContinuedFraction.parse("[0; 2, (1)]")
+        estimate = theta_limsup_estimate(fib, 2, 5)
+        report = construct_linfty_slope("7/3", 3)
+        half = QuadReal(1, 0, 0, 2).to_fraction()
+        argv = ["spectrum", "-k", "2", "--base", "[0; (1)]", "--pool", "2", "--format", "csv"]
+        assert cli.main(argv) == 0
+
+        from fractions import Fraction
+        assert isinstance(estimate.estimate, Fraction) and isinstance(estimate.slack, Fraction)
+        assert isinstance(report.target, Fraction) and report.target == Fraction(7, 3)
+        assert all(isinstance(stage.ratio, Fraction) for stage in report.stages)
+        assert isinstance(half, Fraction) and half == Fraction(1, 2)
+    """)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("cf,k,theta_decimal\n"), done.stdout
 
 
 RECORDS = {

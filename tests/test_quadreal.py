@@ -1,6 +1,7 @@
 """Exact quadratic arithmetic: field ops, ordering, floor, printing."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -172,9 +173,36 @@ def test_json_round_trip_uses_strings_for_big_components():
     assert QuadReal(*(int(obj[key]) for key in "pqdr")) == x
 
 
+HASH_MODULUS = sys.hash_info.modulus
+# numerators and denominators up to 10**40, and multiples of the hash modulus,
+# where a denominator has no inverse and the hash is sys.hash_info.inf
+hash_numerators = st.integers(-(10**40), 10**40) | st.integers(-(10**20), 10**20).map(
+    lambda n: n * HASH_MODULUS
+)
+hash_denominators = st.integers(1, 10**40) | st.integers(1, 10**20).map(
+    lambda n: n * HASH_MODULUS
+)
+
+
 def test_hash_agrees_with_fraction_for_rationals():
     assert hash(QuadReal.from_fraction(Fraction(3, 7))) == hash(Fraction(3, 7))
     assert hash(QuadReal(4)) == hash(4)
+    P = HASH_MODULUS
+    for p, r in [(-1, 1), (1, P), (-1, P), (-P - 1, 1), (P - 1, 1), (0, 5), (-3, 2 * P)]:
+        assert hash(QuadReal(p, 0, 0, r)) == hash(Fraction(p, r))
+    assert hash(QuadReal(1, 0, 0, P)) == sys.hash_info.inf
+    assert hash(QuadReal(-1)) == hash(-1) == -2
+    assert {Fraction(1, 2): 1}[QuadReal(1, 0, 0, 2)] == 1
+    assert QuadReal(1, 0, 0, 2) == Fraction(1, 2) and Fraction(1, 2) == QuadReal(1, 0, 0, 2)
+
+
+@given(hash_numerators, hash_denominators)
+@settings(max_examples=300)
+def test_rational_hash_is_the_fraction_hash(p, r):
+    """A rational QuadReal hashes as the Fraction and the int it equals,
+    with no Fraction built, so either finds the other in a dict."""
+    assert hash(QuadReal(p, 0, 0, r)) == hash(Fraction(p, r))
+    assert hash(QuadReal(p, 0, 0, 1)) == hash(p)
 
 
 @given(rationals, rationals)
