@@ -29,6 +29,8 @@ from pathlib import Path
 from sturmian_spectra import cli
 from sturmian_spectra.cf import ContinuedFraction
 from sturmian_spectra.geometry import RIGHT_CLOSED
+from sturmian_spectra.kabelian import verify_ternary_property
+from sturmian_spectra.quadreal import QuadReal
 from sturmian_spectra.spectra import (
     ResourceCapExceeded,
     brute_kab_exponent,
@@ -39,6 +41,7 @@ from sturmian_spectra.spectra import (
     theta_k,
     theta_limsup_estimate,
 )
+from sturmian_spectra.words import SturmianSpec, sigma_factors_of_length
 
 TRANSCRIPT = Path(__file__).with_name("transcript.txt")
 CAP_ENV = "STURMIAN_SPECTRA_CAP"
@@ -132,6 +135,15 @@ def _library_cases() -> dict:
         cases[f"lib/sample_spectrum/{name}"] = lambda cf=cf: sample_spectrum(3, cf, 5)
         cases[f"lib/brute_kab_exponent/{name}/sweep"] = lambda alpha=alpha: [
             _brute_or_refusal(alpha, k, m) for k in range(1, 5) for m in range(1, 41)]
+        for n in 1, 2, 7, 40, 150:
+            cases[f"lib/sigma_factors_of_length/{name}/n{n}"] = (
+                lambda alpha=alpha, n=n: sigma_factors_of_length(alpha, n))
+    for name in "fib", "spike":
+        spec = SturmianSpec(ContinuedFraction.parse(SLOPES[name]).value(), QuadReal(0))
+        for k in 2, 3:
+            for max_len in 30, 60:
+                cases[f"lib/verify_ternary_property/{name}/k{k}/len{max_len}"] = (
+                    lambda spec=spec, k=k, max_len=max_len: verify_ternary_property(spec, k, max_len))
     for name, (text, k, m) in BRUTE_CASES.items():
         cases[f"lib/brute_kab_exponent/{name}"] = (
             lambda text=text, k=k, m=m: _brute_or_refusal(ContinuedFraction.parse(text).value(), k, m))
