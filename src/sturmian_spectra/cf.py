@@ -38,11 +38,12 @@ Convergent = namedtuple("Convergent", "t p q")
 
 
 def _primitive_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
+    """The shortest prefix whose repeats make the nonempty cycle; at the
+    latest, length n matches."""
     n = len(cycle)
     for length in range(1, n + 1):
         if n % length == 0 and cycle[:length] * (n // length) == cycle:
             return cycle[:length]
-    return cycle
 
 
 class ContinuedFraction:

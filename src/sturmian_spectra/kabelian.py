@@ -272,13 +272,12 @@ def verify_ternary_property(spec: SturmianSpec, k: int, max_len: int) -> Ternary
     for ell in range(1, max_len + 1):
         words = sigma_factors_of_length(spec.alpha, ell)
         width, digits = _digits(words)
-        keys = _keys(digits, ell, k, width)
         edge = min(ell, k - 1)
+        word_ends = [(w[:edge], w[ell - edge :]) for w in words]
+        rows = list(zip(words, _keys(digits, ell, k, width), word_ends))
         pairs += len(words) * (len(words) - 1) // 2
-        for i, u in enumerate(words):
-            for j in range(i + 1, len(words)):
-                v = words[j]
-                same_ends = u[:edge] == v[:edge] and u[ell - edge :] == v[ell - edge :]
-                if (keys[i] == keys[j]) != same_ends:
+        for i, (u, key, ends) in enumerate(rows):
+            for v, other_key, other_ends in rows[i + 1 :]:
+                if (key == other_key) != (ends == other_ends):
                     found.append((u, v))
     return TernaryReport(k, max_len, pairs, found)

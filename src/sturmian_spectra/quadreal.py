@@ -270,10 +270,8 @@ class QuadReal:
         a = self.p * other.r - other.p * self.r
         b = self.q * other.r
         c = -other.q * self.r
-        sx = _sign_pair(a, b, self.d)
+        sx = _sign_pair(a, b, self.d)  # never 0: b != 0 and d > 1 is no square
         sy = _sign(c)
-        if sx == 0:
-            return sy
         if sy == 0 or sx == sy:
             return sx
         s = _sign_pair(a * a + b * b * self.d - c * c * other.d, 2 * a * b, self.d)

@@ -199,27 +199,26 @@ def occurrences(w: str, u: str) -> int:
     return count
 
 
-_SIGMA = {"0": "02", "1": "1"}
-
-
 def sigma_image(w: str) -> str:
     """Image under the substitution 0 -> 02, 1 -> 1."""
-    try:
-        return "".join(_SIGMA[ch] for ch in w)
-    except KeyError:
-        raise ValueError("substitution acts on binary words") from None
+    if w.count("0") + w.count("1") != len(w):
+        raise ValueError("substitution acts on binary words")
+    return w.replace("0", "02")
 
 
-@lru_cache(maxsize=64)
 def sigma_factors_of_length(alpha: QuadReal, n: int) -> tuple[str, ...]:
     """All length-n factors of the substituted coding, sorted.
 
-    Every length-n window of sigma(s) sits inside the image of a length
-    n+1 factor of s, and conversely every window of such an image occurs
-    in sigma(s), so collecting windows over all of them is exact.
+    A window of sigma(s) starts on a letter's image or on the 2 of a 0's
+    image, so it is img[0:n] or img[1:n+1] of the image of the length-(n+1)
+    factor that starts there, which has at least n+1 letters.  Each such
+    slice occurs in sigma(s), so these two windows per image are the
+    language (at an image that starts with 1, the slice at 1 is the slice
+    at 0 of the factor one letter on).  The n+2 images have at most
+    2(n+1) letters each, so the budget of the length-(n+1) language, which
+    is decoded and refused past LANGUAGE_SYMBOL_CAP, bounds this one too.
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
     images = map(sigma_image, _factor_words(alpha, n + 1))
-    windows = {img[i : i + n] for img in images for i in range(len(img) - n + 1)}
-    return tuple(sorted(windows))
+    return tuple(sorted({img[i : i + n] for img in images for i in (0, 1)}))

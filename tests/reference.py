@@ -10,8 +10,9 @@ integer; the pair coder one letter at a time; bound reports with one
 exponent per period; the least Lagrange denominator by folding every
 rotation of the cycle afresh; the output of `classes` built whole before
 it is written; a command line parsed whole by the top-level parser; the
-balance of two binary words by counting; and continued fraction text parsed
-by two regular expressions."""
+balance of two binary words by counting; continued fraction text parsed
+by two regular expressions; the sigma-image language by every window of
+every image; and the ternary report by four slices per pair."""
 
 import io
 import json
@@ -36,9 +37,10 @@ from sturmian_spectra.geometry import (
     _rank_gaps,
     ikm_intervals,
 )
-from sturmian_spectra.kabelian import classify_by_intervals
+from sturmian_spectra.kabelian import TernaryReport, _digits, _keys, classify_by_intervals
 from sturmian_spectra.quadreal import dist_to_int
 from sturmian_spectra.spectra import BoundReport, _covered_floor
+from sturmian_spectra.words import _factor_words, sigma_image
 
 
 def sorted_family(points):
@@ -280,3 +282,37 @@ def regex_parse(text):
     if any(a < 1 for a in pre[1:]) or any(b < 1 for b in per):
         raise CFSyntaxError(f"partial quotients beyond a0 must be >= 1: {text!r}")
     return ContinuedFraction(pre, per)
+
+
+def sigma_window_scan(alpha, n):
+    """sigma_factors_of_length by every window: every length-n window of the
+    image of each length-(n+1) factor, deduplicated and sorted."""
+    if n < 1:
+        raise ValueError("factor length must be >= 1")
+    images = map(sigma_image, _factor_words(alpha, n + 1))
+    windows = {img[i : i + n] for img in images for i in range(len(img) - n + 1)}
+    return tuple(sorted(windows))
+
+
+def ternary_by_pairs(spec, k, max_len, language=sigma_window_scan):
+    """verify_ternary_property over `language`(alpha, ell) for each length
+    ell, with four slices per pair: each pair of words whose equal keys
+    disagree with equal ends of length min(ell, k-1) is a counterexample."""
+    if k < 2:
+        raise ValueError("the substituted coding property needs k >= 2")
+    if "00" not in _factor_words(spec.alpha, 2):
+        raise ValueError("slope's coding must contain 00 (slope below 1/2)")
+    pairs, found = 0, []
+    for ell in range(1, max_len + 1):
+        words = language(spec.alpha, ell)
+        width, digits = _digits(words)
+        keys = _keys(digits, ell, k, width)
+        edge = min(ell, k - 1)
+        pairs += len(words) * (len(words) - 1) // 2
+        for i, u in enumerate(words):
+            for j in range(i + 1, len(words)):
+                v = words[j]
+                same_ends = u[:edge] == v[:edge] and u[ell - edge :] == v[ell - edge :]
+                if (keys[i] == keys[j]) != same_ends:
+                    found.append((u, v))
+    return TernaryReport(k, max_len, pairs, found)

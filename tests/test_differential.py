@@ -17,7 +17,9 @@ reach a list, is played against one exponent per period, and its
 three-gap walk against testing every period of a window; the pair coder
 against stepping its rotation letter by letter, and the Lagrange denominator by conjugation against folding every
 rotation, and spectrum points, which share one Lagrange constant,
-against theta_k.
+against theta_k.  The sigma-image language, two windows per image, is
+played against every window of every image, and the ternary report, one
+slice of each word's ends per length, against four slices per pair.
 """
 
 import io
@@ -35,7 +37,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sturmian_spectra import cli, spectra
+from sturmian_spectra import cli, kabelian, spectra
 from sturmian_spectra._record import Record
 from sturmian_spectra.cf import (
     ContinuedFraction,
@@ -65,6 +67,7 @@ from sturmian_spectra.kabelian import (
     classify_brute,
     classify_by_intervals,
     kab_equivalent,
+    verify_ternary_property,
 )
 from sturmian_spectra.quadreal import QuadReal, _common_radicand, dist_to_int
 from sturmian_spectra.spectra import (
@@ -92,6 +95,7 @@ from sturmian_spectra.words import (
     _factor_words,
     _factors_of_length,
     factors_of_length,
+    sigma_factors_of_length,
     sigma_image,
     sturmian_prefix,
 )
@@ -106,7 +110,9 @@ from reference import (
     least_rotation_denominator,
     longest_by_index_sort,
     midpoint,
+    sigma_window_scan,
     sorted_family,
+    ternary_by_pairs,
     tree_key,
 )
 
@@ -1311,3 +1317,50 @@ def test_pair_coder_by_wrap_positions_matches_the_letter_loop(cf, pair, n, zero_
     for x in (alpha, 1 - alpha):
         got = _code_pair(*_convergent_past(_quotients_of(x), abs(b) + d * n), a, b, d, n, zero_in_i0)
         assert got == code_pair_by_letter(x, a, b, d, n, zero_in_i0)
+
+
+@given(shifted_cfs | spiked_cfs, st.integers(1, 120))
+@example(ContinuedFraction([0, 2], [1]), 120)
+@settings(max_examples=150, deadline=None)
+def test_sigma_language_from_two_windows_per_image_matches_every_window(cf, n):
+    """The slices at 0 and 1 of each image of a length-(n+1) factor are
+    every length-n window of every such image, on slopes with any integer
+    part."""
+    alpha = cf.value()
+    assert sigma_factors_of_length(alpha, n) == sigma_window_scan(alpha, n)
+
+
+# slopes below 1/2, whose codings contain 00
+ternary_specs = st.builds(
+    lambda a1, pre, period: SturmianSpec(ContinuedFraction([0, a1, *pre], period).value(), QuadReal(0)),
+    st.integers(2, 30),
+    st.lists(st.integers(1, 30), max_size=2),
+    st.lists(st.integers(1, 30), min_size=1, max_size=8),
+)
+
+
+@given(ternary_specs, st.integers(2, 4), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_ternary_report_matches_the_pair_loop(spec, k, max_len):
+    """verify_ternary_property equals the pair loop with four slices per
+    pair over the window scan's languages."""
+    assert verify_ternary_property(spec, k, max_len) == ternary_by_pairs(spec, k, max_len)
+
+
+@given(ternary_specs, st.integers(2, 4), st.integers(1, 8), st.data())
+@settings(max_examples=100, deadline=None)
+def test_ternary_counterexamples_come_in_pair_order(spec, k, max_len, data):
+    """With drawn ternary word lists in place of the sigma-languages, where
+    keys and ends often disagree, the report lists the pair loop's
+    counterexamples in the pair loop's order."""
+    lists = {
+        ell: sorted(data.draw(st.sets(st.text("012", min_size=ell, max_size=ell), max_size=12)))
+        for ell in range(1, max_len + 1)
+    }
+
+    def language(alpha, ell):
+        return lists[ell]
+
+    with mock.patch.object(kabelian, "sigma_factors_of_length", language):
+        report = verify_ternary_property(spec, k, max_len)
+    assert report == ternary_by_pairs(spec, k, max_len, language)

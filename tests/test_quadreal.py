@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,36 @@ def test_decimal_short_and_edge_cases():
     assert QuadReal(2, 0, 0, 3).decimal(5) == "0.66667"  # round half up
     assert (-sqrt(2)).decimal(4) == "-1.414"
     assert QuadReal(1, 0, 0, 400).decimal(3) == "0.00250"
+
+
+def _decimal_module_value(x, digits=None):
+    """x by the decimal module at 120 digits, then rounded half up to
+    `digits` significant digits when given."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        value = (x.p + x.q * Decimal(x.d).sqrt()) / x.r
+        if digits is not None:
+            ctx.prec, ctx.rounding = digits, ROUND_HALF_UP
+            value = +value
+    return value
+
+
+def test_decimal_scales_down_and_carries_like_the_decimal_module():
+    """More integer digits than significant ones scale the value down (a
+    negative shift), and a rounding that carries adds a digit and moves
+    the point; both agree with the decimal module."""
+    for x, digits, text in (
+        (QuadReal(123456), 3, "123000"),
+        (QuadReal(99999), 3, "100000"),
+        (QuadReal(0, 1, 999999, 100), 3, "10.0"),
+    ):
+        assert x.decimal(digits) == text == f"{_decimal_module_value(x, digits):f}"
+
+
+def test_float_of_a_large_value_is_correctly_rounded():
+    """Past 64 bits the value is scaled down before its floor is taken."""
+    x = 10**30 * sqrt(2)
+    assert float(x) == float(_decimal_module_value(x))
 
 
 def test_float_is_correctly_rounded_under_cancellation():
