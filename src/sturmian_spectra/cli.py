@@ -236,7 +236,7 @@ def _write_classes(walk, open_class, between: str, close_class) -> None:
     close_class(i) after its last word, so no word outlives its write."""
     write = sys.stdout.write
     i = -1
-    for opens, letters in walk:
+    for opens, word in walk:
         if opens:
             if i >= 0:
                 write(close_class(i))
@@ -244,7 +244,7 @@ def _write_classes(walk, open_class, between: str, close_class) -> None:
             write(open_class(i))
         else:
             write(between)
-        write(letters.decode())
+        write(word)
     write(close_class(i))
 
 

@@ -61,13 +61,14 @@ question about circle ranks alone: the factor at rank r belongs to the
 coarse cut of largest rank <= r.  classify_by_intervals exploits that and
 classify_brute ignores it, so the two can be played against each other.
 The brute oracle of the spectra module ignores it too.  It keys the m+1
-length-m factors of its slope up front, as integers flipped off the
-level-m crossing order, every m-block of a longer factor being one of
-them, and takes from the keys alone the moves: the level-m cuts where the
-class changes, in circle order.  An m-block of a longer factor is the
-length-m factor at a shifted point, so it changes class only where that
-point crosses a move, and the walk along a longer language visits those
-crossings and no other, with no string and no sort of the language.
+length-m factors of its slope up front, as integers read off one text by
+the window lemma of the words module docstring, every m-block of a longer
+factor being one of them, and takes from the keys alone the moves: the
+level-m cuts where the class changes, in circle order.  An m-block of a
+longer factor is the length-m factor at a shifted point, so it changes
+class only where that point crosses a move, and the walk along a longer
+language visits those crossings and no other, with no string and no sort
+of the language.
 """
 
 from __future__ import annotations
@@ -226,21 +227,21 @@ def classify_by_intervals(
     accepted and changes nothing: no point is coded here.
     """
     members: list[list[str]] = []
-    for opens, letters in _class_walk(alpha, k, m):
+    for opens, word in _class_walk(alpha, k, m):
         if opens:
             members.append([])
-        members[-1].append(letters.decode())
+        members[-1].append(word)
     return [FactorClass(k, m, tuple(ws), i) for i, ws in enumerate(members)]
 
 
-def _class_walk(alpha: QuadReal, k: int, m: int) -> Iterator[tuple[bool, bytearray]]:
-    """(opens, letters) for each length-m factor in circle order, off the
-    words module's crossing walk: `letters` is the walk's one buffer, and
-    `opens` says that the factor's cut is a coarse cut, so that it opens the
-    next class (cut 0, which comes first, always does).  The budget and the
-    coarse indices are checked when this is called, before any word."""
+def _class_walk(alpha: QuadReal, k: int, m: int) -> Iterator[tuple[bool, str]]:
+    """(opens, word) for each length-m factor in circle order, off the words
+    module's crossing walk: `opens` says that the factor's cut is a coarse
+    cut, so that it opens the next class (cut 0, which comes first, always
+    does).  The budget and the coarse indices are checked when this is
+    called, before any word."""
     coarse = set(_coarse_indices(k, m))
-    return ((j in coarse, letters) for j, letters in _language_walk(alpha, m))
+    return ((j in coarse, word) for j, word in _language_walk(alpha, m))
 
 
 class TernaryReport(Record):

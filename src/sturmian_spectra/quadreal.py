@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt, ldexp
+from math import gcd, isqrt, ldexp, prod
 
 __all__ = ["QuadReal", "MixedRadicandError", "sqrt", "dist_to_int"]
 
@@ -33,7 +33,7 @@ class MixedRadicandError(ValueError):
     """Arithmetic attempted between values of distinct quadratic fields."""
 
 
-_TRIAL_LIMIT = 1000
+_SMALL_PRIME_LIMIT = 1000
 _HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
 
 
@@ -46,28 +46,32 @@ def _primes_below(n: int) -> tuple[int, ...]:
     return tuple(compress(range(n), sieve))
 
 
-_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+_SMALL_PRIMES = _primes_below(_SMALL_PRIME_LIMIT)
+_SMALL_PRIMORIAL = prod(_SMALL_PRIMES)
 
 
 @lru_cache(maxsize=1024)
 def _split_radicand(n: int) -> tuple[int, int]:
     """Write n >= 1 as f*f*d; d == 1 exactly when n is a perfect square.
 
-    Trial division pulls out the primes below _TRIAL_LIMIT, and one isqrt
-    test on the cofactor decides whether it is a square.  Any d > 1 then
-    has no square prime factor below _TRIAL_LIMIT but may keep a larger one.
+    The primes below _SMALL_PRIME_LIMIT come out by gcds in layers: g_1 =
+    gcd(n, their product), and g_(e+1) = gcd(n / (g_1*...*g_e), g_e), so
+    g_e is the product of the small primes that divide n at least e times.
+    Such a prime of exponent v lies in g_1..g_v, so f takes the product of
+    the even layers and d each odd layer's g_e / g_(e+1).  One isqrt test
+    on the cofactor decides whether it is a square.  Any d > 1 then has no
+    square prime factor below _SMALL_PRIME_LIMIT but may keep a larger one.
     """
     f = d = 1
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            f *= p ** (e // 2)
-            d *= p ** (e % 2)
+    g, e = gcd(n, _SMALL_PRIMORIAL), 1
+    while g > 1:
+        n //= g
+        h = gcd(n, g)
+        if e % 2:
+            d *= g // h
+        else:
+            f *= g
+        g, e = h, e + 1
     s = isqrt(n)
     if s * s == n:
         return f * s, d

@@ -185,19 +185,14 @@ def _block_classes(alpha: QuadReal, m: int, keys) -> tuple[dict[int, int], list[
     is the class id of the factor whose level-m interval starts at cut J;
     the moves are the cuts J whose class differs from that of the cut
     before them in circle order, the last cut coming before cut 0.  The
-    factors are read off the level-m crossing order, the first word
-    flipped two bits per crossing; every m-block of a longer factor is one
-    of them, and _best_initial_run's docstring says why its walk needs
-    only the moves."""
-    first, order, _, _ = _crossings(alpha, m)
-    top = 1 << (m - 1)
-    block = int(first, 2)
-    blocks = [block]
-    for j in order[1:]:
-        block |= top >> (j - 1)  # entering the arc of letter j-1
-        if j < m:
-            block &= ~(top >> j)  # leaving the arc of letter j
-        blocks.append(block)
+    factor at cut J is the window at offset m-J of the level-m text (the
+    window lemma of the words module docstring), so its integer is the
+    text's shifted right by J; every m-block of a longer factor is one of
+    them, and _best_initial_run's docstring says why its walk needs only
+    the moves."""
+    text, order, _, _ = _crossings(alpha, m)
+    letters, mask = int(text, 2), (1 << m) - 1
+    blocks = [letters >> j & mask for j in order]
     ids: dict = {}
     circle = [ids.setdefault(key, len(ids)) for key in keys(blocks)]
     at = [0] * (m + 1)

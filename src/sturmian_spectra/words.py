@@ -18,22 +18,24 @@ which is letter i = 1 under the left-closed convention, and in
 which is letter i = 1 under the right-closed one.  Both say that the
 rotation wraps past a multiple of D*q on its step from r_i, so _code_pair
 places each letter 1 by one floor division at its wrap and never steps
-letter by letter.  It is the only coder: prefixes, language first words
-and exponent witnesses all call it on their integer pair.
+letter by letter.  It is the only coder: prefixes, language texts and
+exponent witnesses all call it on their integer pair.
 
 Factors of length n need nothing more: the level-n family, cut at
 {-j*alpha} for 0 <= j <= n, has one interval per length-n factor, and
-geometry orders those cuts by the same lemma.  The first interval starts
-at cut 0, so its word is the coding of intercept 0 (K = 0, D = 1, with
-the order's p and q), and crossing the cut {-j*alpha} only turns letter
-j-1 into 1 and letter j into 0.  So a language is kept as its first word
-and crossing order, O(n), sorted once with one convergent that also codes
-the first word and cuts the level family, and one bytearray walked through
-the crossings holds each factor in turn: no sampling, no sign tests, and
-no QuadReal.  Decoding every factor takes (n+1)*n symbols, refused past
-LANGUAGE_SYMBOL_CAP; the brute oracle decodes none, as it flips the
-length-m factors' integers two bits per level-m crossing and walks a
-longer language on class ids alone.
+geometry orders those cuts by the same lemma.  Window lemma: the factor of
+the interval that starts at cut j is the window text[n-j : 2n-j] of the 2n
+letters coded from intercept -n*alpha.  Indeed the coding is constant on
+[{-j*alpha}, next cut) under the left-closed convention, so that factor is
+the coding of intercept -j*alpha, whose letter i codes the point
+(i-j)*alpha, and so does letter n-j+i of the text.  So a language is kept
+as its text (K = -n*p, D = 1) and crossing order, O(n), coded and sorted
+with one convergent past 3n that also cuts the level family, and each
+factor is one slice: no sampling, no sign tests, and no QuadReal.  Slicing
+every factor takes (n+1)*n symbols, refused past LANGUAGE_SYMBOL_CAP; the
+brute oracle slices none, as it reads the length-m factors' integers as
+shifts of the text's integer and walks a longer language on class ids
+alone.
 """
 
 from __future__ import annotations
@@ -123,29 +125,26 @@ def sturmian_prefix(spec: SturmianSpec, n: int) -> str:
 
 @lru_cache(maxsize=8)
 def _crossings(alpha: QuadReal, n: int) -> tuple[str, list[int], int, int]:
-    """The length-n language in O(n): its first word (intercept 0's coding),
-    the cuts 0..n in circle order, 0 first, and the first convergent p/q
-    past n that orders them, as in geometry.  The coder and the level family
-    share this one order and convergent.  The endpoint convention changes
-    none of them, so it is no key."""
-    p, q = _convergent_past(_quotients_of(alpha), n)
-    return _code_pair(p, q, 0, 0, 1, n, True), _circle_order(range(n + 1), p, q), p, q
+    """The length-n language in O(n): its text, the 2n letters from intercept
+    -n*alpha whose window text[n-j : 2n-j] is the factor at cut j (see the
+    module docstring), the cuts 0..n in circle order, 0 first, and the first
+    convergent p/q past 3n, which codes the text and orders the cuts, as in
+    geometry.  The coder and the level family share this one order and
+    convergent.  The endpoint convention changes none of them, so it is no
+    key."""
+    p, q = _convergent_past(_quotients_of(alpha), 3 * n)
+    return _code_pair(p, q, 0, -n, 1, 2 * n, True), _circle_order(range(n + 1), p, q), p, q
 
 
-def _crossing_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, bytearray]]:
-    """(j, letters) for each cut j in circle order: one bytearray, changed in
-    place, holds the factor whose level-n interval starts at cut j."""
-    first, order, _, _ = _crossings(alpha, n)
-    letters = bytearray(first, "ascii")
-    yield 0, letters
-    for j in order[1:]:
-        letters[j - 1] = 49  # ord("1"): entering the arc of letter j-1
-        if j < n:
-            letters[j] = 48  # ord("0"): leaving the arc of letter j
-        yield j, letters
+def _crossing_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, str]]:
+    """(j, word) for each cut j in circle order, word the factor whose
+    level-n interval starts at cut j, sliced off the text of _crossings."""
+    text, order, _, _ = _crossings(alpha, n)
+    for j in order:
+        yield j, text[n - j : 2 * n - j]
 
 
-def _language_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, bytearray]]:
+def _language_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, str]]:
     """_crossing_walk(alpha, n) for a walk that visits every factor: refused
     when called, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
     if n < 1:
@@ -157,9 +156,9 @@ def _language_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, bytearray]]:
 
 
 def _factor_words(alpha: QuadReal, n: int) -> Iterator[str]:
-    """The n+1 length-n factors in circle order, decoded off the crossing
-    walk; refused, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
-    return (letters.decode() for _, letters in _language_walk(alpha, n))
+    """The n+1 length-n factors in circle order, off the crossing walk;
+    refused, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
+    return (word for _, word in _language_walk(alpha, n))
 
 
 def factors_of_length(
@@ -216,7 +215,7 @@ def sigma_factors_of_length(alpha: QuadReal, n: int) -> tuple[str, ...]:
     language (at an image that starts with 1, the slice at 1 is the slice
     at 0 of the factor one letter on).  The n+2 images have at most
     2(n+1) letters each, so the budget of the length-(n+1) language, which
-    is decoded and refused past LANGUAGE_SYMBOL_CAP, bounds this one too.
+    is sliced and refused past LANGUAGE_SYMBOL_CAP, bounds this one too.
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")

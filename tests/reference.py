@@ -12,13 +12,17 @@ rotation of the cycle afresh; the output of `classes` built whole before
 it is written; a command line parsed whole by the top-level parser; the
 balance of two binary words by counting; continued fraction text parsed
 by two regular expressions; the sigma-image language by every window of
-every image; and the ternary report by four slices per pair."""
+every image; the ternary report by four slices per pair; the factors at
+the level cuts by one buffer flipped two bits per crossing, and the
+oracle's length-m blocks by integers flipped alike; and a radicand's
+square part by trial division."""
 
 import io
 import json
 import re
 from collections import Counter
 from functools import cache
+from math import isqrt
 
 from sturmian_spectra.cf import (
     CFSyntaxError,
@@ -38,9 +42,9 @@ from sturmian_spectra.geometry import (
     ikm_intervals,
 )
 from sturmian_spectra.kabelian import TernaryReport, _digits, _keys, classify_by_intervals
-from sturmian_spectra.quadreal import dist_to_int
+from sturmian_spectra.quadreal import _SMALL_PRIMES, dist_to_int
 from sturmian_spectra.spectra import BoundReport, _covered_floor
-from sturmian_spectra.words import _factor_words, sigma_image
+from sturmian_spectra.words import _code_pair, _factor_words, sigma_image
 
 
 def sorted_family(points):
@@ -316,3 +320,63 @@ def ternary_by_pairs(spec, k, max_len, language=sigma_window_scan):
                 if (keys[i] == keys[j]) != same_ends:
                     found.append((u, v))
     return TernaryReport(k, max_len, pairs, found)
+
+
+def crossing_walk_by_flips(alpha, n):
+    """(j, letters) for each cut j in circle order, on the first convergent
+    past n: one bytearray, changed in place, holds the factor whose level-n
+    interval starts at cut j, the coding of intercept 0 at cut 0 and two
+    letters flipped per crossing after it."""
+    p, q = _convergent_past(_quotients_of(alpha), n)
+    order = _circle_order(range(n + 1), p, q)
+    letters = bytearray(_code_pair(p, q, 0, 0, 1, n, True), "ascii")
+    yield 0, letters
+    for j in order[1:]:
+        letters[j - 1] = 49  # ord("1"): entering the arc of letter j-1
+        if j < n:
+            letters[j] = 48  # ord("0"): leaving the arc of letter j
+        yield j, letters
+
+
+def block_classes_by_flips(alpha, m, keys):
+    """spectra._block_classes with each length-m factor's integer flipped
+    two bits per crossing off the first word, in the order of
+    crossing_walk_by_flips."""
+    p, q = _convergent_past(_quotients_of(alpha), m)
+    order = _circle_order(range(m + 1), p, q)
+    top = 1 << (m - 1)
+    block = int(_code_pair(p, q, 0, 0, 1, m, True), 2)
+    blocks = [block]
+    for j in order[1:]:
+        block |= top >> (j - 1)  # entering the arc of letter j-1
+        if j < m:
+            block &= ~(top >> j)  # leaving the arc of letter j
+        blocks.append(block)
+    ids = {}
+    circle = [ids.setdefault(key, len(ids)) for key in keys(blocks)]
+    at = [0] * (m + 1)
+    for j, c in zip(order, circle):
+        at[j] = c
+    moves = [j for j, c, before in zip(order, circle, circle[-1:] + circle) if c != before]
+    return dict(zip(blocks, circle)), at, moves
+
+
+def split_radicand_by_trial(n):
+    """quadreal._split_radicand by trial division: each prime below 1000
+    divided out while it divides n, up to the first whose square passes the
+    cofactor, then one isqrt test on the cofactor."""
+    f = d = 1
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            f *= p ** (e // 2)
+            d *= p ** (e % 2)
+    s = isqrt(n)
+    if s * s == n:
+        return f * s, d
+    return f, d * n

@@ -91,6 +91,7 @@ from sturmian_spectra.spectra import (
 from sturmian_spectra.words import (
     SturmianSpec,
     _code_pair,
+    _crossing_walk,
     _crossings,
     _factor_words,
     _factors_of_length,
@@ -102,10 +103,12 @@ from sturmian_spectra.words import (
 
 import reference
 from reference import (
+    block_classes_by_flips,
     bound_check_by_period,
     classes_output,
     code_pair_by_letter,
     counter_signature,
+    crossing_walk_by_flips,
     kab_equivalent_counts,
     least_rotation_denominator,
     longest_by_index_sort,
@@ -148,6 +151,15 @@ expansion_cfs = st.builds(
     st.just(0) | st.integers(-3, 3),
     st.lists(one_often, min_size=1, max_size=3),
     st.lists(one_often, min_size=1, max_size=6),
+)
+# the window lemma's strata: a_0 != 0, a slope above 1/2 (a_1 = 1) and
+# one quotient of 100 or more, each about half the time
+window_cfs = st.builds(
+    lambda a0, a1, big, period: ContinuedFraction([a0, a1, *big], period),
+    st.just(0) | st.sampled_from([-2, 1, 3]),
+    one_often,
+    st.lists(st.integers(100, 500), max_size=1),
+    st.lists(one_often, min_size=1, max_size=4),
 )
 SPIKE = ContinuedFraction([0, 3, 1, 1, 1, 100], [1])
 FIB = ContinuedFraction([0, 2], [1])  # q_t = 1, 2, 3, 5, 8, ..., 55, 89, ...
@@ -601,14 +613,40 @@ def _ladder_outcome(alpha, m, keys, cap):
         return ("cap", exc.needed, exc.cap)
 
 
+def _check_windows(alpha, n, keys):
+    """The windows of the level-n text and the oracle's blocks shifted off
+    its integer, against one buffer and one integer flipped two bits per
+    crossing."""
+    flipped = [(j, letters.decode()) for j, letters in crossing_walk_by_flips(alpha, n)]
+    assert list(_crossing_walk(alpha, n)) == flipped
+    assert _block_classes(alpha, n, keys) == block_classes_by_flips(alpha, n, keys)
+
+
+@given(window_cfs, st.integers(1, 300), st.data())
+@settings(max_examples=200, deadline=None)
+def test_factors_are_windows_of_one_text(cf, n, data):
+    """The window lemma: the factor at level cut j is text[n-j : 2n-j],
+    on slopes outside (0, 1), above 1/2 and with a quotient up to 500."""
+    _check_windows(cf.value(), n, data.draw(block_keys(n)))
+
+
+@pytest.mark.parametrize(
+    "cf",
+    [FIB, SPIKE, ContinuedFraction([-2, 1, 400], [1, 3]), ContinuedFraction([3], [1, 1, 2])],
+    ids=str,
+)
+def test_factors_are_windows_of_one_text_at_length_2000(cf):
+    _check_windows(cf.value(), 2000, partial(_keys, m=2000, k=3))
+
+
 @given(st.one_of(periodic_slopes, preperiodic_slopes), st.integers(1, 40), st.data())
 @settings(max_examples=200, deadline=None)
 def test_incremental_block_scan_matches_the_rescan(alpha, m, data):
     """The crossing walk's repaired runs against a rescan of every factor,
     on one language of length 2m..300 (m need not divide it), and along the
     whole ladder at a small cap, cap refusals included.  The class map
-    flipped off that language's crossing walk is the one decoded from the
-    length-m factors."""
+    shifted off that language's text is the one decoded from the length-m
+    factors."""
     keys = data.draw(block_keys(m))
     n = data.draw(st.integers(2 * m, 300))
     blocks = _block_classes(alpha, m, keys)

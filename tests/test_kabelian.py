@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmian_spectra.kabelian import (
+    _class_walk,
     classify_brute,
     classify_by_intervals,
     _keys,
@@ -118,6 +119,16 @@ def test_interval_classes_carry_their_interval_index():
     classes = classify_by_intervals(FIB_SLOPE, 2, 5)
     assert [c.interval_index for c in classes] == [0, 1, 2, 3]
     assert all(c.k == 2 and c.length == 5 for c in classes)
+
+
+def test_a_listed_class_walk_holds_each_factor_once():
+    """Each step of the walk hands out a word of its own, so a list of the
+    whole walk holds the m+1 distinct factors in circle order, not m+1
+    references to one buffer that ends as the last factor."""
+    for alpha, k, m in (FIB_SLOPE, 2, 5), (SILVER_SLOPE, 3, 40):
+        words = [w for _, w in list(_class_walk(alpha, k, m))]
+        assert words == [w for w, _ in factors_of_length(alpha, m)]
+        assert len(set(words)) == m + 1
 
 
 def test_shared_ends_decide_order_three_on_fibonacci_factors():

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sturmian_spectra.quadreal import MixedRadicandError, QuadReal, _floor_parts, dist_to_int, sqrt
+from sturmian_spectra.quadreal import (
+    _SMALL_PRIMES,
+    MixedRadicandError,
+    QuadReal,
+    _floor_parts,
+    _split_radicand,
+    dist_to_int,
+    sqrt,
+)
+
+from reference import split_radicand_by_trial
 
 GOLDEN = QuadReal(1, 1, 5, 2)  # (1 + sqrt 5) / 2
 FIB_SLOPE = QuadReal(3, -1, 5, 2)  # (3 - sqrt 5) / 2
@@ -45,8 +55,37 @@ def test_normalization_pulls_out_square_factors():
     assert QuadReal(0, 4, 50, 6) == QuadReal(0, 10, 2, 3)
 
 
+# radicands with small primes to high powers, a large prime, and a large square
+radicands = st.builds(
+    lambda small, e, c: small**e * c,
+    st.sampled_from(_SMALL_PRIMES),
+    st.integers(0, 40),
+    st.integers(1, 10**24) | st.sampled_from([1009, 1009**2, 997 * 1009, 7919**2 * 3]),
+)
+
+
+@given(radicands | st.integers(1, 10**40))
+@settings(max_examples=500)
+def test_radicands_split_by_gcd_as_by_trial_division(n):
+    assert _split_radicand.__wrapped__(n) == split_radicand_by_trial(n)
+
+
+def test_radicands_split_by_gcd_as_by_trial_division_exhaustively():
+    """Every n up to 10^5, and every p^e * c for a prime p below 1000,
+    e <= 6 and c < 200 or one of a few cofactors past the small primes."""
+    split = _split_radicand.__wrapped__
+    assert all(split(n) == split_radicand_by_trial(n) for n in range(1, 10**5 + 1))
+    cofactors = [*range(1, 200), 1009, 1009**2, 997 * 1009, 2**40 + 1]
+    assert all(
+        split(p**e * c) == split_radicand_by_trial(p**e * c)
+        for p in _SMALL_PRIMES
+        for e in range(1, 7)
+        for c in cofactors
+    )
+
+
 def test_spellings_of_one_value_are_equal_and_hash_alike():
-    """A square of a prime above the trial-division limit may stay in d."""
+    """A square of a prime above the small-prime limit may stay in d."""
     x, y = QuadReal(0, 1, 5 * 1129**2), QuadReal(0, 1129, 5)
     assert x == y and hash(x) == hash(y)
     x, y = QuadReal(0, 1, 5 * 1129**2 * 1151), QuadReal(0, 1129, 5 * 1151)
