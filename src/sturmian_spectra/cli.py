@@ -13,13 +13,18 @@ Every refusal (2, 3 or 4) comes before the first byte of stdout.
 `classes` writes its words as the crossing walk reaches them, one at a
 time, so its memory stays O(m) however long the output.
 
-An argv that starts with a command is parsed once, by parse_known_args on
-that command's parser, the very call the top-level parser makes for it.
-Every other argv -- one with arguments left over, an empty one, -h, an
-unknown command, an option before the command -- goes through the full
-top-level parse.  Each refusal and help text therefore comes from the
-parser that gives it in the full parse, so every exit code and message
-stays argparse's own, whatever the Python version.
+A request is parsed on one of two paths.  The reader (_read) takes an argv
+that starts with a command and whose later tokens are each a whole option
+string of that command (each at most once), the value after an option
+that takes one, or a positional, where only the option strings start with
+"-".  It builds the namespace from tables taken once from the command's
+argparse actions, so the grammar is written only in _build_parser.  It
+declines a value that fails its type or choices and a missing required
+argument too.  argparse decides every argv the reader declines -- -h, "--",
+--opt=value, -k3, an abbreviation, a negative number, a missing or
+repeated option, an extra positional, a bad value, an unknown command --
+in one full parse, so every exit code, usage message and help text stays
+argparse's own, whatever the Python version.
 """
 
 from __future__ import annotations
@@ -173,16 +178,62 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@cache  # one per command, built on its first request
+def _tables(command: str) -> tuple[dict, list, dict, set]:
+    """The command's option string -> action map, its positionals, the
+    namespace of its defaults and its required actions, all read off its
+    parser's actions; --help, whose default is SUPPRESS, is left out."""
+    options, positionals, defaults, required = {}, [], {"command": command}, set()
+    for action in _build_parser().commands[command]._actions:
+        if action.default is argparse.SUPPRESS:
+            continue
+        defaults[action.dest] = action.default
+        options.update(dict.fromkeys(action.option_strings, action))
+        if not action.option_strings:
+            positionals.append(action)
+        if action.required:
+            required.add(action)
+    return options, positionals, defaults, required
+
+
+def _read(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace _build_parser().parse_args(argv) gives, read off the
+    command's tables, or None where argparse must decide (see the module
+    docstring)."""
+    if not argv or argv[0] not in _build_parser().commands:
+        return None
+    options, positionals, defaults, required = _tables(argv[0])
+    values, seen = dict(defaults), set()
+    tokens, free = iter(argv[1:]), iter(positionals)
+    for token in tokens:
+        if token.startswith("-"):
+            action = options.get(token)
+            if action is not None and action.nargs != 0:  # it takes the next token
+                token = next(tokens, "-")  # a missing value declines as an option does
+                if token.startswith("-"):
+                    return None
+        else:
+            action = next(free, None)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:  # a flag
+            values[action.dest] = action.const
+            continue
+        try:
+            value = token if action.type is None else action.type(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    return argparse.Namespace(**values) if seen >= required else None
+
+
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """What _build_parser().parse_args(argv) gives, parsing a command with
-    nothing left over only once (see the module docstring)."""
-    parser = _build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not rest:
-            return args
-    return parser.parse_args(argv)
+    """What _build_parser().parse_args(argv) gives (see the module docstring)."""
+    args = _read(argv)
+    return _build_parser().parse_args(argv) if args is None else args
 
 
 def _cmd_cf(args: argparse.Namespace) -> int:

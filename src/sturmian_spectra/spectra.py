@@ -743,16 +743,14 @@ def construct_linfty_slope(lam: Fraction | int | str, stages: int) -> LinftyRepo
     digits, whose = _digit_limit()
     too_big = _power_of_ten(digits) // max(lam.numerator, lam.denominator)
     quotients = [1, 1]  # position i holds a_{i+1}; padding value is 1
-    # [0; a_1, a_2, ...] folded as it is planted: a_k is read when q_k is asked for
-    folds = _folds(itertools.chain([0], map(quotients.__getitem__, itertools.count())))
-    qs = [next(folds)[2], next(folds)[2]]  # position i holds q_i
+    qs = [1, 1]  # position i holds q_i of [0; a_1, a_2, ...]
     # stages plant a_{k+1} for k >= 2 only
     stage_records: list[LinftyStage] = []
     for t in range(1, stages + 1):
         bound = Fraction(1, 2**t)
         while True:
             k = len(qs)  # the candidates run on from the last stage's index
-            q = next(folds)[2]
+            q = quotients[k - 1] * qs[-1] + qs[-2]  # q_k = a_k q_{k-1} + q_{k-2}
             qs.append(q)
             quotients.append(1)
             if q >= too_big:

@@ -1,12 +1,16 @@
 """Command line surface: output schemas, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import sturmian_spectra
 from sturmian_spectra import cli, geometry
 from sturmian_spectra.cli import (
     EXIT_INTERNAL,
@@ -526,6 +530,30 @@ _PARSE_ARGVS = [argv for argv, _ in CLI_CASES.values()] + [
     [],
     ["nonesuch"],
     ["--format", "json", "theta", FIB, "-k", "2"],
+    # what the reader takes: options in any order, flags, a value that is
+    # empty or that int() reads though it is no ASCII numeral, an empty
+    # positional
+    ["theta", "-k", "2", FIB],
+    ["classes", FIB, "--emit-circle", "-m", "5", "--convention", "right", "-k", "2"],
+    ["theta", FIB, "-k", " 4"],
+    ["theta", FIB, "-k", "\uff14"],
+    ["theta", "", "-k", "2"],
+    ["spectrum", "-k", "2", "--base", ""],
+    # what the reader hands argparse
+    ["theta", FIB, "-k", "2", "--format=json"],
+    ["theta", FIB, "-k"],
+    ["theta", FIB, "-k", "-1"],
+    ["theta", "-", "-k", "2"],
+    ["theta", "-1", "-k", "2"],
+    ["theta", FIB, "-k", "2", "-h"],
+    ["classes", FIB, "-k", "2", "-m", "5", "--emit-circle", "--emit-circle"],
+    ["classes", FIB, "-k", "2", "-m", "5", "--emit-circle=1"],
+    ["spectrum", "-k", "2"],
+    ["spectrum", "-k", "2", "--base", FIB, FIB],
+    ["spectrum", "-k", "2", "--base", "-x"],
+    ["linfty", "7/3", "--stages", "x"],
+    ["linfty", "7/3", "--stages", "2", "--format", "csv"],
+    ["cf", FIB, "--t-max", ""],
 ]
 
 
@@ -548,6 +576,144 @@ def test_one_pass_parse_matches_the_full_parse(capsys, monkeypatch, argv):
     full top-level parse."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
     assert _parse_outcome(capsys, cli._parse, argv) == _parse_outcome(capsys, full_parse, argv)
+
+
+# one well-formed request per command, in chunks: an option and its value, a
+# flag or a positional
+_CHUNKS = {
+    "cf": [(FIB,), ("--t-max", "3"), ("--format", "csv")],
+    "classes": [(FIB,), ("-k", "2"), ("-m", "5"), ("--emit-circle",),
+                ("--convention", "right"), ("--format", "json")],
+    "exponent": [(FIB,), ("-k", "2"), ("-m", "5"), ("--verify",),
+                 ("--convention", "right"), ("--format", "json")],
+    "theta": [(FIB,), ("-k", "2"), ("--format", "json")],
+    "spectrum": [("-k", "2"), ("--base", FIB), ("--pool", "2"), ("--format", "csv")],
+    "linfty": [("7/3",), ("--stages", "1"), ("--format", "json")],
+}
+# what may be put among them: every option string with a value of each kind,
+# good and bad, and tokens only argparse reads
+_OPTION_VALUES = {
+    "-k": ["2", "0", "x", " 4", "\uff14", ""],
+    "-m": ["5", "0"],
+    "--t-max": ["3", "0"],
+    "--format": ["json", "csv", "xml"],
+    "--convention": ["right", "middle"],
+    "--base": [FIB],
+    "--pool": ["2"],
+    "--stages": ["1"],
+}
+_TOKENS = [FIB, "7/3", "", "--emit-circle", "--verify", "--format=json", "-k3", "--form",
+           "--", "-", "-h", "-1", "--help", "--bogus", "-k", "--format", "--base"]
+_VALUES = sorted({value for values in _OPTION_VALUES.values() for value in values}
+                 | {"-x", "-1", "--verify"})
+_EXTRA_CHUNKS = st.one_of(
+    st.sampled_from(sorted(_OPTION_VALUES)).flatmap(
+        lambda opt: st.tuples(st.just(opt), st.sampled_from(_OPTION_VALUES[opt]))),
+    st.sampled_from(_TOKENS).map(lambda token: (token,)),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command's well-formed request in any order, about one chunk in six
+    dropped and one in six given another value, and up to two chunks put in
+    anywhere."""
+    command = draw(st.sampled_from([*_CHUNKS, "nonesuch", "-h"]))
+    chunks = []
+    for chunk in draw(st.permutations(_CHUNKS.get(command, []))):
+        change = draw(st.integers(0, 5))
+        if change == 1:
+            continue
+        if change == 2 and not chunk[-1].startswith("-"):  # a value or a positional
+            chunk = (*chunk[:-1], draw(st.sampled_from(_VALUES)))
+        chunks.append(chunk)
+    for _ in range(draw(st.integers(0, 2))):
+        chunks.insert(draw(st.integers(0, len(chunks))), draw(_EXTRA_CHUNKS))
+    return [command] + [token for chunk in chunks for token in chunk]
+
+
+@given(_argvs())
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_reader_matches_the_full_parse(capsys, monkeypatch, argv):
+    """On any argv, the reader's namespace or argparse's own answer is the
+    namespace, usage error, help text and exit of the full parse."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+    assert _parse_outcome(capsys, cli._parse, argv) == _parse_outcome(capsys, full_parse, argv)
+
+
+def test_the_reader_knows_every_action():
+    """The reader reads store and store_true actions; help, whose default
+    is SUPPRESS, it leaves to argparse.  An action of another kind would
+    need the reader taught first."""
+    for parser in cli._build_parser().commands.values():
+        for action in parser._actions:
+            assert (type(action) in (argparse._StoreAction, argparse._StoreTrueAction)
+                    or action.default is argparse.SUPPRESS), action
+
+
+def test_the_reader_takes_every_cli_mix_request(monkeypatch):
+    """Every request of the benchmark's cli-mix op lists for seeds 1-3 is
+    read without argparse, into the namespace of the full parse."""
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "bench"))
+    import workloads
+
+    for seed in 1, 2, 3:  # at 25 s, the benchmark's run length
+        for op in workloads.generate("cli-mix", seed, 25, sturmian_spectra):
+            args = cli._read(op["argv"])
+            assert args is not None and args == full_parse(op["argv"]), op["argv"]
+
+
+_QUOTIENTS = st.lists(st.integers(1, 9), max_size=3)
+_CF_TEXTS = st.one_of(
+    st.tuples(st.integers(-2, 2), _QUOTIENTS, _QUOTIENTS.filter(bool)).map(
+        lambda t: f"[{t[0]}; " + "".join(f"{a}, " for a in t[1])
+        + f"({', '.join(map(str, t[2]))})]"),
+    st.tuples(st.integers(-2, 2), _QUOTIENTS).map(
+        lambda t: f"[{t[0]}; {', '.join(map(str, t[1]))}]"),  # rational
+    st.text("[];,() -0123456789", max_size=10),
+)
+_K = st.integers(1, 40).map(str)
+_REQUESTS = st.one_of(
+    st.tuples(st.just("cf"), _CF_TEXTS, st.just("--t-max"), st.integers(0, 40).map(str),
+              st.just("--format"), st.sampled_from(["text", "json", "csv"])),
+    st.tuples(st.just("classes"), _CF_TEXTS, st.just("-k"), _K,
+              st.just("-m"), st.integers(1, 400).map(str),
+              st.sampled_from([(), ("--emit-circle",), ("--convention", "right")]),
+              st.just("--format"), st.sampled_from(["text", "json"])),
+    st.tuples(st.just("exponent"), _CF_TEXTS, st.just("-k"), _K,
+              st.just("-m"), st.integers(1, 400).map(str),
+              st.sampled_from([(), ("--verify",), ("--convention", "right")]),
+              st.just("--format"), st.sampled_from(["text", "json"])),
+    st.tuples(st.just("theta"), _CF_TEXTS, st.just("-k"), _K,
+              st.just("--format"), st.sampled_from(["text", "json"])),
+    st.tuples(st.just("spectrum"), st.just("-k"), _K, st.just("--base"), _CF_TEXTS,
+              st.just("--pool"), st.integers(0, 20).map(str),
+              st.just("--format"), st.sampled_from(["text", "json", "csv"])),
+    st.tuples(st.just("linfty"), st.one_of(
+        st.tuples(st.integers(-3, 30), st.integers(0, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.text("/.-0123456789 x", max_size=6)),
+        st.just("--stages"), st.integers(1, 6).map(str),
+        st.just("--format"), st.sampled_from(["text", "json"])),
+).map(lambda parts: [token for part in parts
+                     for token in (part if isinstance(part, tuple) else (part,))])
+
+
+@given(_REQUESTS)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_small_request_answers_or_refuses_cleanly(capsys, monkeypatch, argv):
+    """A request with k <= 40, m <= 400, --t-max <= 40, --pool <= 20 and
+    --stages <= 6, on a well-formed or malformed slope or target, exits 0
+    with nothing on stderr, or refuses (2 or 3) with nothing on stdout and
+    a typed JSON error on stderr."""
+    monkeypatch.delenv("STURMIAN_SPECTRA_CAP", raising=False)
+    code, out, err = _run(capsys, *argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE), (argv, err)
+    if code == EXIT_OK:
+        assert err == "", argv
+    else:
+        assert out == "", argv
+        assert json.loads(err)["error"]["type"], argv
 
 
 def test_repeated_runs_are_identical(capsys):
