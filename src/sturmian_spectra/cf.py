@@ -8,10 +8,13 @@ Convergents, values, denominators and Lagrange constants come from one
 integer fold, the convergent recurrence over a quotient list (`_folds`,
 and its last step `_moebius`), and each value builds a single
 :class:`~sturmian_spectra.quadreal.QuadReal` at the end.  It is the
-package's only convergent recurrence, and every slope is expanded here:
-it folds a continued fraction's own quotients (`_quotients`) or
+package's only convergent recurrence but one, and every slope is expanded
+here: it folds a continued fraction's own quotients (`_quotients`) or
 `_quotients_of`, the integer quotient stream of a QuadReal, and
 `_convergent_past` reads the first convergent past a level off either.
+The other is spectra.construct_linfty_slope, which steps
+q_k = a_k q_{k-1} + q_{k-2} itself because it plants each quotient from
+the denominators before it.
 """
 
 from __future__ import annotations

@@ -301,7 +301,7 @@ def _write_classes(walk, open_class, between: str, close_class) -> None:
 
 def _cmd_classes(args: argparse.Namespace) -> int:
     cf = ContinuedFraction.parse(args.cf_text)
-    alpha = _irrational_value(cf)
+    alpha = _irrational(cf).value()
     # every refusal (budget, coarse family) is raised here, before any output
     fam = ikm_intervals(alpha, args.k, args.m)
     walk = _class_walk(alpha, args.k, args.m)
@@ -338,7 +338,7 @@ def _cmd_classes(args: argparse.Namespace) -> int:
 
 def _cmd_exponent(args: argparse.Namespace) -> int:
     cf = ContinuedFraction.parse(args.cf_text)
-    alpha = _irrational_value(cf)
+    alpha = _irrational(cf).value()
     convention = _CONVENTIONS[args.convention]
     record = max_kab_exponent(alpha, args.k, args.m, convention)
     brute = None
@@ -384,7 +384,7 @@ def _cmd_exponent(args: argparse.Namespace) -> int:
 
 def _cmd_theta(args: argparse.Namespace) -> int:
     cf = ContinuedFraction.parse(args.cf_text)
-    theta = theta_k(cf, args.k)
+    theta = theta_k(_irrational(cf), args.k)
     if args.output == "json":
         doc = {"cf": cf.render(), "k": args.k, "theta": theta.to_json()}
         print(json.dumps(doc))
@@ -396,7 +396,7 @@ def _cmd_theta(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     base = ContinuedFraction.parse(args.cf_text)
-    points = sample_spectrum(args.k, base, args.pool)
+    points = sample_spectrum(args.k, _irrational(base), args.pool)
     if args.output == "json":
         for p in points:
             print(
@@ -459,10 +459,12 @@ def _cmd_linfty(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _irrational_value(cf: ContinuedFraction) -> QuadReal:
+def _irrational(cf: ContinuedFraction) -> ContinuedFraction:
+    """cf, refused as a parse error when rational: every subcommand that
+    reads a slope refuses a rational one in these words."""
     if cf.is_rational:
         raise CFSyntaxError(f"slope must be irrational, got rational {cf.render()}")
-    return cf.value()
+    return cf
 
 
 _HANDLERS = {

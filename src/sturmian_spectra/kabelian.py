@@ -79,7 +79,7 @@ from itertools import repeat
 from ._record import Record
 from .geometry import EndpointConvention, LEFT_CLOSED, _coarse_indices
 from .quadreal import QuadReal
-from .words import SturmianSpec, _factor_words, _language_walk, sigma_factors_of_length
+from .words import SturmianSpec, _language, sigma_factors_of_length
 
 __all__ = [
     "kab_equivalent",
@@ -235,13 +235,14 @@ def classify_by_intervals(
 
 
 def _class_walk(alpha: QuadReal, k: int, m: int) -> Iterator[tuple[bool, str]]:
-    """(opens, word) for each length-m factor in circle order, off the words
-    module's crossing walk: `opens` says that the factor's cut is a coarse
-    cut, so that it opens the next class (cut 0, which comes first, always
-    does).  The budget and the coarse indices are checked when this is
-    called, before any word."""
+    """(opens, word) for each length-m factor in circle order, the window
+    text[m-j : 2m-j] of the words module's language text at each cut j:
+    `opens` says that cut j is a coarse cut, so that it opens the next
+    class (cut 0, which comes first, always does).  The coarse indices and
+    the budget are checked when this is called, before any word."""
     coarse = set(_coarse_indices(k, m))
-    return ((j in coarse, word) for j, word in _language_walk(alpha, m))
+    text, order, _, _ = _language(alpha, m)
+    return ((j in coarse, text[m - j : 2 * m - j]) for j in order)
 
 
 class TernaryReport(Record):
@@ -267,7 +268,7 @@ def verify_ternary_property(spec: SturmianSpec, k: int, max_len: int) -> Ternary
     """
     if k < 2:
         raise ValueError("the substituted coding property needs k >= 2")
-    if "00" not in _factor_words(spec.alpha, 2):
+    if "00" not in _language(spec.alpha, 2)[0]:  # its windows are the three factors
         raise ValueError("slope's coding must contain 00 (slope below 1/2)")
     pairs, found = 0, []
     for ell in range(1, max_len + 1):

@@ -97,9 +97,7 @@ def _kab_exponents(
     """A_k(m) by _kab_exponent for each m in `periods`, and the rank S of
     ||m*alpha|| it took, for a convergent p/q past (G // S + 2)*m at every m,
     which each floor checks.  G is read off geometry._coarse_ranks, handed
-    the head ranks, which are computed once."""
-    if k < 1:
-        raise ValueError("order k must be >= 1")
+    the head ranks, which are computed once; both callers refuse k < 1."""
     head = _ranks(range(k), p, q)[:-1]
     exponents, steps = [], []
     for m in periods:

@@ -36,11 +36,16 @@ every factor takes (n+1)*n symbols, refused past LANGUAGE_SYMBOL_CAP; the
 brute oracle slices none, as it reads the length-m factors' integers as
 shifts of the text's integer and walks a longer language on class ids
 alone.
+
+_crossings is the only cache a language has: 8 entries, each a 2n-letter
+str, an (n+1)-int list and one convergent.  The package's other caches are
+quadreal._split_radicand (1024 radicands), cli._build_parser (one parser),
+cli._tables (one entry per command, at most 6) and spectra._power_of_ten
+(one integer with as many digits as the digit limit).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
 
 from ._record import Record
@@ -136,29 +141,16 @@ def _crossings(alpha: QuadReal, n: int) -> tuple[str, list[int], int, int]:
     return _code_pair(p, q, 0, -n, 1, 2 * n, True), _circle_order(range(n + 1), p, q), p, q
 
 
-def _crossing_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, str]]:
-    """(j, word) for each cut j in circle order, word the factor whose
-    level-n interval starts at cut j, sliced off the text of _crossings."""
-    text, order, _, _ = _crossings(alpha, n)
-    for j in order:
-        yield j, text[n - j : 2 * n - j]
-
-
-def _language_walk(alpha: QuadReal, n: int) -> Iterator[tuple[int, str]]:
-    """_crossing_walk(alpha, n) for a walk that visits every factor: refused
-    when called, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
+def _language(alpha: QuadReal, n: int) -> tuple[str, list[int], int, int]:
+    """_crossings(alpha, n) for a caller that slices every factor off it, the
+    window text[n-j : 2n-j] at each cut j of the order: refused, before
+    anything is sorted, past LANGUAGE_SYMBOL_CAP."""
     if n < 1:
         raise ValueError("factor length must be >= 1")
     if (n + 1) * n > LANGUAGE_SYMBOL_CAP:
         msg = f"the length-{n} language has more than {LANGUAGE_SYMBOL_CAP} symbols"
         raise ResourceCapExceeded((n + 1) * n, LANGUAGE_SYMBOL_CAP, msg)
-    return _crossing_walk(alpha, n)
-
-
-def _factor_words(alpha: QuadReal, n: int) -> Iterator[str]:
-    """The n+1 length-n factors in circle order, off the crossing walk;
-    refused, before anything is sorted, past LANGUAGE_SYMBOL_CAP."""
-    return (word for _, word in _language_walk(alpha, n))
+    return _crossings(alpha, n)
 
 
 def factors_of_length(
@@ -169,21 +161,15 @@ def factors_of_length(
     Returns (word, interval) pairs in circle order of the level-n family;
     there are exactly n+1 of them.  The word attached to an interval is the
     coding of its interior points, read off the circle order of the cuts.
-    `convention` is accepted and changes nothing: no point is coded here,
-    so the cache is keyed on (alpha, n) alone.
+    `convention` is accepted and changes nothing: no point is coded here.
     """
-    return _factors_of_length(alpha, n)
+    text, order, p, q = _language(alpha, n)
+    intervals = _orbit_family(alpha, order, p, q).intervals
+    return tuple((text[n - j : 2 * n - j], iv) for j, iv in zip(order, intervals))
 
 
-@lru_cache(maxsize=8)
-def _factors_of_length(alpha: QuadReal, n: int) -> tuple[tuple[str, Interval], ...]:
-    words = _factor_words(alpha, n)  # checks the budget before anything is built
-    _, order, p, q = _crossings(alpha, n)
-    return tuple(zip(words, _orbit_family(alpha, order, p, q).intervals))
-
-
-# the hit rate stays readable off the public name (bench/tracer.py reads it)
-factors_of_length.cache_info = _factors_of_length.cache_info
+# the crossing cache's hit rate stays readable off the public name (bench/tracer.py reads it)
+factors_of_length.cache_info = _crossings.cache_info
 
 
 def occurrences(w: str, u: str) -> int:
@@ -213,11 +199,13 @@ def sigma_factors_of_length(alpha: QuadReal, n: int) -> tuple[str, ...]:
     factor that starts there, which has at least n+1 letters.  Each such
     slice occurs in sigma(s), so these two windows per image are the
     language (at an image that starts with 1, the slice at 1 is the slice
-    at 0 of the factor one letter on).  The n+2 images have at most
+    at 0 of the factor one letter on).  The length-(n+1) factors are the
+    n+2 windows of their language's text, and their images have at most
     2(n+1) letters each, so the budget of the length-(n+1) language, which
     is sliced and refused past LANGUAGE_SYMBOL_CAP, bounds this one too.
     """
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    images = map(sigma_image, _factor_words(alpha, n + 1))
+    text, _, _, _ = _language(alpha, n + 1)
+    images = (sigma_image(text[i : i + n + 1]) for i in range(n + 2))
     return tuple(sorted({img[i : i + n] for img in images for i in (0, 1)}))

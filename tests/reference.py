@@ -44,7 +44,7 @@ from sturmian_spectra.geometry import (
 from sturmian_spectra.kabelian import TernaryReport, _digits, _keys, classify_by_intervals
 from sturmian_spectra.quadreal import _SMALL_PRIMES, dist_to_int
 from sturmian_spectra.spectra import BoundReport, _covered_floor
-from sturmian_spectra.words import _code_pair, _factor_words, sigma_image
+from sturmian_spectra.words import _code_pair, factors_of_length, sigma_image
 
 
 def sorted_family(points):
@@ -293,7 +293,7 @@ def sigma_window_scan(alpha, n):
     image of each length-(n+1) factor, deduplicated and sorted."""
     if n < 1:
         raise ValueError("factor length must be >= 1")
-    images = map(sigma_image, _factor_words(alpha, n + 1))
+    images = (sigma_image(w) for w, _ in factors_of_length(alpha, n + 1))
     windows = {img[i : i + n] for img in images for i in range(len(img) - n + 1)}
     return tuple(sorted(windows))
 
@@ -304,7 +304,7 @@ def ternary_by_pairs(spec, k, max_len, language=sigma_window_scan):
     disagree with equal ends of length min(ell, k-1) is a counterexample."""
     if k < 2:
         raise ValueError("the substituted coding property needs k >= 2")
-    if "00" not in _factor_words(spec.alpha, 2):
+    if "00" not in {w for w, _ in factors_of_length(spec.alpha, 2)}:
         raise ValueError("slope's coding must contain 00 (slope below 1/2)")
     pairs, found = 0, []
     for ell in range(1, max_len + 1):

@@ -403,10 +403,19 @@ def test_parse_error_is_json_on_stderr(capsys):
     assert payload["error"]["type"] == "parse_error"
 
 
-def test_rational_slope_is_a_usage_error_for_classes(capsys):
-    code, _, err = _run(capsys, "classes", "[0; 3]", "-k", "2", "-m", "5")
-    assert code == EXIT_USAGE
-    assert json.loads(err)["error"]["type"] == "parse_error"
+@pytest.mark.parametrize("argv", [
+    ["classes", "[0; 3]", "-k", "2", "-m", "5"],
+    ["exponent", "[0; 3]", "-k", "2", "-m", "5"],
+    ["theta", "[0; 3]", "-k", "2"],
+    ["spectrum", "--base", "[0; 3]", "-k", "2"],
+], ids=lambda argv: argv[0])
+def test_rational_slope_is_the_same_parse_error_on_every_command(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert json.loads(err)["error"] == {
+        "type": "parse_error",
+        "message": "slope must be irrational, got rational [0; 3]",
+    }
 
 
 def test_nonpositive_length_is_rejected_by_the_parser(capsys):

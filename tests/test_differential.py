@@ -91,10 +91,8 @@ from sturmian_spectra.spectra import (
 from sturmian_spectra.words import (
     SturmianSpec,
     _code_pair,
-    _crossing_walk,
     _crossings,
-    _factor_words,
-    _factors_of_length,
+    _language,
     factors_of_length,
     sigma_factors_of_length,
     sigma_image,
@@ -312,7 +310,7 @@ def test_interval_values_built_on_read_match_the_sorted_family(alpha, n, rnd):
     in a shuffled order (start or length first), are the generically sorted
     level family, spelled alike; and each equals, and hashes like, the
     interval constructed from its two values."""
-    fresh = [iv for _, iv in _factors_of_length.__wrapped__(alpha, n)]
+    fresh = [iv for _, iv in factors_of_length(alpha, n)]
     for i in rnd.sample(range(n + 1), n + 1):
         first, second = rnd.sample(("start", "length"), 2)
         getattr(fresh[i], first)
@@ -320,7 +318,7 @@ def test_interval_values_built_on_read_match_the_sorted_family(alpha, n, rnd):
     got, want = IntervalFamily(tuple(fresh)), _level_reference(alpha, n)
     assert got == want
     assert _spelling(got) == _spelling(want)
-    unread = [iv for _, iv in _factors_of_length.__wrapped__(alpha, n)]
+    unread = [iv for _, iv in factors_of_length(alpha, n)]
     for iv, other in zip(fresh, unread):
         by_value = Interval(iv.start, iv.length)
         assert by_value == iv and hash(by_value) == hash(iv)
@@ -579,13 +577,13 @@ def _rescanned_run(alpha, n, m, classes, *_):
     """The best initial run over the length-n factors, each factor decoded
     and split into m-blocks from scratch; the walk's `at` and moves, if
     passed, are ignored."""
-    return max(_initial_run(w, m, classes) for w in _factor_words(alpha, n))
+    return max(_initial_run(w, m, classes) for w, _ in factors_of_length(alpha, n))
 
 
 def _decoded_classes(alpha, m, keys):
     """m-block -> class id under the batch key function `keys`, the
     length-m factors decoded from their words, not flipped bit by bit."""
-    blocks = [int(w, 2) for w in _factor_words(alpha, m)]
+    blocks = [int(w, 2) for w, _ in factors_of_length(alpha, m)]
     ids = {}
     return {b: ids.setdefault(key, len(ids)) for b, key in zip(blocks, keys(blocks))}
 
@@ -618,7 +616,8 @@ def _check_windows(alpha, n, keys):
     its integer, against one buffer and one integer flipped two bits per
     crossing."""
     flipped = [(j, letters.decode()) for j, letters in crossing_walk_by_flips(alpha, n)]
-    assert list(_crossing_walk(alpha, n)) == flipped
+    text, order, _, _ = _language(alpha, n)
+    assert [(j, text[n - j : 2 * n - j]) for j in order] == flipped
     assert _block_classes(alpha, n, keys) == block_classes_by_flips(alpha, n, keys)
 
 

@@ -134,6 +134,8 @@ def test_family_rejects_bad_input():
         level_intervals(QuadReal.from_fraction(Fraction(1, 3)), 4)
     with pytest.raises(ValueError):
         ikm_intervals(FIB_SLOPE, 0, 5)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        level_intervals(FIB_SLOPE, -1)
 
 
 @given(points_in_unit, st.integers(1, 40))

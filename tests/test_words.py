@@ -1,6 +1,7 @@
 """Rotation codings: prefixes, factor languages, the doubling substitution."""
 
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from sturmian_spectra.words import (
     LANGUAGE_SYMBOL_CAP,
     SturmianSpec,
     _crossings,
-    _factor_words,
+    _language,
     factors_of_length,
     occurrences,
     sigma_factors_of_length,
@@ -99,10 +100,10 @@ def test_every_factor_occurs_in_a_bounded_window():
 def test_languages_past_the_symbol_budget_are_refused_before_sorting():
     """10001 factors of length 10000 pass the budget of 10**8 symbols, by
     10**4; every path that decodes a language refuses them before it sorts
-    a crossing order.  9999 is within the budget, and decodes lazily."""
-    misses = _crossings.cache_info().misses
+    a crossing order.  9999 is within the budget, and sorts exactly once."""
+    _crossings.cache_clear()
     for decode in (
-        lambda n: _factor_words(FIB_SLOPE, n),
+        lambda n: _language(FIB_SLOPE, n),
         lambda n: factors_of_length(FIB_SLOPE, n),
         lambda n: sigma_factors_of_length(FIB_SLOPE, n - 1),
         lambda n: classify_by_intervals(FIB_SLOPE, 2, n),
@@ -111,8 +112,9 @@ def test_languages_past_the_symbol_budget_are_refused_before_sorting():
             decode(10**4)
         assert (info.value.needed, info.value.cap) == (10001 * 10**4, LANGUAGE_SYMBOL_CAP)
     assert LANGUAGE_SYMBOL_CAP == 10**8
-    _factor_words(FIB_SLOPE, 9999)
-    assert _crossings.cache_info().misses == misses
+    assert _crossings.cache_info().misses == 0
+    _language(FIB_SLOPE, 9999)
+    assert _crossings.cache_info().misses == 1
 
 
 def test_a_fresh_language_expands_and_sorts_once(monkeypatch):
@@ -132,14 +134,31 @@ def test_a_fresh_language_expands_and_sorts_once(monkeypatch):
 
 def test_factor_cache_ignores_the_convention_spelling():
     """The convention changes no language, so the three spellings of one
-    call share one cache entry: one miss, then two hits."""
+    call share one entry of the crossing cache, which cache_info reads: one
+    miss, then two hits, and equal factors."""
     alpha = ContinuedFraction([0], [4, 7]).value()
     before = factors_of_length.cache_info()
     first = factors_of_length(alpha, 301)
-    assert factors_of_length(alpha, 301, LEFT_CLOSED) is first
-    assert factors_of_length(alpha, 301, RIGHT_CLOSED) is first
+    assert factors_of_length(alpha, 301, LEFT_CLOSED) == first
+    assert factors_of_length(alpha, 301, RIGHT_CLOSED) == first
     after = factors_of_length.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+
+
+def test_languages_built_in_turn_hold_only_their_crossings():
+    """Eight languages of length 5000, each built and dropped in turn, leave
+    under 5 MB held (about 1.7 MB): the crossing cache keeps each text and
+    order, and nothing keeps their words or intervals."""
+    slopes = [ContinuedFraction([0], [a, a + 1]).value() for a in range(1, 9)]
+    _crossings.cache_clear()
+    tracemalloc.start()
+    try:
+        for alpha in slopes:
+            assert len(factors_of_length(alpha, 5000)) == 5001
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 5 * 10**6, held
 
 
 def test_interval_values_are_built_only_when_read(monkeypatch):
